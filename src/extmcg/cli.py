@@ -4,7 +4,7 @@ Every subcommand wraps exactly one library operation (verify-all wraps
 the acceptance suite).  --json switches to the documented JSON schemas.
 Exit codes: 0 success, 1 domain/validation error (non-member matrix,
 coset cap, out-of-domain parameter), 2 malformed input (bad word syntax,
-undecodable JSON, unknown subcommand).
+undecodable JSON, unknown subcommand, a --max-cosets below 1).
 """
 
 from __future__ import annotations
@@ -148,6 +148,8 @@ def cmd_eval_word(args) -> int:
 
 
 def cmd_coset_enum(args) -> int:
+    if args.max_cosets < 1:
+        raise ParseInputError(f"--max-cosets must be positive, got {args.max_cosets}")
     pres = smallgrp.parse_presentation(args.presentation)
     group = smallgrp.todd_coxeter(pres, max_cosets=args.max_cosets)
     _emit(args, {"order": group.order, "generators": list(pres.generators)},

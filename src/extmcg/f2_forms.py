@@ -7,7 +7,16 @@ from a symplectic basis and by exhaustive majority vote, and the two
 routes are kept separate on purpose so each can check the other.
 
 Vectors are bitmask integers internally (bit i = coordinate i); the
-public types expose plain 0/1 tuples.
+public types expose plain 0/1 tuples.  A space pairs masks through its
+Gram image, <u, v> = parity(u & J v), and splits off its symplectic
+basis once.  A symplectic matrix keeps only its columns as bitmasks
+(column j is the image of basis vector j), so applying, composing and
+validating it are XORs and popcounts.
+
+Orbits of refinements are found by breadth-first search over 3k - 1
+transvections that generate Sp(2k, 2), without enumerating the group, up
+to dimension 10.  Stabilizers filter the full enumeration of Sp(2k, 2)
+and stop at dimension 6.
 """
 
 from __future__ import annotations
@@ -27,10 +36,6 @@ class DimensionMismatchError(ValueError):
 
 class UnsupportedSizeError(ValueError):
     pass
-
-
-def _parity(x: int) -> int:
-    return bin(x).count("1") & 1
 
 
 def _rank_f2(rows: list[int]) -> int:
@@ -106,20 +111,58 @@ class SymplecticSpaceF2:
     def row_masks(self) -> tuple[int, ...]:
         return tuple(sum(e << j for j, e in enumerate(row)) for row in self.gram)
 
+    @cached_property
+    def _byte_images(self) -> tuple[list[int], ...]:
+        # J applied to every value of each 8-bit slice of a vector
+        tables = []
+        for base in range(0, self.dim, 8):
+            rows = self.row_masks[base:base + 8]
+            table = [0] * (1 << len(rows))
+            for m in range(1, len(table)):
+                table[m] = table[m & (m - 1)] ^ rows[(m & -m).bit_length() - 1]
+            tables.append(table)
+        return tuple(tables)
+
+    def image(self, v: int) -> int:
+        """J v, the mask with <u, v> = parity(u & J v) for every u."""
+        out = 0
+        for table in self._byte_images:
+            out ^= table[v & 0xFF]
+            v >>= 8
+        return out
+
     def pair_masks(self, u: int, v: int) -> int:
-        acc = 0
-        i = 0
-        while u >> i:
-            if (u >> i) & 1:
-                acc ^= self.row_masks[i] & v
-            i += 1
-        return _parity(acc)
+        return (u & self.image(v)).bit_count() & 1
 
     def pair(self, u: F2Vector, v: F2Vector) -> int:
         """Intersection pairing <u, v> in {0, 1}."""
         if len(u) != self.dim or len(v) != self.dim:
             raise DimensionMismatchError("vector does not match space dimension")
         return self.pair_masks(u.mask, v.mask)
+
+    @cached_property
+    def basis_masks(self) -> tuple[tuple[int, int], ...]:
+        """Hyperbolic pairs (a_i, b_i) as masks, split off once per space.
+
+        Greedy Gram-Schmidt: take the first vector a of the pool, the first
+        b pairing 1 with it, and project the rest of the pool onto the
+        complement of <a, b>.  The projections stay a basis of that
+        complement, and the form stays nondegenerate on it.
+        """
+        pool = [1 << i for i in range(self.dim)]
+        pairs: list[tuple[int, int]] = []
+        while pool:
+            a = pool.pop(0)
+            ja = self.image(a)
+            b = next((v for v in pool if (v & ja).bit_count() & 1), None)
+            if b is None:
+                raise DegenerateFormError("vector pairs trivially with the whole space")
+            pool.remove(b)
+            jb = self.image(b)
+            pool = [v ^ (a if (v & jb).bit_count() & 1 else 0)
+                    ^ (b if (v & ja).bit_count() & 1 else 0) for v in pool]
+            pairs.append((a, b))
+        return tuple(pairs)
 
 
 def standard_space(k: int) -> SymplecticSpaceF2:
@@ -149,14 +192,10 @@ class QuadraticRefinement:
 
     @cached_property
     def value_table(self) -> tuple[int, ...]:
-        # q(v + e_i) = q(v) + q(e_i) + <v, e_i>, filled in mask order.
-        n = self.space.dim
-        rows = self.space.row_masks
-        table = [0] * (1 << n)
-        for m in range(1, 1 << n):
-            i = (m & -m).bit_length() - 1
-            prev = m ^ (1 << i)
-            table[m] = table[prev] ^ self.basis_values[i] ^ (bin(rows[i] & prev).count("1") & 1)
+        # q(v + e_i) = q(v) + q(e_i) + <v, e_i>, doubling over i in mask order.
+        table = [0]
+        for b, row in zip(self.basis_values, self.space.row_masks):
+            table += [t ^ b ^ ((row & m).bit_count() & 1) for m, t in enumerate(table)]
         return tuple(table)
 
     def eval_mask(self, mask: int) -> int:
@@ -171,44 +210,19 @@ def eval_q(q: QuadraticRefinement, v: F2Vector) -> int:
 
 
 def symplectic_basis(space: SymplecticSpaceF2) -> list[tuple[F2Vector, F2Vector]]:
-    """Greedy Gram-Schmidt: split the space into hyperbolic pairs (a_i, b_i).
+    """Split the space into hyperbolic pairs (a_i, b_i); see basis_masks.
 
     Returns pairs with <a_i, b_j> = delta_ij and all other pairings zero.
     """
     n = space.dim
-    pool = [1 << i for i in range(n)]
-    pairs: list[tuple[int, int]] = []
-    while pool:
-        a = pool[0]
-        b = next((v for v in pool[1:] if space.pair_masks(a, v)), None)
-        if b is None:
-            raise DegenerateFormError("vector pairs trivially with the whole space")
-        pairs.append((a, b))
-        reduced = []
-        for v in pool:
-            if v in (a, b):
-                continue
-            w = v ^ (a if space.pair_masks(v, b) else 0) ^ (b if space.pair_masks(v, a) else 0)
-            reduced.append(w)
-        # keep an independent spanning subset of the projected vectors
-        pool = []
-        basis: list[int] = []
-        for w in reduced:
-            r = w
-            for bb in basis:
-                r = min(r, r ^ bb)
-            if r:
-                basis.append(r)
-                basis.sort(reverse=True)
-                pool.append(w)
-    return [(F2Vector.from_mask(a, n), F2Vector.from_mask(b, n)) for a, b in pairs]
+    return [(F2Vector.from_mask(a, n), F2Vector.from_mask(b, n)) for a, b in space.basis_masks]
 
 
 def arf(q: QuadraticRefinement) -> int:
     """Arf invariant: sum of q(a_i) q(b_i) over a symplectic basis."""
     total = 0
-    for a, b in symplectic_basis(q.space):
-        total ^= q.eval_mask(a.mask) & q.eval_mask(b.mask)
+    for a, b in q.space.basis_masks:
+        total ^= q.eval_mask(a) & q.eval_mask(b)
     return total
 
 
@@ -231,65 +245,74 @@ def all_refinements(space: SymplecticSpaceF2) -> list[QuadraticRefinement]:
     return [QuadraticRefinement(space, bits) for bits in product((0, 1), repeat=space.dim)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SpElement:
-    """Element of the symplectic group of the standard space, as a 0/1 matrix.
+    """Element of the symplectic group of the standard space.
 
-    Columns are images of the standard basis vectors; the matrix acts on
-    column vectors from the left.
+    Built from a square 0/1 matrix whose columns are the images of the
+    standard basis vectors; the matrix acts on column vectors from the
+    left.  Only the columns are kept, as bitmasks.
     """
 
-    matrix: tuple[tuple[int, ...], ...]
+    columns: tuple[int, ...]
 
-    @cached_property
-    def row_masks(self) -> tuple[int, ...]:
-        return tuple(sum(e << j for j, e in enumerate(row)) for row in self.matrix)
+    def __init__(self, matrix: tuple[tuple[int, ...], ...]):
+        n = len(matrix)
+        if any(len(row) != n or any(e not in (0, 1) for e in row) for row in matrix):
+            raise ValueError("matrix must be square with 0/1 entries")
+        object.__setattr__(self, "columns", tuple(
+            sum(matrix[i][j] << i for i in range(n)) for j in range(n)))
+
+    @classmethod
+    def from_columns(cls, columns: tuple[int, ...]) -> "SpElement":
+        """The element whose column j is the mask columns[j] (below 2^n)."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "columns", tuple(columns))
+        return s
+
+    @property
+    def matrix(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple((c >> i) & 1 for c in self.columns) for i in range(self.dim))
 
     @property
     def dim(self) -> int:
-        return len(self.matrix)
+        return len(self.columns)
 
     def apply_mask(self, v: int) -> int:
         out = 0
-        for i, row in enumerate(self.row_masks):
-            out |= (bin(row & v).count("1") & 1) << i
+        for c in self.columns:
+            if v & 1:
+                out ^= c
+            v >>= 1
         return out
-
-    def column_mask(self, j: int) -> int:
-        return sum(((row >> j) & 1) << i for i, row in enumerate(self.row_masks))
 
     def __mul__(self, other: "SpElement") -> "SpElement":
         if self.dim != other.dim:
             raise DimensionMismatchError("matrix dimensions differ")
-        # row i of the product is the XOR of other's rows selected by our row i
-        rows = []
-        for r in self.row_masks:
-            acc = 0
-            k = 0
-            while r >> k:
-                if (r >> k) & 1:
-                    acc ^= other.row_masks[k]
-                k += 1
-            rows.append(acc)
-        n = self.dim
-        return SpElement(tuple(tuple((m >> j) & 1 for j in range(n)) for m in rows))
+        return SpElement.from_columns(tuple(self.apply_mask(c) for c in other.columns))
 
 
-def _matrix_from_columns(cols: list[int], n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple((cols[j] >> i) & 1 for j in range(n)) for i in range(n))
+def _preserves_form(columns, space: SymplecticSpaceF2) -> bool:
+    """S^T J S = J, one J-image per column: <S e_a, S e_b> = J[a][b].
+
+    Both sides are alternating, so the pairs a < b decide it.
+    """
+    for b, cb in enumerate(columns):
+        jb = space.image(cb)
+        want = space.row_masks[b]
+        for a in range(b):
+            if ((columns[a] & jb).bit_count() ^ (want >> a)) & 1:
+                return False
+    return True
 
 
 def is_symplectic(mat: tuple[tuple[int, ...], ...], space: SymplecticSpaceF2) -> bool:
-    """Check S^T J S = J entrywise over GF(2)."""
+    """Check S^T J S = J over GF(2)."""
     n = space.dim
     if len(mat) != n or any(len(r) != n for r in mat):
         return False
-    cols = [sum((mat[i][j] & 1) << i for i in range(n)) for j in range(n)]
-    for a in range(n):
-        for b in range(n):
-            if space.pair_masks(cols[a], cols[b]) != space.gram[a][b]:
-                return False
-    return True
+    return _preserves_form([sum((mat[i][j] & 1) << i for i in range(n)) for j in range(n)],
+                           space)
 
 
 def enumerate_sp(k: int) -> list[SpElement]:
@@ -298,7 +321,8 @@ def enumerate_sp(k: int) -> list[SpElement]:
     Elements are enumerated by extending symplectic bases: pick the image
     of a_1 (any nonzero vector), the image of b_1 (pairing 1 with it),
     then recurse inside the simultaneous annihilator.  Orders: 6 at k=1,
-    720 at k=2, 1451520 at k=3.
+    720 at k=2, 1451520 at k=3.  The order is that of the matrices, row
+    by row.
     """
     if not 1 <= k <= 3:
         raise UnsupportedSizeError(f"k = {k} outside supported range 1..3")
@@ -308,12 +332,17 @@ def enumerate_sp(k: int) -> list[SpElement]:
     # bitset over vector indices: bit v of ortho[u] says <u, v> = 0
     ortho = [0] * size
     for u in range(size):
+        ju = space.image(u)
         for v in range(size):
-            if not space.pair_masks(u, v):
+            if not (v & ju).bit_count() & 1:
                 ortho[u] |= 1 << v
     full = (1 << size) - 1
+    # sort key: matrix entry (i, j) at bit (n-1-i)*n + (n-1-j), so integer
+    # order is the row-by-row order of the matrices; spread[c] is column c
+    # placed at j = n-1, and column j is shifted n-1-j further
+    spread = [sum(((c >> i) & 1) << (n - 1 - i) * n for i in range(n)) for c in range(size)]
 
-    out: list[SpElement] = []
+    out: list[tuple[int, tuple[int, ...]]] = []
     cols: list[int] = []
 
     def iter_bits(bitset: int):
@@ -322,23 +351,25 @@ def enumerate_sp(k: int) -> list[SpElement]:
             yield low.bit_length() - 1
             bitset ^= low
 
-    def extend(candidates: int):
-        if len(cols) == n:
-            out.append(SpElement(_matrix_from_columns(cols, n)))
+    def extend(candidates: int, key: int):
+        j = len(cols)
+        if j == n:
+            out.append((key, tuple(cols)))
             return
         for a in iter_bits(candidates & ~1):  # nonzero vectors only
             partners = candidates & ~ortho[a]
             rest_a = candidates & ortho[a]
+            key_a = key | spread[a] << (n - 1 - j)
             cols.append(a)
             for b in iter_bits(partners):
                 cols.append(b)
-                extend(rest_a & ortho[b])
+                extend(rest_a & ortho[b], key_a | spread[b] << (n - 2 - j))
                 cols.pop()
             cols.pop()
 
-    extend(full)
-    out.sort(key=lambda s: s.matrix)
-    return out
+    extend(full, 0)
+    out.sort()
+    return [SpElement.from_columns(c) for _, c in out]
 
 
 def sp_order(k: int) -> int:
@@ -352,27 +383,53 @@ def transport(q: QuadraticRefinement, s: SpElement) -> QuadraticRefinement:
     """Pull back a refinement along a symplectic matrix: q'(v) = q(S v)."""
     if s.dim != q.space.dim:
         raise DimensionMismatchError("matrix does not match refinement dimension")
-    if not is_symplectic(s.matrix, q.space):
+    if not _preserves_form(s.columns, q.space):
         raise ValueError("matrix does not preserve the pairing")
-    vals = tuple(q.eval_mask(s.column_mask(j)) for j in range(s.dim))
-    return QuadraticRefinement(q.space, vals)
+    table = q.value_table
+    return QuadraticRefinement(q.space, tuple(table[c] for c in s.columns))
+
+
+def _require_standard(q: QuadraticRefinement, what: str, max_dim: int) -> int:
+    if q.space.dim > max_dim:
+        raise UnsupportedSizeError(f"{what} enumeration capped at dimension {max_dim}")
+    k = q.space.dim // 2
+    if q.space.gram != standard_space(k).gram:
+        raise ValueError(f"{what} enumeration expects the standard space")
+    return k
 
 
 def stabilizer(q: QuadraticRefinement) -> list[SpElement]:
     """All symplectic matrices with q(S v) = q(v) for every v.  Dimension <= 6."""
-    if q.space.dim > 6:
-        raise UnsupportedSizeError("stabilizer enumeration capped at dimension 6")
-    if q.space.gram != standard_space(q.space.dim // 2).gram:
-        raise ValueError("stabilizer enumeration expects the standard space")
-    return [s for s in enumerate_sp(q.space.dim // 2)
-            if transport(q, s).basis_values == q.basis_values]
+    k = _require_standard(q, "stabilizer", 6)
+    return [s for s in enumerate_sp(k) if transport(q, s).basis_values == q.basis_values]
+
+
+def _transvection(space: SymplecticSpaceF2, w: int) -> SpElement:
+    """The symplectic map v -> v + <v, w> w."""
+    jw = space.image(w)
+    return SpElement.from_columns(tuple(
+        (1 << j) ^ (w if (jw >> j) & 1 else 0) for j in range(space.dim)))
 
 
 def orbit(q: QuadraticRefinement) -> list[QuadraticRefinement]:
-    """Distinct transports of q under the full symplectic group, sorted."""
-    if q.space.dim > 6:
-        raise UnsupportedSizeError("orbit enumeration capped at dimension 6")
-    if q.space.gram != standard_space(q.space.dim // 2).gram:
-        raise ValueError("orbit enumeration expects the standard space")
-    seen = {transport(q, s).basis_values for s in enumerate_sp(q.space.dim // 2)}
-    return [QuadraticRefinement(q.space, bv) for bv in sorted(seen)]
+    """Distinct transports of q under the full symplectic group, sorted.
+
+    Breadth-first search over the transvections along w = a_i, b_i and
+    a_i + a_{i+1}, which generate Sp(2k, 2); those along the a_i and b_i
+    alone generate only Sp(2, 2)^k.  Dimension <= 10.
+    """
+    k = _require_standard(q, "orbit", 10)
+    axes = [1 << i for i in range(2 * k)] + [0b101 << 2 * i for i in range(k - 1)]
+    moves = [_transvection(q.space, w) for w in axes]
+    seen = {q.basis_values: q}
+    frontier = [q]
+    while frontier:
+        reached = []
+        for p in frontier:
+            for s in moves:
+                t = transport(p, s)
+                if t.basis_values not in seen:
+                    seen[t.basis_values] = t
+                    reached.append(t)
+        frontier = reached
+    return [seen[bv] for bv in sorted(seen)]

@@ -13,7 +13,6 @@ Words multiply left to right: eval_word([V, T]) is the matrix V * T.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 class InvalidMatrixError(ValueError):
@@ -26,6 +25,13 @@ class NonMemberError(ValueError):
 
 class WordSyntaxError(ValueError):
     pass
+
+
+def _mul(x: tuple, y: tuple) -> tuple:
+    """Product of two 2x2 matrices given as entry tuples (a, b, c, d)."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
 @dataclass(frozen=True)
@@ -46,12 +52,8 @@ class UniModMat2:
             raise InvalidMatrixError(f"determinant is {det}, must be +1")
 
     def __mul__(self, other: "UniModMat2") -> "UniModMat2":
-        return UniModMat2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        return UniModMat2(*_mul((self.a, self.b, self.c, self.d),
+                                (other.a, other.b, other.c, other.d)))
 
     def __neg__(self) -> "UniModMat2":
         return UniModMat2(-self.a, -self.b, -self.c, -self.d)
@@ -182,11 +184,28 @@ def parse_word(text: str) -> GenWord:
 
 
 def eval_word(w: GenWord) -> UniModMat2:
-    """Multiply the word out, left to right, including the central sign."""
-    acc = IDENTITY
+    """Multiply the word out, left to right, including the central sign.
+
+    The product runs on plain entries and is validated once, at the end.
+    T^k is the closed form (1 2k / 0 1); a power of V is computed by
+    square-and-multiply, so V^4 = Id is a product, never a rule.
+    """
+    acc = (1, 0, 0, 1)
     for gen, exp in w.tokens:
-        acc = acc * (GENERATORS[gen] ** exp)
-    return acc if w.sign == 1 else -acc
+        if gen == "T":
+            a, b, c, d = acc
+            acc = (a, b + 2 * exp * a, c, d + 2 * exp * c)
+            continue
+        m = (0, -1, 1, 0) if exp > 0 else (0, 1, -1, 0)  # V or V^-1
+        exp = abs(exp)
+        while exp:
+            if exp & 1:
+                acc = _mul(acc, m)
+            exp >>= 1
+            if exp:
+                m = _mul(m, m)
+    a, b, c, d = acc if w.sign == 1 else (-e for e in acc)
+    return UniModMat2(a, b, c, d)
 
 
 def normal_form(w: GenWord) -> GenWord:
@@ -232,26 +251,25 @@ def decompose(m: UniModMat2) -> GenWord:
     """
     require_member(m)
     steps: list[tuple[str, int]] = []  # applied left factors, in order
-    cur = m
-    while cur.c != 0:
-        if cur.a != 0:
-            # a and c have opposite parity, so the nearest multiple of 2c
-            # leaves |a| strictly below |c| and ties never occur
-            k = -round(Fraction(cur.a, 2 * cur.c))
+    a, b, c, d = m.a, m.b, m.c, m.d
+    while c != 0:
+        if a != 0:
+            # a and c have opposite parity, so a / 2c is never a half
+            # integer: the nearest k leaves |a| strictly below |c|
+            k = -((a + c) // (2 * c))
             if k:
-                cur = (T ** k) * cur
+                a, b = a + 2 * k * c, b + 2 * k * d  # T^k * cur
                 steps.append(("T", k))
-        assert abs(cur.a) < abs(cur.c)
-        cur = V * cur
+        assert abs(a) < abs(c)
+        a, b, c, d = -c, -d, a, b  # V * cur
         steps.append(("V", 1))
-    # cur = eps * T^k with eps = cur.a in {1, -1}
-    eps = cur.a
-    k = eps * cur.b // 2
+    # cur = eps * T^k with eps = a in {1, -1}
+    eps = a
+    k = eps * b // 2
     tokens = [(gen, -exp) for gen, exp in steps]
     if k:
         tokens.append(("T", k))
-    word = normal_form(GenWord(tuple(tokens), 1 if eps == 1 else -1))
-    return word
+    return normal_form(GenWord(tuple(tokens), 1 if eps == 1 else -1))
 
 
 def normal_forms_up_to(bound: int, signs: bool = True):

@@ -113,6 +113,14 @@ def test_coset_enum(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_coset_enum_rejects_non_positive_cap(capsys, cap):
+    code, out, err = run(capsys, "coset-enum", "gens: a; rels: a^2",
+                         "--max-cosets", cap)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and cap in err
+
+
 def test_isomorphic(capsys):
     code, out, _ = run(capsys, "isomorphic", "dihedral:8", "quaternion:8")
     assert (code, out.strip()) == (0, "false")

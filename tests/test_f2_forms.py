@@ -59,7 +59,7 @@ def test_sp_order_formula():
 def test_enumerate_sp3_census():
     elems = ff.enumerate_sp(3)
     assert len(elems) == 1451520
-    assert len(set(e.matrix for e in elems)) == len(elems)
+    assert len(set(elems)) == len(elems)
     space = ff.standard_space(3)
     step = 997  # coprime stride, touches a spread-out sample
     for i in range(0, len(elems), step):
@@ -136,7 +136,25 @@ def random_invertible(rng, n):
     return rows
 
 
-@given(st.integers(1, 3), st.integers(0, 2 ** 64))
+@pytest.mark.parametrize("k", [1, 4, 5, 9])
+def test_pair_masks_matches_dense_form(k):
+    """<u, v> = u^T G v, on a random congruent Gram; dimensions past 8 too."""
+    import random
+    rng = random.Random(k)
+    n = 2 * k
+    p_rows = random_invertible(rng, n)
+    p = tuple(tuple((p_rows[i] >> j) & 1 for j in range(n)) for i in range(n))
+    j0 = ff.standard_space(k).gram
+    gram = dense_mul(dense_transpose(p), dense_mul(j0, p))
+    space = ff.SymplecticSpaceF2(gram)
+    for _ in range(300):
+        u, v = rng.randrange(1 << n), rng.randrange(1 << n)
+        dense = sum(((u >> i) & 1) * gram[i][j] * ((v >> j) & 1)
+                    for i in range(n) for j in range(n)) & 1
+        assert space.pair_masks(u, v) == dense
+
+
+@given(st.integers(1, 6), st.integers(0, 2 ** 64))
 @settings(max_examples=60, deadline=None)
 def test_symplectic_basis_on_congruent_grams(k, seed):
     """Random change of basis P: the greedy pairing still splits P^T J P."""
@@ -263,8 +281,9 @@ def test_size_limits():
     big = ff.QuadraticRefinement(ff.standard_space(4), (0,) * 8)
     with pytest.raises(ff.UnsupportedSizeError):
         ff.stabilizer(big)
+    bigger = ff.QuadraticRefinement(ff.standard_space(6), (0,) * 12)
     with pytest.raises(ff.UnsupportedSizeError):
-        ff.orbit(big)
+        ff.orbit(bigger)
 
 
 def test_sp_element_validation():
@@ -275,3 +294,68 @@ def test_sp_element_validation():
     with pytest.raises(ff.DimensionMismatchError):
         good * ff.SpElement(((1, 0, 0, 0), (0, 1, 0, 0),
                              (0, 0, 1, 0), (0, 0, 0, 1)))
+    with pytest.raises(ValueError):
+        ff.SpElement(((0, 1, 0), (1, 0, 0)))  # not square
+    with pytest.raises(ValueError):
+        ff.SpElement(((0, 2), (1, 0)))
+
+
+def test_sp_element_matrix_roundtrip():
+    for s in ff.enumerate_sp(2):
+        again = ff.SpElement(s.matrix)
+        assert again == s and hash(again) == hash(s)
+        assert again.columns == s.columns
+        for j in range(4):
+            assert s.apply_mask(1 << j) == sum(s.matrix[i][j] << i for i in range(4))
+
+
+def test_transport_rejects_non_symplectic():
+    q1 = ff.QuadraticRefinement(ff.standard_space(1), (1, 0))
+    with pytest.raises(ValueError, match="pairing"):
+        ff.transport(q1, ff.SpElement(((1, 1), (1, 1))))  # singular
+    q2 = ff.QuadraticRefinement(ff.standard_space(2), (1, 0, 0, 1))
+    swap = ff.SpElement(((0, 0, 1, 0), (0, 1, 0, 0),
+                         (1, 0, 0, 0), (0, 0, 0, 1)))  # e0 <-> e2: invertible
+    assert not preserves_form(swap.matrix, q2.space.gram)
+    with pytest.raises(ValueError, match="pairing"):
+        ff.transport(q2, swap)
+
+
+def refinement_with_arf(k, value):
+    """(1, 1, 0, ..., 0) has Arf 1 and the zero refinement Arf 0."""
+    bits = (value, value) + (0,) * (2 * k - 2)
+    return ff.QuadraticRefinement(ff.standard_space(k), bits)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_orbit_sizes_by_arf(k):
+    """Each Arf class is one orbit: 2^(2k-1) + 2^(k-1) for Arf 0, minus for Arf 1."""
+    for value, sign in ((0, 1), (1, -1)):
+        q = refinement_with_arf(k, value)
+        assert ff.arf(q) == value
+        orb = ff.orbit(q)
+        assert len(orb) == 2 ** (2 * k - 1) + sign * 2 ** (k - 1)
+        assert len({t.basis_values for t in orb}) == len(orb)
+        assert q.basis_values in {t.basis_values for t in orb}
+        assert all(ff.arf(t) == value for t in orb)
+
+
+def orbit_by_definition(q, group):
+    return {ff.transport(q, s).basis_values for s in group}
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_orbit_matches_full_group(k):
+    """The transvection search reaches exactly the transports under all of Sp(2k, 2)."""
+    group = ff.enumerate_sp(k)
+    for q in ff.all_refinements(ff.standard_space(k)):
+        got = [t.basis_values for t in ff.orbit(q)]
+        assert got == sorted(orbit_by_definition(q, group))
+
+
+@pytest.mark.slow
+def test_orbit_matches_full_group_k3():
+    group = ff.enumerate_sp(3)
+    for value in (0, 1):
+        q = refinement_with_arf(3, value)
+        assert {t.basis_values for t in ff.orbit(q)} == orbit_by_definition(q, group)

@@ -124,6 +124,34 @@ def test_eval_word_examples():
     assert sl2z.eval_word(sl2z.parse_word("- e")) == -sl2z.IDENTITY
 
 
+def reference_eval(w):
+    """Left-to-right product of validated generator powers, then the sign."""
+    acc = sl2z.IDENTITY
+    for gen, exp in w.tokens:
+        acc = acc * sl2z.GENERATORS[gen] ** exp
+    return acc if w.sign == 1 else -acc
+
+
+def test_eval_word_matches_generator_powers():
+    """Non-normal exponents included: V^0, V^2, V^-3, V^4, T^0, negative T."""
+    fixed = ["V^0", "V^2", "V^-3", "V^4", "- V^4", "T^0", "T^-5", "- T^-1 V^-3",
+             "V^4 T^0 V^2 T^-2", "V^1000000001", "- T^123456789 V^-6"]
+    words = [sl2z.parse_word(text) for text in fixed]
+    rng = random.Random(20261017)
+    choices = {"V": [0, 1, 2, 3, 4, 5, -1, -2, -3, -4, -7],
+               "T": [0, 1, 2, -1, -2, -9, 14]}
+    for _ in range(400):
+        gens = [rng.choice("VT") for _ in range(rng.randrange(12))]
+        words.append(sl2z.GenWord(tuple((g, rng.choice(choices[g])) for g in gens),
+                                  rng.choice([1, -1])))
+    for w in words:
+        m = sl2z.eval_word(w)
+        assert m == reference_eval(w), str(w)
+        assert sl2z.decompose(m) == sl2z.normal_form(w), str(w)
+    assert sl2z.eval_word(sl2z.parse_word("- V^4")) == -sl2z.IDENTITY
+    assert sl2z.eval_word(sl2z.parse_word("V^-3")) == sl2z.V
+
+
 def test_normal_form_examples():
     nf = lambda s: sl2z.normal_form(sl2z.parse_word(s))
     assert nf("T T^-1") == sl2z.GenWord((), 1)
