@@ -15,8 +15,10 @@ on middle-dimensional homology.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
+from . import smallgrp
 from .sl2z import UniModMat2
 
 
@@ -281,23 +283,10 @@ def induced_homology_action(desc: ProductMapDescriptor) -> HomologyAction:
 
 def homology_group_closure(mats: list[HomologyAction]) -> list[HomologyAction]:
     """Multiplicative closure of finitely many homology actions (must stay finite)."""
-    seen = {identity_action().rows: identity_action()}
-    frontier = list(mats)
-    for m in frontier:
-        seen.setdefault(m.rows, m)
-    frontier = list(seen.values())
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(seen.values()):
-                for c in (a * b, b * a):
-                    if c.rows not in seen:
-                        if len(seen) >= 256:
-                            raise InvalidMatrixError("closure is not small; giving up")
-                        seen[c.rows] = c
-                        nxt.append(c)
-        frontier = nxt
-    return sorted(seen.values(), key=lambda m: m.rows)
+    group = smallgrp.generate(mats, operator.mul, identity_action(), limit=256)
+    if len(group) > 256:
+        raise InvalidMatrixError("closure is not small; giving up")
+    return sorted(group, key=lambda m: m.rows)
 
 
 def identity_action() -> HomologyAction:

@@ -186,10 +186,6 @@ class Unknown:
     reason: str
 
 
-def _gamma_presentation() -> smallgrp.Presentation:
-    return smallgrp.parse_presentation("gens: V,T; rels: V^4, V^2 T V^-2 T^-1")
-
-
 @dataclass(frozen=True)
 class GroupDescriptor:
     """Named group with an attached concrete realization.
@@ -206,7 +202,7 @@ class GroupDescriptor:
         "Z2": lambda: smallgrp.cyclic(2),
         "Z2xZ2": smallgrp.klein,
         "D8xZ2": lambda: smallgrp.direct_product(smallgrp.dihedral(8), smallgrp.cyclic(2)),
-        "GammaV2": _gamma_presentation,
+        "GammaV2": lambda: smallgrp.GAMMA_V2_PRESENTATION,
     }
 
     @classmethod

@@ -4,7 +4,8 @@ Every subcommand wraps exactly one library operation (verify-all wraps
 the acceptance suite).  --json switches to the documented JSON schemas.
 Exit codes: 0 success, 1 domain/validation error (non-member matrix,
 coset cap, out-of-domain parameter), 2 malformed input (bad word syntax,
-undecodable JSON, unknown subcommand, a --max-cosets below 1).
+undecodable JSON, a non-object document or non-list field, unknown
+subcommand, a --max-cosets below 1).
 """
 
 from __future__ import annotations
@@ -22,18 +23,26 @@ class ParseInputError(ValueError):
 
 def _load_json(text: str) -> dict:
     try:
-        return json.loads(text)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseInputError(f"bad JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ParseInputError("expected a JSON object")
+    return data
+
+
+def _list(data: dict, key: str, rows: bool = False) -> tuple:
+    value = data.get(key)
+    if not isinstance(value, list) or rows and not all(isinstance(r, list) for r in value):
+        raise ParseInputError(f"expected a JSON list{' of lists' if rows else ''} at {key!r}")
+    return tuple(tuple(r) for r in value) if rows else tuple(value)
 
 
 def _refinement_from_json(text: str) -> f2_forms.QuadraticRefinement:
     data = _load_json(text)
-    if not isinstance(data, dict) or "basis_values" not in data:
-        raise ParseInputError("expected {\"basis_values\": [...], \"gram\": optional}")
-    values = tuple(data["basis_values"])
+    values = _list(data, "basis_values")
     if "gram" in data:
-        space = f2_forms.SymplecticSpaceF2(tuple(tuple(r) for r in data["gram"]))
+        space = f2_forms.SymplecticSpaceF2(_list(data, "gram", rows=True))
     else:
         if len(values) % 2:
             raise ParseInputError("basis_values length must be even")
@@ -45,10 +54,7 @@ def _group_from_arg(text: str) -> smallgrp.MulTableGroup:
     """Named shorthand (cyclic:n, dihedral:n, quaternion:8, klein, trivial,
     e-even) or a JSON table {"table": [[...]]}."""
     if text.lstrip().startswith("{"):
-        data = _load_json(text)
-        if "table" not in data:
-            raise ParseInputError("expected {\"table\": [[...]]}")
-        return smallgrp.MulTableGroup(tuple(tuple(r) for r in data["table"]))
+        return smallgrp.MulTableGroup(_list(_load_json(text), "table", rows=True))
     name, colon, arg = text.partition(":")
     builders = {"klein": smallgrp.klein, "trivial": lambda: smallgrp.cyclic(1),
                 "e-even": smallgrp.build_E_even}

@@ -294,6 +294,26 @@ def todd_coxeter(pres: Presentation, max_cosets: int = 100_000) -> "MulTableGrou
 # table groups
 
 
+def generate(seed, mul, identity, limit=None) -> frozenset:
+    """Breadth-first search from `identity`, right-multiplying by the seed.
+
+    In a finite group the monoid this produces is the subgroup the seed
+    generates.  The search stops once it holds more than `limit` elements;
+    what that means is the caller's to decide.
+    """
+    gens = set(seed)
+    out, queue = {identity}, [identity]
+    for x in queue:
+        for a in gens:
+            y = mul(x, a)
+            if y not in out:
+                out.add(y)
+                queue.append(y)
+                if limit is not None and len(out) > limit:
+                    return frozenset(out)
+    return frozenset(out)
+
+
 @dataclass(frozen=True)
 class MulTableGroup:
     """Finite group as a full multiplication table over indices 0..n-1."""
@@ -360,19 +380,7 @@ class MulTableGroup:
                          if all(t[a][b] == t[b][a] for b in range(self.order)))
 
     def closure(self, seed) -> frozenset[int]:
-        out = {self.identity}
-        frontier = list(set(seed) | out)
-        out.update(frontier)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for b in list(out):
-                    for c in (self.table[a][b], self.table[b][a]):
-                        if c not in out:
-                            out.add(c)
-                            nxt.append(c)
-            frontier = nxt
-        return frozenset(out)
+        return generate(seed, self.mul, self.identity)
 
     def is_subgroup(self, elems) -> bool:
         s = set(elems)
@@ -585,19 +593,18 @@ def is_isomorphic(g: MulTableGroup, h: MulTableGroup) -> tuple[bool, tuple[int, 
 
 
 def all_subgroups(g: MulTableGroup) -> set[frozenset[int]]:
+    """Breadth-first search over joins with the cyclic subgroups (one kept
+    generator each); every subgroup is such a chain of joins."""
+    cyclic_gens = {g.closure([a]): a for a in range(g.order)}
     found = {frozenset({g.identity})}
-    frontier = [frozenset({g.identity})]
-    while frontier:
-        nxt = []
-        for sub in frontier:
-            for a in range(g.order):
-                if a in sub:
-                    continue
+    queue = list(found)
+    for sub in queue:
+        for a in cyclic_gens.values():
+            if a not in sub:
                 bigger = g.closure(sub | {a})
                 if bigger not in found:
                     found.add(bigger)
-                    nxt.append(bigger)
-        frontier = nxt
+                    queue.append(bigger)
     return found
 
 
@@ -625,6 +632,9 @@ def has_complement(g: MulTableGroup, normal) -> bool:
 
 D8_PRESENTATION = parse_presentation(
     "gens: a,b,u; rels: a^2, b^2, u^2, [a,b], a u b^-1 u^-1")
+
+# the even-row-product subgroup of SL(2,Z); infinite, so Todd-Coxeter hits any cap
+GAMMA_V2_PRESENTATION = parse_presentation("gens: V,T; rels: V^4, V^2 T V^-2 T^-1")
 
 E_EVEN_PRESENTATION = parse_presentation(
     "gens: a,b,u,r; rels: a^2, b^2, u^2, r^2, [a,b], [a,r], [b,r], [u,r], "

@@ -109,9 +109,7 @@ def check_coset_enumeration() -> CheckResult:
     """The three-involution presentation closes at order 8 and is dihedral
     (not quaternion); the order-16 model matches D8 x Z2; the infinite
     presentation hits the coset cap."""
-    pres = smallgrp.parse_presentation(
-        "gens: a,b,u; rels: a^2, b^2, u^2, [a,b], a u b^-1 u^-1")
-    g = smallgrp.todd_coxeter(pres, max_cosets=10_000)
+    g = smallgrp.todd_coxeter(smallgrp.D8_PRESENTATION, max_cosets=10_000)
     details = [f"presented group order {g.order}"]
     ok = g.order == 8 and not g.is_abelian()
     iso_d8, _ = smallgrp.is_isomorphic(g, smallgrp.dihedral(8))
@@ -123,9 +121,8 @@ def check_coset_enumeration() -> CheckResult:
     iso_model, _ = smallgrp.is_isomorphic(model, target)
     ok = ok and model.order == 16 and iso_model
     details.append(f"model order {model.order}, matches D8 x Z2: {iso_model}")
-    gamma = smallgrp.parse_presentation("gens: V,T; rels: V^4, V^2 T V^-2 T^-1")
     try:
-        smallgrp.todd_coxeter(gamma, max_cosets=10_000)
+        smallgrp.todd_coxeter(smallgrp.GAMMA_V2_PRESENTATION, max_cosets=10_000)
         ok = False
         details.append("infinite presentation unexpectedly closed")
     except smallgrp.CosetCapacityError:
@@ -226,13 +223,12 @@ def check_classification_table() -> CheckResult:
     """classify() reproduces the hand-written expectation table."""
     bad = []
     rows = _expected_rows()
-    for family, (image, kernel, total, splits) in rows:
-        res = classifier.classify(family).to_json()
-        got = (res["image"], res["kernel"], res["total"], res["splits"])
-        if got != (image, kernel, total, splits):
-            bad.append(f"{family.kind}{family.params}: got {got}")
-    for family, _ in rows:
+    for family, want in rows:
         result = classifier.classify(family)
+        res = result.to_json()
+        got = (res["image"], res["kernel"], res["total"], res["splits"])
+        if got != want:
+            bad.append(f"{family.kind}{family.params}: got {got}")
         for field in (result.image, result.kernel, result.total):
             if isinstance(field, classifier.GroupDescriptor):
                 if not field.verify_realization():

@@ -121,6 +121,16 @@ def test_coset_enum_rejects_non_positive_cap(capsys, cap):
     assert err.startswith("error: ") and err.count("\n") == 1 and cap in err
 
 
+def test_non_object_or_non_list_json_exits_2(capsys):
+    for argv in (["member", "[1,2]"],
+                 ["arf", '{"basis_values":5}'],
+                 ["arf", '{"basis_values":[0,0],"gram":5}'],
+                 ["isomorphic", '{"table":5}', "klein"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
 def test_isomorphic(capsys):
     code, out, _ = run(capsys, "isomorphic", "dihedral:8", "quaternion:8")
     assert (code, out.strip()) == (0, "false")

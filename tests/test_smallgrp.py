@@ -83,6 +83,42 @@ def test_all_subgroups_against_brute_force(build, count):
     assert len(subs) == count
 
 
+def divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def gaussian_binomial_2(n, k):
+    """Number of k-dimensional subspaces of GF(2)^n."""
+    num = den = 1
+    for i in range(k):
+        num *= 2 ** (n - i) - 1
+        den *= 2 ** (i + 1) - 1
+    return num // den
+
+
+def elementary_abelian_2(rank):
+    g = sg.cyclic(2)
+    for _ in range(rank - 1):
+        g = sg.direct_product(g, sg.cyclic(2))
+    return g
+
+
+@pytest.mark.parametrize("build,count", [
+    (lambda: sg.cyclic(64), len(divisors(64))),
+    (lambda: sg.cyclic(48), len(divisors(48))),
+    # rotation subgroups <r^d> for d | 32, plus <r^d, r^i s> for 0 <= i < d
+    (lambda: sg.dihedral(64), len(divisors(32)) + sum(divisors(32))),
+    (lambda: elementary_abelian_2(5), sum(gaussian_binomial_2(5, k) for k in range(6))),
+    (sg.build_E_even, 35),
+])
+def test_all_subgroups_up_to_order_64(build, count):
+    g = build()
+    subs = sg.all_subgroups(g)
+    assert len(subs) == count
+    assert all(g.is_subgroup(s) for s in subs)
+    assert all(len(g.closure([a])) == g.element_order(a) for a in range(g.order))
+
+
 def brute_force_isomorphic(g, h):
     if g.order != h.order:
         return False
