@@ -4,7 +4,8 @@ Every subcommand wraps exactly one library operation (verify-all wraps
 the acceptance suite).  --json switches to the documented JSON schemas.
 Exit codes: 0 success, 1 domain/validation error (non-member matrix,
 coset cap, out-of-domain parameter), 2 malformed input (bad word syntax,
-undecodable JSON, a non-object document or non-list field, unknown
+undecodable JSON, a non-object document or non-list field, a JSON
+boolean, a sparse matrix entry that is not three integers, unknown
 subcommand, a --max-cosets below 1).
 """
 
@@ -21,6 +22,14 @@ class ParseInputError(ValueError):
     pass
 
 
+def _has_bool(value) -> bool:
+    if isinstance(value, bool):
+        return True
+    if isinstance(value, list):
+        return any(map(_has_bool, value))
+    return isinstance(value, dict) and any(map(_has_bool, value.values()))
+
+
 def _load_json(text: str) -> dict:
     try:
         data = json.loads(text)
@@ -28,6 +37,9 @@ def _load_json(text: str) -> dict:
         raise ParseInputError(f"bad JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ParseInputError("expected a JSON object")
+    # bool is an int subclass, so true/false would pass every integer check
+    if _has_bool(data):
+        raise ParseInputError("JSON booleans are not accepted; use 0 and 1")
     return data
 
 
@@ -194,7 +206,11 @@ def cmd_build_omega(args) -> int:
 
 def cmd_induced_action(args) -> int:
     if args.matrix is not None:
-        m = ambient_geom.SignedPermMatrix.from_json(_load_json(args.matrix))
+        data = _load_json(args.matrix)
+        if not all(len(e) == 3 and all(isinstance(x, int) for x in e)
+                   for e in _list(data, "entries", rows=True)):
+            raise ParseInputError("each entry must be three integers [row, col, sign]")
+        m = ambient_geom.SignedPermMatrix.from_json(data)
         if args.p is None:
             raise ParseInputError("--p is required with an explicit matrix")
         p = args.p

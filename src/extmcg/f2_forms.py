@@ -13,6 +13,14 @@ basis once.  A symplectic matrix keeps only its columns as bitmasks
 (column j is the image of basis vector j), so applying, composing and
 validating it are XORs and popcounts.
 
+A refinement is evaluated in closed form, q(v) = v^T U v plus the sum of
+q(e_i) over i in v, with U the strict upper triangle of the Gram matrix
+applied through byte tables like J; so the Arf invariant by basis reads
+2k values and builds no table.  The majority vote and `transport` read
+the full 2^dim value table instead, which the majority vote needs anyway
+and which `transport` reuses across the many elements it is called with;
+the two Arf routes therefore share no code for evaluating q.
+
 Orbits of refinements are found by breadth-first search over 3k - 1
 transvections that generate Sp(2k, 2), without enumerating the group, up
 to dimension 10.  Stabilizers filter the full enumeration of Sp(2k, 2)
@@ -36,6 +44,19 @@ class DimensionMismatchError(ValueError):
 
 class UnsupportedSizeError(ValueError):
     pass
+
+
+def _byte_tables(columns) -> tuple[list[int], ...]:
+    """The matrix with these column masks applied to every value of each
+    8-bit slice of a vector; the XOR of one lookup per slice applies it."""
+    tables = []
+    for base in range(0, len(columns), 8):
+        cols = columns[base:base + 8]
+        table = [0] * (1 << len(cols))
+        for m in range(1, len(table)):
+            table[m] = table[m & (m - 1)] ^ cols[(m & -m).bit_length() - 1]
+        tables.append(table)
+    return tuple(tables)
 
 
 def _rank_f2(rows: list[int]) -> int:
@@ -113,20 +134,26 @@ class SymplecticSpaceF2:
 
     @cached_property
     def _byte_images(self) -> tuple[list[int], ...]:
-        # J applied to every value of each 8-bit slice of a vector
-        tables = []
-        for base in range(0, self.dim, 8):
-            rows = self.row_masks[base:base + 8]
-            table = [0] * (1 << len(rows))
-            for m in range(1, len(table)):
-                table[m] = table[m & (m - 1)] ^ rows[(m & -m).bit_length() - 1]
-            tables.append(table)
-        return tuple(tables)
+        return _byte_tables(self.row_masks)
+
+    @cached_property
+    def _byte_uppers(self) -> tuple[list[int], ...]:
+        # column j of the strict upper triangle: the rows i < j with G_ij = 1
+        return _byte_tables([r & ((1 << j) - 1) for j, r in enumerate(self.row_masks)])
 
     def image(self, v: int) -> int:
         """J v, the mask with <u, v> = parity(u & J v) for every u."""
         out = 0
         for table in self._byte_images:
+            out ^= table[v & 0xFF]
+            v >>= 8
+        return out
+
+    def upper(self, v: int) -> int:
+        """U v for U the strict upper triangle of the Gram matrix, so that
+        parity(v & U v) is the sum of <e_i, e_j> over pairs i < j in v."""
+        out = 0
+        for table in self._byte_uppers:
             out ^= table[v & 0xFF]
             v >>= 8
         return out
@@ -199,7 +226,14 @@ class QuadraticRefinement:
         return tuple(table)
 
     def eval_mask(self, mask: int) -> int:
-        return self.value_table[mask]
+        """q(v) = v^T U v plus the sum of q(e_i) over i in v; no value table."""
+        total = (mask & self.space.upper(mask)).bit_count()
+        values = self.basis_values
+        while mask:
+            low = mask & -mask
+            total += values[low.bit_length() - 1]
+            mask ^= low
+        return total & 1
 
 
 def eval_q(q: QuadraticRefinement, v: F2Vector) -> int:

@@ -594,18 +594,20 @@ def is_isomorphic(g: MulTableGroup, h: MulTableGroup) -> tuple[bool, tuple[int, 
 
 def all_subgroups(g: MulTableGroup) -> set[frozenset[int]]:
     """Breadth-first search over joins with the cyclic subgroups (one kept
-    generator each); every subgroup is such a chain of joins."""
+    generator each); every subgroup is such a chain of joins.  Each found
+    subgroup keeps the generators that built it, which seed its joins."""
     cyclic_gens = {g.closure([a]): a for a in range(g.order)}
-    found = {frozenset({g.identity})}
-    queue = list(found)
+    gens = {frozenset({g.identity}): ()}
+    queue = list(gens)
     for sub in queue:
         for a in cyclic_gens.values():
             if a not in sub:
-                bigger = g.closure(sub | {a})
-                if bigger not in found:
-                    found.add(bigger)
+                seed = gens[sub] + (a,)
+                bigger = g.closure(seed)
+                if bigger not in gens:
+                    gens[bigger] = seed
                     queue.append(bigger)
-    return found
+    return set(gens)
 
 
 def has_complement(g: MulTableGroup, normal) -> bool:

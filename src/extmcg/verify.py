@@ -25,6 +25,9 @@ def _result(name, passed, detail, citations) -> CheckResult:
     return CheckResult(name, bool(passed), detail, citations)
 
 
+_T_EXPONENTS = tuple(e for e in range(-9, 10) if e)
+
+
 def random_normal_word(rng: random.Random, max_tokens: int = 20) -> sl2z.GenWord:
     """Uniform-ish random normal-form word with up to max_tokens factors."""
     n = rng.randint(0, max_tokens)
@@ -34,7 +37,7 @@ def random_normal_word(rng: random.Random, max_tokens: int = 20) -> sl2z.GenWord
         if gen == "V":
             tokens.append(("V", 1))
         else:
-            exp = rng.choice([e for e in range(-9, 10) if e])
+            exp = rng.choice(_T_EXPONENTS)
             tokens.append(("T", exp))
         gen = "T" if gen == "V" else "V"
     return sl2z.GenWord(tuple(tokens), rng.choice((1, -1)))

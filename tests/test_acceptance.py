@@ -5,6 +5,8 @@ bundle runs once per session and every test prints its own PASS/FAIL
 line (visible with pytest -v -s or in the failure report).
 """
 
+import random
+
 import pytest
 
 from extmcg import verify
@@ -66,3 +68,24 @@ def test_criterion_8_property_suites(results):
     _report(8, "quadratic identity exhausted to dim 8, transport invariance, "
                "majority oracle, closure, and table re-validation all hold",
             results["property-suites"])
+
+
+def test_random_normal_word_draws_unchanged():
+    """The hoisted exponent tuple draws the same words as the list the
+    generator used to build on every T factor."""
+    def old_word(rng, max_tokens):
+        n = rng.randint(0, max_tokens)
+        tokens = []
+        gen = rng.choice(("V", "T"))
+        for _ in range(n):
+            if gen == "V":
+                tokens.append(("V", 1))
+            else:
+                tokens.append(("T", rng.choice([e for e in range(-9, 10) if e])))
+            gen = "T" if gen == "V" else "V"
+        return tokens, rng.choice((1, -1))
+
+    new_rng, old_rng = random.Random(2024), random.Random(2024)
+    for _ in range(50):
+        w = verify.random_normal_word(new_rng, 20)
+        assert (list(w.tokens), w.sign) == old_word(old_rng, 20)

@@ -131,6 +131,16 @@ def test_non_object_or_non_list_json_exits_2(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, argv
 
 
+def test_booleans_and_non_integer_entries_exit_2(capsys):
+    for argv in (["member", '{"rows":[[true,0],[0,true]]}'],
+                 ["arf", '{"basis_values":[true,false]}'],
+                 ["induced-action", '{"size":3,"entries":[[0,"a",1],[1,1,1],[2,2,1]]}',
+                  "--p", "1"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
 def test_isomorphic(capsys):
     code, out, _ = run(capsys, "isomorphic", "dihedral:8", "quaternion:8")
     assert (code, out.strip()) == (0, "false")

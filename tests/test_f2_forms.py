@@ -182,6 +182,35 @@ def test_symplectic_basis_on_congruent_grams(k, seed):
         basis.append(probe)
 
 
+@given(st.integers(1, 5), st.integers(0, 2 ** 64), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_eval_mask_matches_value_table(k, seed, congruent):
+    """The closed form q(v) = v^T U v + sum of q(e_i) agrees with the
+    doubling table on every mask, standard or congruent Gram, to dim 10."""
+    import random
+    rng = random.Random(seed)
+    n = 2 * k
+    space = ff.standard_space(k)
+    if congruent:
+        p_rows = random_invertible(rng, n)
+        p = tuple(tuple((p_rows[i] >> j) & 1 for j in range(n)) for i in range(n))
+        space = ff.SymplecticSpaceF2(dense_mul(dense_transpose(p), dense_mul(space.gram, p)))
+    q = ff.QuadraticRefinement(space, tuple(rng.randrange(2) for _ in range(n)))
+    table = q.value_table
+    assert all(q.eval_mask(m) == table[m] for m in range(1 << n))
+
+
+def test_arf_builds_no_value_table():
+    q = ff.QuadraticRefinement(ff.standard_space(3), (1, 0, 1, 1, 0, 1))
+    assert ff.arf(q) == 1
+    assert "value_table" not in vars(q)
+    # dimension 40: a 2^40 table could not be built
+    bv = tuple((i * 7 + i // 3) % 2 for i in range(40))
+    q = ff.QuadraticRefinement(ff.standard_space(20), bv)
+    assert ff.arf(q) == sum(bv[2 * i] * bv[2 * i + 1] for i in range(20)) % 2
+    assert "value_table" not in vars(q)
+
+
 def test_stabilizer_and_orbit_at_k1():
     space = ff.standard_space(1)
     q0 = ff.QuadraticRefinement(space, (0, 0))

@@ -109,6 +109,7 @@ def elementary_abelian_2(rank):
     # rotation subgroups <r^d> for d | 32, plus <r^d, r^i s> for 0 <= i < d
     (lambda: sg.dihedral(64), len(divisors(32)) + sum(divisors(32))),
     (lambda: elementary_abelian_2(5), sum(gaussian_binomial_2(5, k) for k in range(6))),
+    (lambda: elementary_abelian_2(6), sum(gaussian_binomial_2(6, k) for k in range(7))),
     (sg.build_E_even, 35),
 ])
 def test_all_subgroups_up_to_order_64(build, count):
