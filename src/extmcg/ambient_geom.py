@@ -122,14 +122,16 @@ class SignedPermMatrix:
             entries = data["entries"]
         except (KeyError, TypeError):
             raise InvalidMatrixError("expected {\"size\": n, \"entries\": [[row, col, sign], ...]}")
-        if not isinstance(size, int) or not isinstance(entries, list) or len(entries) != size:
+        # bool is an int subclass, so true/false would pass as 1/0
+        if type(size) is not int or not isinstance(entries, list) or len(entries) != size:
             raise InvalidMatrixError("entries must list each row exactly once")
         image = [None] * size
         for ent in entries:
-            if not isinstance(ent, list) or len(ent) != 3:
+            if (not isinstance(ent, list) or len(ent) != 3
+                    or not all(type(x) is int for x in ent)):
                 raise InvalidMatrixError(f"bad entry {ent!r}")
             row, col, sign = ent
-            if not isinstance(row, int) or not 0 <= row < size or image[row] is not None:
+            if not 0 <= row < size or image[row] is not None:
                 raise InvalidMatrixError(f"bad or repeated row in entry {ent!r}")
             image[row] = (col, sign)
         return cls(size, tuple(image))

@@ -6,7 +6,9 @@ Exit codes: 0 success, 1 domain/validation error (non-member matrix,
 coset cap, out-of-domain parameter), 2 malformed input (bad word syntax,
 undecodable JSON, a non-object document or non-list field, a JSON
 boolean, a sparse matrix entry that is not three integers, unknown
-subcommand, a --max-cosets below 1).
+subcommand, a --max-cosets below 1).  Every malformed-input error is an
+errors.ParseError.  Each handler imports the one module it runs, so a call
+loads only what it needs.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ import argparse
 import json
 import sys
 
-from . import ambient_geom, classifier, f2_forms, sl2z, smallgrp, verify
+from .errors import ParseError
 
 
-class ParseInputError(ValueError):
+class ParseInputError(ParseError):
     pass
 
 
@@ -51,6 +53,8 @@ def _list(data: dict, key: str, rows: bool = False) -> tuple:
 
 
 def _refinement_from_json(text: str) -> f2_forms.QuadraticRefinement:
+    from . import f2_forms
+
     data = _load_json(text)
     values = _list(data, "basis_values")
     if "gram" in data:
@@ -65,6 +69,8 @@ def _refinement_from_json(text: str) -> f2_forms.QuadraticRefinement:
 def _group_from_arg(text: str) -> smallgrp.MulTableGroup:
     """Named shorthand (cyclic:n, dihedral:n, quaternion:8, klein, trivial,
     e-even) or a JSON table {"table": [[...]]}."""
+    from . import smallgrp
+
     if text.lstrip().startswith("{"):
         return smallgrp.MulTableGroup(_list(_load_json(text), "table", rows=True))
     name, colon, arg = text.partition(":")
@@ -88,6 +94,8 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def cmd_arf(args) -> int:
+    from . import f2_forms
+
     q = _refinement_from_json(args.refinement)
     value = f2_forms.arf(q)
     _emit(args, {"arf": value}, str(value))
@@ -95,6 +103,8 @@ def cmd_arf(args) -> int:
 
 
 def cmd_stabilizer(args) -> int:
+    from . import f2_forms
+
     q = _refinement_from_json(args.refinement)
     elems = f2_forms.stabilizer(q)
     mats = [[list(row) for row in s.matrix] for s in elems]
@@ -108,6 +118,8 @@ def cmd_stabilizer(args) -> int:
 
 
 def cmd_orbit(args) -> int:
+    from . import f2_forms
+
     q = _refinement_from_json(args.refinement)
     elems = f2_forms.orbit(q)
     values = [list(t.basis_values) for t in elems]
@@ -121,6 +133,8 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_enumerate_sp(args) -> int:
+    from . import f2_forms
+
     elems = f2_forms.enumerate_sp(args.k)
     payload: dict = {"k": args.k, "order": len(elems)}
     if not args.count:
@@ -136,6 +150,8 @@ def cmd_enumerate_sp(args) -> int:
 
 
 def cmd_member(args) -> int:
+    from . import sl2z
+
     m = sl2z.UniModMat2.from_json(_load_json(args.matrix))
     result = sl2z.is_member(m)
     _emit(args, {"member": result}, "true" if result else "false")
@@ -143,6 +159,8 @@ def cmd_member(args) -> int:
 
 
 def cmd_mod2(args) -> int:
+    from . import sl2z
+
     m = sl2z.UniModMat2.from_json(_load_json(args.matrix))
     cls = sl2z.reduce_mod2(m)
     _emit(args, {"class": cls}, cls)
@@ -150,6 +168,8 @@ def cmd_mod2(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from . import sl2z
+
     m = sl2z.UniModMat2.from_json(_load_json(args.matrix))
     sl2z.require_member(m)
     word = sl2z.decompose(m)
@@ -159,6 +179,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_eval_word(args) -> int:
+    from . import sl2z
+
     word = sl2z.parse_word(args.word)
     m = sl2z.eval_word(word)
     _emit(args, m.to_json(), f"{m.a} {m.b} / {m.c} {m.d}")
@@ -166,6 +188,8 @@ def cmd_eval_word(args) -> int:
 
 
 def cmd_coset_enum(args) -> int:
+    from . import smallgrp
+
     if args.max_cosets < 1:
         raise ParseInputError(f"--max-cosets must be positive, got {args.max_cosets}")
     pres = smallgrp.parse_presentation(args.presentation)
@@ -176,6 +200,8 @@ def cmd_coset_enum(args) -> int:
 
 
 def cmd_isomorphic(args) -> int:
+    from . import smallgrp
+
     g = _group_from_arg(args.first)
     h = _group_from_arg(args.second)
     ok, witness = smallgrp.is_isomorphic(g, h)
@@ -186,6 +212,8 @@ def cmd_isomorphic(args) -> int:
 
 
 def _build_variant(variant: str, p: int, q: int | None) -> ambient_geom.SignedPermMatrix:
+    from . import ambient_geom
+
     if variant == "plain":
         return ambient_geom.build_omega(p)
     if variant == "hat":
@@ -205,6 +233,8 @@ def cmd_build_omega(args) -> int:
 
 
 def cmd_induced_action(args) -> int:
+    from . import ambient_geom
+
     if args.matrix is not None:
         data = _load_json(args.matrix)
         if not all(len(e) == 3 and all(isinstance(x, int) for x in e)
@@ -230,24 +260,26 @@ def cmd_induced_action(args) -> int:
     return 0
 
 
+# --family value -> (KnotFamily constructor, the flags it takes in order);
+# also the --family choices
+FAMILIES = {
+    "unknot-sphere": ("unknot_sphere", ("n",)),
+    "equal-product": ("equal_product", ("p",)),
+    "unequal-product": ("unequal_product", ("p", "q")),
+    "adjacent-product": ("adjacent_product", ("p",)),
+}
+
+
 def cmd_classify(args) -> int:
-    kind = args.family
-    if kind == "unknot-sphere":
-        if args.n is None:
-            raise ParseInputError("--n is required for unknot-sphere")
-        family = classifier.KnotFamily.unknot_sphere(args.n)
-    elif kind == "equal-product":
-        if args.p is None:
-            raise ParseInputError("--p is required for equal-product")
-        family = classifier.KnotFamily.equal_product(args.p)
-    elif kind == "unequal-product":
-        if args.p is None or args.q is None:
-            raise ParseInputError("--p and --q are required for unequal-product")
-        family = classifier.KnotFamily.unequal_product(args.p, args.q)
-    else:
-        if args.p is None:
-            raise ParseInputError("--p is required for adjacent-product")
-        family = classifier.KnotFamily.adjacent_product(args.p)
+    from . import classifier
+
+    constructor, flags = FAMILIES[args.family]
+    values = [getattr(args, f) for f in flags]
+    if None in values:
+        names = " and ".join(f"--{f}" for f in flags)
+        raise ParseInputError(
+            f"{names} {'are' if len(flags) > 1 else 'is'} required for {args.family}")
+    family = getattr(classifier.KnotFamily, constructor)(*values)
     result = classifier.classify(family).to_json()
     if args.json:
         print(json.dumps(result))
@@ -264,6 +296,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
+    from . import verify
+
     results = verify.run_all()
     if args.json:
         print(json.dumps([{"name": r.name, "passed": r.passed,
@@ -321,9 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int)
     p.add_argument("--variant", choices=("plain", "hat", "prime"))
     p = add("classify", cmd_classify, "image / kernel / total classification")
-    p.add_argument("--family", required=True,
-                   choices=("unknot-sphere", "equal-product", "unequal-product",
-                            "adjacent-product"))
+    p.add_argument("--family", required=True, choices=tuple(FAMILIES))
     p.add_argument("--n", type=int)
     p.add_argument("--p", type=int)
     p.add_argument("--q", type=int)
@@ -331,15 +363,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-PARSE_ERRORS = (ParseInputError, sl2z.WordSyntaxError, smallgrp.PresentationError)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except PARSE_ERRORS as exc:
+    except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as exc:

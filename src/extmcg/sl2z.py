@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import ParseError
+
 
 class InvalidMatrixError(ValueError):
     """Not an integer matrix of determinant +1."""
@@ -23,7 +25,7 @@ class NonMemberError(ValueError):
     """Unimodular, but a row product is odd."""
 
 
-class WordSyntaxError(ValueError):
+class WordSyntaxError(ParseError):
     pass
 
 

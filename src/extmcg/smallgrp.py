@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import ParseError
 
-class PresentationError(ValueError):
+
+class PresentationError(ParseError):
     pass
 
 

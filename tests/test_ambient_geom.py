@@ -91,6 +91,18 @@ def test_json_roundtrip():
             {"size": 2, "entries": [[0, 0, 1], [0, 1, 1]]})
 
 
+@pytest.mark.parametrize("entries", [
+    [[0, "a", 1], [1, 1, 1]],  # string column
+    [[0, 1.0, 1], [1, 0, 1]],  # float column
+    [[0, 0, True], [1, 1, 1]],  # boolean sign
+])
+def test_from_json_rejects_non_integer_entries(entries):
+    with pytest.raises(ag.InvalidMatrixError):
+        ag.SignedPermMatrix.from_json({"size": 2, "entries": entries})
+    with pytest.raises(ag.InvalidMatrixError):
+        ag.SignedPermMatrix.from_json({"size": True, "entries": [[0, 0, 1]]})
+
+
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6, 7, 8, 9])
 def test_build_omega(p):
     m = ag.build_omega(p)

@@ -2,10 +2,15 @@
 
 Every subcommand gets a happy path (text and JSON where both exist) and
 the documented exit codes are pinned: 0 success, 1 domain error, 2 parse
-error.
+error.  The cold-process tests at the end run a fresh interpreter, the
+only place the set of imported modules shows.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -227,3 +232,68 @@ def test_verify_all(capsys):
     assert all(entry["passed"] for entry in payload)
     names = [entry["name"] for entry in payload]
     assert "symplectic-census" in names and "classification-table" in names
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def cold(*args):
+    """Run a fresh interpreter that imports extmcg from this checkout's src/."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
+def test_cold_cli_imports_only_the_module_it_runs():
+    proc = cold("-c", """if True:
+        import json, sys
+        def loaded():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "extmcg")
+        from extmcg import cli
+        before = loaded()
+        code = cli.main(["eval-word", "V T^2"])
+        print(json.dumps([code, before, loaded()]))
+    """)
+    assert proc.returncode == 0, proc.stderr
+    out, report = proc.stdout.splitlines()
+    code, before, after = json.loads(report)
+    assert (out, code) == ("0 -1 / 1 4", 0)
+    assert before == ["extmcg", "extmcg.cli", "extmcg.errors"]
+    assert after == sorted(before + ["extmcg.sl2z"])
+
+
+@pytest.mark.parametrize("argv", [["eval-word", "V^x"], ["coset-enum", "gens a"]])
+def test_cold_parse_errors_exit_2(argv):
+    proc = cold("-m", "extmcg.cli", *argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_cold_help_lists_every_subcommand():
+    proc = cold("-m", "extmcg.cli", "--help")
+    assert proc.returncode == 0
+    subcommands = ("arf", "stabilizer", "orbit", "enumerate-sp", "member", "mod2",
+                   "decompose", "eval-word", "coset-enum", "isomorphic", "build-omega",
+                   "induced-action", "classify", "verify-all")
+    assert "{" + ",".join(subcommands) + "}" in proc.stdout
+
+
+def test_package_loads_submodules_on_first_use():
+    proc = cold("-c", """if True:
+        import sys
+        import extmcg
+        assert "extmcg.f2_forms" not in sys.modules
+        assert extmcg.f2_forms.arf.__module__ == "extmcg.f2_forms"
+        from extmcg import sl2z
+        assert sl2z is sys.modules["extmcg.sl2z"]
+        try:
+            extmcg.nope
+        except AttributeError as exc:
+            assert "nope" in str(exc)
+        else:
+            raise SystemExit("extmcg.nope did not raise AttributeError")
+        namespace = {}
+        exec("from extmcg import *", namespace)
+        assert all(name in namespace for name in extmcg.__all__)
+    """)
+    assert proc.returncode == 0, proc.stderr
