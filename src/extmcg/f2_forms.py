@@ -6,8 +6,8 @@ invariant sorts refinements into two classes; it is computed here both
 from a symplectic basis and by exhaustive majority vote, and the two
 routes are kept separate on purpose so each can check the other.
 
-Vectors are bitmask integers internally (bit i = coordinate i); the
-public types expose plain 0/1 tuples.  A space pairs masks through its
+Vectors are bitmask integers (bit i = coordinate i); matrices and basis
+values are exposed as plain 0/1 tuples.  A space pairs masks through its
 Gram image, <u, v> = parity(u & J v), and splits off its symplectic
 basis once.  A symplectic matrix keeps only its columns as bitmasks
 (column j is the image of basis vector j), so applying, composing and
@@ -15,11 +15,14 @@ validating it are XORs and popcounts.
 
 A refinement is evaluated in closed form, q(v) = v^T U v plus the sum of
 q(e_i) over i in v, with U the strict upper triangle of the Gram matrix
-applied through byte tables like J; so the Arf invariant by basis reads
-2k values and builds no table.  The majority vote and `transport` read
-the full 2^dim value table instead, which the majority vote needs anyway
-and which `transport` reuses across the many elements it is called with;
-the two Arf routes therefore share no code for evaluating q.
+applied through byte tables like J.  The Arf invariant by basis reads
+that form from data the space caches once: for each symplectic basis
+vector, parity(v & U v) and the set bits of v.  Per refinement it then
+adds up basis values only, and builds no table.  The majority vote and
+`transport` read the full 2^dim value table instead, which the majority
+vote needs anyway and which `transport` reuses across the many elements
+it is called with; the two Arf routes therefore share no code for
+evaluating q.
 
 Orbits of refinements are found by breadth-first search over 3k - 1
 transvections that generate Sp(2k, 2), without enumerating the group, up
@@ -73,36 +76,6 @@ def _rank_f2(rows: list[int]) -> int:
 
 
 @dataclass(frozen=True)
-class F2Vector:
-    """Vector over GF(2), stored as a tuple of 0/1 entries."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("entries must be 0 or 1")
-
-    @classmethod
-    def from_mask(cls, mask: int, dim: int) -> "F2Vector":
-        return cls(tuple((mask >> i) & 1 for i in range(dim)))
-
-    @property
-    def mask(self) -> int:
-        return sum(b << i for i, b in enumerate(self.bits))
-
-    def __add__(self, other: "F2Vector") -> "F2Vector":
-        if len(self.bits) != len(other.bits):
-            raise DimensionMismatchError("vector dimensions differ")
-        return F2Vector(tuple(a ^ b for a, b in zip(self.bits, other.bits)))
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-    def is_zero(self) -> bool:
-        return not any(self.bits)
-
-
-@dataclass(frozen=True)
 class SymplecticSpaceF2:
     """Even-dimensional GF(2) space with a nondegenerate alternating Gram matrix."""
 
@@ -124,7 +97,7 @@ class SymplecticSpaceF2:
         if _rank_f2(list(self.row_masks)) != n:
             raise DegenerateFormError("Gram matrix is singular over GF(2)")
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return len(self.gram)
 
@@ -161,12 +134,6 @@ class SymplecticSpaceF2:
     def pair_masks(self, u: int, v: int) -> int:
         return (u & self.image(v)).bit_count() & 1
 
-    def pair(self, u: F2Vector, v: F2Vector) -> int:
-        """Intersection pairing <u, v> in {0, 1}."""
-        if len(u) != self.dim or len(v) != self.dim:
-            raise DimensionMismatchError("vector does not match space dimension")
-        return self.pair_masks(u.mask, v.mask)
-
     @cached_property
     def basis_masks(self) -> tuple[tuple[int, int], ...]:
         """Hyperbolic pairs (a_i, b_i) as masks, split off once per space.
@@ -191,6 +158,16 @@ class SymplecticSpaceF2:
             pairs.append((a, b))
         return tuple(pairs)
 
+    @cached_property
+    def _arf_terms(self) -> tuple[tuple[int, tuple[int, ...], int, tuple[int, ...]], ...]:
+        """For each pair (a, b) of basis_masks: parity(a & U a), the set bits
+        of a, then the same for b.  q(v) is that parity plus the basis
+        values at those bits (see QuadraticRefinement.eval_mask)."""
+        def term(v):
+            return ((v & self.upper(v)).bit_count() & 1,
+                    tuple(i for i in range(self.dim) if v >> i & 1))
+        return tuple(term(a) + term(b) for a, b in self.basis_masks)
+
 
 def standard_space(k: int) -> SymplecticSpaceF2:
     """Hyperbolic space of dimension 2k: Gram is 2x2 antidiagonal blocks."""
@@ -214,8 +191,9 @@ class QuadraticRefinement:
     def __post_init__(self):
         if len(self.basis_values) != self.space.dim:
             raise DimensionMismatchError("basis_values length != dimension")
-        if any(b not in (0, 1) for b in self.basis_values):
-            raise ValueError("basis values must be 0 or 1")
+        for b in self.basis_values:
+            if b not in (0, 1):
+                raise ValueError("basis values must be 0 or 1")
 
     @cached_property
     def value_table(self) -> tuple[int, ...]:
@@ -236,27 +214,20 @@ class QuadraticRefinement:
         return total & 1
 
 
-def eval_q(q: QuadraticRefinement, v: F2Vector) -> int:
-    """Value of the refinement on a vector."""
-    if len(v) != q.space.dim:
-        raise DimensionMismatchError("vector does not match refinement dimension")
-    return q.eval_mask(v.mask)
-
-
-def symplectic_basis(space: SymplecticSpaceF2) -> list[tuple[F2Vector, F2Vector]]:
-    """Split the space into hyperbolic pairs (a_i, b_i); see basis_masks.
-
-    Returns pairs with <a_i, b_j> = delta_ij and all other pairings zero.
-    """
-    n = space.dim
-    return [(F2Vector.from_mask(a, n), F2Vector.from_mask(b, n)) for a, b in space.basis_masks]
-
-
 def arf(q: QuadraticRefinement) -> int:
-    """Arf invariant: sum of q(a_i) q(b_i) over a symplectic basis."""
+    """Arf invariant: sum of q(a_i) q(b_i) over a symplectic basis.
+
+    Each q(v) is the space's cached parity(v & U v) plus the basis values
+    at the set bits of v, the closed form of `eval_mask`.
+    """
+    values = q.basis_values
     total = 0
-    for a, b in q.space.basis_masks:
-        total ^= q.eval_mask(a) & q.eval_mask(b)
+    for qa, bits_a, qb, bits_b in q.space._arf_terms:
+        for i in bits_a:
+            qa ^= values[i]
+        for i in bits_b:
+            qb ^= values[i]
+        total ^= qa & qb
     return total
 
 
@@ -331,9 +302,10 @@ def _preserves_form(columns, space: SymplecticSpaceF2) -> bool:
 
     Both sides are alternating, so the pairs a < b decide it.
     """
+    image, rows = space.image, space.row_masks
     for b, cb in enumerate(columns):
-        jb = space.image(cb)
-        want = space.row_masks[b]
+        jb = image(cb)
+        want = rows[b]
         for a in range(b):
             if ((columns[a] & jb).bit_count() ^ (want >> a)) & 1:
                 return False
@@ -341,12 +313,17 @@ def _preserves_form(columns, space: SymplecticSpaceF2) -> bool:
 
 
 def is_symplectic(mat: tuple[tuple[int, ...], ...], space: SymplecticSpaceF2) -> bool:
-    """Check S^T J S = J over GF(2)."""
+    """Check S^T J S = J over GF(2); False unless S is n x n with 0/1 entries."""
     n = space.dim
-    if len(mat) != n or any(len(r) != n for r in mat):
+    if len(mat) != n:
         return False
-    return _preserves_form([sum((mat[i][j] & 1) << i for i in range(n)) for j in range(n)],
-                           space)
+    for row in mat:
+        if len(row) != n:
+            return False
+        for e in row:
+            if e not in (0, 1):
+                return False
+    return _preserves_form([sum(mat[i][j] << i for i in range(n)) for j in range(n)], space)
 
 
 def enumerate_sp(k: int) -> list[SpElement]:
@@ -415,12 +392,12 @@ def sp_order(k: int) -> int:
 
 def transport(q: QuadraticRefinement, s: SpElement) -> QuadraticRefinement:
     """Pull back a refinement along a symplectic matrix: q'(v) = q(S v)."""
-    if s.dim != q.space.dim:
+    space, columns = q.space, s.columns
+    if len(columns) != space.dim:
         raise DimensionMismatchError("matrix does not match refinement dimension")
-    if not _preserves_form(s.columns, q.space):
+    if not _preserves_form(columns, space):
         raise ValueError("matrix does not preserve the pairing")
-    table = q.value_table
-    return QuadraticRefinement(q.space, tuple(table[c] for c in s.columns))
+    return QuadraticRefinement(space, tuple(map(q.value_table.__getitem__, columns)))
 
 
 def _require_standard(q: QuadraticRefinement, what: str, max_dim: int) -> int:

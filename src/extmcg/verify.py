@@ -7,8 +7,10 @@ tags it exercises.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
+from itertools import product
 
 from . import ambient_geom, classifier, f2_forms, homotopy_tables, sl2z, smallgrp
 
@@ -21,8 +23,20 @@ class CheckResult:
     citations: tuple[str, ...]
 
 
-def _result(name, passed, detail, citations) -> CheckResult:
-    return CheckResult(name, bool(passed), detail, citations)
+def _check(name: str, *citations: str):
+    """Decorate a check body that returns (passed, detail): the check
+    reports under `name` with these statement tags, and a body that raises
+    is reported under the same name as a failed result."""
+    def decorate(body):
+        @functools.wraps(body)
+        def check() -> CheckResult:
+            try:
+                passed, detail = body()
+            except Exception as exc:  # report, never hide, a crashed check
+                return CheckResult(name, False, f"raised {exc!r}", ())
+            return CheckResult(name, bool(passed), detail, citations)
+        return check
+    return decorate
 
 
 _T_EXPONENTS = tuple(e for e in range(-9, 10) if e)
@@ -43,7 +57,8 @@ def random_normal_word(rng: random.Random, max_tokens: int = 20) -> sl2z.GenWord
     return sl2z.GenWord(tuple(tokens), rng.choice((1, -1)))
 
 
-def check_membership_and_stabilizer() -> CheckResult:
+@_check("membership-characterization", "mod2-membership", "arf-zero-standard")
+def check_membership_and_stabilizer():
     """Parity membership test == mod-2 characterization, exhaustively on
     entries in [-5, 5]; stabilizer of the vanishing refinement in Sp(2,2)
     is exactly the two mod-2 classes."""
@@ -60,20 +75,16 @@ def check_membership_and_stabilizer() -> CheckResult:
                     member = sl2z.is_member(m)
                     cls = sl2z.reduce_mod2(m)
                     if member != (cls in (sl2z.Mod2Class.ID, sl2z.Mod2Class.V)):
-                        return _result(
-                            "membership-characterization", False,
-                            f"mismatch at {m.rows}", ("mod2-membership",))
+                        return False, f"mismatch at {m.rows}"
     q = f2_forms.QuadraticRefinement(f2_forms.standard_space(1), (0, 0))
     stab = sorted(s.matrix for s in f2_forms.stabilizer(q))
     want = [((0, 1), (1, 0)), ((1, 0), (0, 1))]
     ok = stab == sorted(want)
-    return _result(
-        "membership-characterization", ok,
-        f"{tested} unimodular matrices checked; stabilizer {stab}",
-        ("mod2-membership", "arf-zero-standard"))
+    return ok, f"{tested} unimodular matrices checked; stabilizer {stab}"
 
 
-def check_symplectic_census() -> CheckResult:
+@_check("symplectic-census", "sp-census")
+def check_symplectic_census():
     """Sp(2,2) and Sp(4,2) orders, Arf class sizes, orbit and stabilizer
     orders, and the orbit-stabilizer products."""
     sp1 = f2_forms.enumerate_sp(1)
@@ -105,10 +116,11 @@ def check_symplectic_census() -> CheckResult:
         if {f2_forms.arf(t) for t in orb} != {arf_value}:
             ok = False
         details.append(f"Arf {arf_value}: orbit {len(orb)} x stabilizer {stab}")
-    return _result("symplectic-census", ok, "; ".join(details), ("sp-census",))
+    return ok, "; ".join(details)
 
 
-def check_coset_enumeration() -> CheckResult:
+@_check("coset-enumeration", "d8-presentation", "gammav2-presentation")
+def check_coset_enumeration():
     """The three-involution presentation closes at order 8 and is dihedral
     (not quaternion); the order-16 model matches D8 x Z2; the infinite
     presentation hits the coset cap."""
@@ -130,11 +142,11 @@ def check_coset_enumeration() -> CheckResult:
         details.append("infinite presentation unexpectedly closed")
     except smallgrp.CosetCapacityError:
         details.append("infinite presentation hit the cap as expected")
-    return _result("coset-enumeration", ok, "; ".join(details),
-                   ("d8-presentation", "gammav2-presentation"))
+    return ok, "; ".join(details)
 
 
-def check_word_algebra() -> CheckResult:
+@_check("word-algebra", "gammav2-presentation")
+def check_word_algebra():
     """Defining relations hold on actual matrices; decompose is a left
     inverse of eval_word on 1000 seeded random normal forms; normal forms
     of letter length <= 6 evaluate injectively."""
@@ -155,11 +167,11 @@ def check_word_algebra() -> CheckResult:
     details.append(f"roundtrip failures {failures}/1000")
     count = sl2z.verify_presentation(6)
     details.append(f"{count} normal forms of length <= 6, no collisions")
-    return _result("word-algebra", ok, "; ".join(details),
-                   ("gammav2-presentation",))
+    return ok, "; ".join(details)
 
 
-def check_ambient_matrices() -> CheckResult:
+@_check("ambient-matrices", "omega-action", "omega-hat-action", "omega-prime-action")
+def check_ambient_matrices():
     """Rotation builders: determinants, orders and induced homology
     actions for odd p in 3..9 and even p in 4..8; the two even actions
     generate a Klein four-group."""
@@ -199,8 +211,7 @@ def check_ambient_matrices() -> CheckResult:
                   and all((m * m).rows == ((1, 0), (0, 1)) for m in closure))
     ok = ok and klein_like
     details.append(f"even actions generate order {len(closure)}, exponent 2")
-    return _result("ambient-matrices", ok, "; ".join(details),
-                   ("omega-action", "omega-hat-action", "omega-prime-action"))
+    return ok, "; ".join(details)
 
 
 def _expected_rows():
@@ -222,7 +233,9 @@ def _expected_rows():
     return rows
 
 
-def check_classification_table() -> CheckResult:
+@_check("classification-table", "unknot-trivial", "odd-total", "even-total",
+        "dim2-image", "unequal-image", "adjacent-split")
+def check_classification_table():
     """classify() reproduces the hand-written expectation table."""
     bad = []
     rows = _expected_rows()
@@ -236,14 +249,11 @@ def check_classification_table() -> CheckResult:
             if isinstance(field, classifier.GroupDescriptor):
                 if not field.verify_realization():
                     bad.append(f"{family.kind}{family.params}: bad realization")
-    return _result(
-        "classification-table", not bad,
-        f"{len(rows)} rows checked" + ("; " + "; ".join(bad) if bad else ""),
-        ("unknot-trivial", "odd-total", "even-total", "dim2-image",
-         "unequal-image", "adjacent-split"))
+    return not bad, f"{len(rows)} rows checked" + ("; " + "; ".join(bad) if bad else "")
 
 
-def check_homotopy_tables() -> CheckResult:
+@_check("homotopy-tables", "so-tables")
+def check_homotopy_tables():
     """Both lookup tables on every residue, the p = 6 exception, and
     out-of-domain rejections."""
     t = homotopy_tables
@@ -278,37 +288,75 @@ def check_homotopy_tables() -> CheckResult:
             raises += 1
     ok = ok and raises == 6
     details.append(f"tables agree on p in 3..34; {raises}/6 domain errors raised")
-    return _result("homotopy-tables", ok, "; ".join(details), ("so-tables",))
+    return ok, "; ".join(details)
 
 
-def check_property_suites() -> CheckResult:
-    """Quadratic-identity exhaustion through dimension 8, membership
-    closure (1000 random pairs), Arf transport invariance over all of
-    Sp(4,2), normal-form roundtrip (1000 words, covered again here at a
-    different seed), the majority oracle at k <= 2, and re-validation of
-    every group table the package constructs."""
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _quadratic_identity_holds(space: f2_forms.SymplecticSpaceF2, tables) -> bool:
+    """q(x ^ y) == q(x) ^ q(y) ^ <x, y> for every pair (x, y) of vectors
+    and every value table q in `tables`, all tables at once.
+
+    The tables are read one at a time and packed into one int T: table r
+    fills block r (bits r * 2^dim up to (r + 1) * 2^dim), bit y of a
+    block holding q(y).  x runs through all vectors in Gray-code order,
+    so T_x, with bit y of each block holding q(x ^ y), follows from the
+    previous T_x by one butterfly swap: the two halves of every
+    2^(i+1)-bit sub-block trade places for the bit i of x that changed.
+    The row {y : <x, y> = 1} is built from space.image(x) by doubling and
+    replicated over the blocks, q(x) is spread over its block, and one
+    comparison per x covers every y of every table.
+    """
+    dim = space.dim
+    size = 1 << dim
+    packed = count = 0
+    for table in tables:
+        packed |= int(bytes(table[::-1]).translate(_DIGITS), 2) << count * size
+        count += 1
+    width = count * size
+    starts = int(("0" * (size - 1) + "1") * count, 2)  # bit 0 of each block
+    lows = [int(("0" * (1 << i) + "1" * (1 << i)) * (width >> i + 1), 2)
+            for i in range(dim)]
+    moved = packed
+    x = 0
+    for g in range(size):
+        if g:
+            i = (g & -g).bit_length() - 1
+            half, low = 1 << i, lows[i]
+            moved = (moved >> half) & low | (moved & low) << half
+            x ^= half
+        row = 0
+        jx = space.image(x)
+        for i in range(dim):
+            half = 1 << i
+            row |= (row ^ ((1 << half) - 1 if jx >> i & 1 else 0)) << half
+        row *= starts
+        qx = packed >> x & starts
+        if moved ^ packed ^ ((qx << size) - qx) != row:
+            return False
+    return True
+
+
+@_check("property-suites", "arf-census", "mod2-membership", "gammav2-presentation")
+def check_property_suites():
+    """Quadratic-identity exhaustion through dimension 8 (every pair of
+    vectors of every refinement, bit-parallel), membership closure (1000
+    random pairs), Arf transport invariance over all of Sp(4,2),
+    normal-form roundtrip (1000 words, covered again here at a different
+    seed), the majority oracle at k <= 2, and re-validation of every
+    group table the package constructs."""
     rng = random.Random(987654321)
     ok = True
     details = []
     bad = 0
     for k in (1, 2, 3, 4):
         space = f2_forms.standard_space(k)
-        n = 1 << space.dim
-        ptab = [[space.pair_masks(x, y) for y in range(n)] for x in range(n)]
-        if k < 4:
-            sample = f2_forms.all_refinements(space)
-        else:
-            # all 256 refinements x 65536 pairs is needless; spot-check a few
-            corners = [(0,) * 8, (1,) * 8, (1, 0) * 4]
-            randoms = [tuple(rng.randrange(2) for _ in range(8)) for _ in range(3)]
-            sample = [f2_forms.QuadraticRefinement(space, b) for b in corners + randoms]
-        for q in sample:
-            t = q.value_table
-            if any(t[x ^ y] != t[x] ^ t[y] ^ ptab[x][y]
-                   for x in range(n) for y in range(n)):
-                ok = False
-                details.append(f"quadratic identity fails at k={k}")
-                break
+        value_tables = (f2_forms.QuadraticRefinement(space, bits).value_table
+                        for bits in product((0, 1), repeat=space.dim))
+        if not _quadratic_identity_holds(space, value_tables):
+            ok = False
+            details.append(f"quadratic identity fails at k={k}")
     details.append("quadratic identity exhausted on dims 2..8")
     tables = [smallgrp.cyclic(n) for n in range(1, 13)]
     tables += [smallgrp.klein(), smallgrp.quaternion(8), smallgrp.build_E_even()]
@@ -350,8 +398,7 @@ def check_property_suites() -> CheckResult:
             bad += 1
     ok = ok and bad == 0
     details.append(f"roundtrip failures {bad}/1000")
-    return _result("property-suites", ok, "; ".join(details),
-                   ("arf-census", "mod2-membership", "gammav2-presentation"))
+    return ok, "; ".join(details)
 
 
 ALL_CHECKS = (
@@ -367,14 +414,7 @@ ALL_CHECKS = (
 
 
 def run_all() -> list[CheckResult]:
-    results = []
-    for check in ALL_CHECKS:
-        try:
-            results.append(check())
-        except Exception as exc:  # report, never hide, a crashed check
-            results.append(CheckResult(check.__name__, False,
-                                       f"raised {exc!r}", ()))
-    return results
+    return [check() for check in ALL_CHECKS]
 
 
 def format_report(results: list[CheckResult]) -> str:

@@ -2,14 +2,21 @@
 
 Each criterion is backed by a named check in extmcg.verify; the whole
 bundle runs once per session and every test prints its own PASS/FAIL
-line (visible with pytest -v -s or in the failure report).
+line (visible with pytest -v -s or in the failure report).  The tests
+after them pin how a crashed check is reported and probe the
+bit-parallel quadratic-identity kernel of the property suite directly.
 """
 
 import random
+from itertools import product
 
 import pytest
 
-from extmcg import verify
+from extmcg import cli, f2_forms as ff, verify
+
+NAMES = ["membership-characterization", "symplectic-census", "coset-enumeration",
+         "word-algebra", "ambient-matrices", "classification-table",
+         "homotopy-tables", "property-suites"]
 
 
 @pytest.fixture(scope="module")
@@ -89,3 +96,91 @@ def test_random_normal_word_draws_unchanged():
     for _ in range(50):
         w = verify.random_normal_word(new_rng, 20)
         assert (list(w.tokens), w.sign) == old_word(old_rng, 20)
+
+
+def test_crashed_check_keeps_its_result_name(monkeypatch, capsys):
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(verify, "_quadratic_identity_holds", boom)
+    results = verify.run_all()
+    assert [r.name for r in results] == NAMES
+    crashed = results[-1]
+    assert not crashed.passed
+    assert crashed.detail.startswith("raised RuntimeError('boom')")
+    assert all(r.passed for r in results[:-1])
+    assert cli.main(["verify-all"]) == 1
+    assert "FAIL property-suites [-]: raised RuntimeError('boom')" in capsys.readouterr().out
+
+
+def value_tables(k):
+    space = ff.standard_space(k)
+    return [ff.QuadraticRefinement(space, bits).value_table
+            for bits in product((0, 1), repeat=space.dim)]
+
+
+def flipped(table, y):
+    return table[:y] + (table[y] ^ 1,) + table[y + 1:]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_identity_kernel_accepts_every_refinement(k):
+    space = ff.standard_space(k)
+    tables = value_tables(k)
+    assert verify._quadratic_identity_holds(space, iter(tables))
+    # one table at a time, as a block of its own
+    assert all(verify._quadratic_identity_holds(space, [t]) for t in tables[::37])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_identity_kernel_rejects_every_single_flip(k):
+    space = ff.standard_space(k)
+    for table in value_tables(k):
+        for y in range(len(table)):
+            assert not verify._quadratic_identity_holds(space, [flipped(table, y)])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_identity_kernel_rejects_tables_of_another_form(k):
+    """q + x_a x_b refines the form plus E_ab + E_ba: it breaks the identity
+    only on pairs with x_a or x_b set, late in the walk over x when a and
+    b are the top coordinates."""
+    space = ff.standard_space(k)
+    n = space.dim
+    tables = value_tables(k)[:3]
+    for a in range(n):
+        for b in range(a + 1, n):
+            other = tuple(t ^ (v >> a & v >> b & 1) for v, t in enumerate(tables[-1]))
+            assert not verify._quadratic_identity_holds(space, [other])
+            assert not verify._quadratic_identity_holds(space, tables + [other])
+
+
+def test_identity_kernel_rejects_sampled_flips_at_dim_8():
+    rng = random.Random(8)
+    space = ff.standard_space(4)
+    tables = value_tables(4)
+    for _ in range(40):
+        table = rng.choice(tables)
+        assert not verify._quadratic_identity_holds(space, [flipped(table, rng.randrange(256))])
+    # a flip in one block of the full 256-table bundle
+    for _ in range(3):
+        r, y = rng.randrange(256), rng.randrange(256)
+        bundle = tables[:r] + [flipped(tables[r], y)] + tables[r + 1:]
+        assert not verify._quadratic_identity_holds(space, bundle)
+
+
+def test_property_suites_fail_on_a_corrupted_value_table(monkeypatch):
+    """One entry of one dimension-8 refinement's table is wrong: only the
+    identity kernel reads those tables, and it must catch it."""
+    build = ff.QuadraticRefinement.value_table.func
+    target = (0, 1, 1, 0, 1, 0, 0, 1)
+
+    def corrupted(q):
+        table = build(q)
+        return flipped(table, 200) if q.basis_values == target else table
+
+    monkeypatch.setattr(ff.QuadraticRefinement, "value_table", property(corrupted))
+    result = verify.check_property_suites()
+    assert result.name == "property-suites"
+    assert not result.passed
+    assert "quadratic identity fails at k=4" in result.detail

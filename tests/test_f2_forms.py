@@ -109,16 +109,14 @@ def test_value_table_matches_definition():
     assert q.value_table[0] == 0
 
 
-def test_eval_q_and_vectors():
+def test_eval_mask_on_small_vectors():
     space = ff.standard_space(1)
     q = ff.QuadraticRefinement(space, (1, 1))
-    assert ff.eval_q(q, ff.F2Vector((0, 0))) == 0
-    assert ff.eval_q(q, ff.F2Vector((1, 0))) == 1
-    assert ff.eval_q(q, ff.F2Vector((0, 1))) == 1
+    assert q.eval_mask(0b00) == 0
+    assert q.eval_mask(0b01) == 1
+    assert q.eval_mask(0b10) == 1
     # q(e1 + e2) = 1 + 1 + <e1, e2> = 1
-    assert ff.eval_q(q, ff.F2Vector((1, 1))) == 1
-    with pytest.raises(ff.DimensionMismatchError):
-        ff.eval_q(q, ff.F2Vector((1, 0, 0, 0)))
+    assert q.eval_mask(0b11) == 1
 
 
 def random_invertible(rng, n):
@@ -165,17 +163,17 @@ def test_symplectic_basis_on_congruent_grams(k, seed):
     j0 = ff.standard_space(k).gram
     gram = dense_mul(dense_transpose(p), dense_mul(j0, p))
     space = ff.SymplecticSpaceF2(gram)
-    pairs = ff.symplectic_basis(space)
+    pairs = space.basis_masks
     assert len(pairs) == k
     flat = [v for pair in pairs for v in pair]
     for i, u in enumerate(flat):
         for j, v in enumerate(flat):
             want = 1 if (i // 2 == j // 2 and i != j) else 0
-            assert space.pair(u, v) == want
+            assert space.pair_masks(u, v) == want
     # spanning: masks must be linearly independent
     basis = []
     for v in flat:
-        probe = v.mask
+        probe = v
         for b in basis:
             probe = min(probe, probe ^ b)
         assert probe
@@ -198,6 +196,22 @@ def test_eval_mask_matches_value_table(k, seed, congruent):
     q = ff.QuadraticRefinement(space, tuple(rng.randrange(2) for _ in range(n)))
     table = q.value_table
     assert all(q.eval_mask(m) == table[m] for m in range(1 << n))
+
+
+@given(st.integers(1, 5), st.integers(0, 2 ** 64))
+@settings(max_examples=40, deadline=None)
+def test_arf_matches_majority_on_congruent_grams(k, seed):
+    """The basis route, read through the space's cached per-vector terms,
+    agrees with the majority vote on P^T J P, to dimension 10."""
+    import random
+    rng = random.Random(seed)
+    n = 2 * k
+    p_rows = random_invertible(rng, n)
+    p = tuple(tuple((p_rows[i] >> j) & 1 for j in range(n)) for i in range(n))
+    space = ff.SymplecticSpaceF2(
+        dense_mul(dense_transpose(p), dense_mul(ff.standard_space(k).gram, p)))
+    q = ff.QuadraticRefinement(space, tuple(rng.randrange(2) for _ in range(n)))
+    assert ff.arf(q) == ff.arf_by_majority(q)
 
 
 def test_arf_builds_no_value_table():
@@ -327,6 +341,17 @@ def test_sp_element_validation():
         ff.SpElement(((0, 1, 0), (1, 0, 0)))  # not square
     with pytest.raises(ValueError):
         ff.SpElement(((0, 2), (1, 0)))
+
+
+def test_is_symplectic_rejects_entries_outside_0_1():
+    """Entries that reduce mod 2 to a symplectic matrix are still not 0/1,
+    as SpElement also requires."""
+    space = ff.standard_space(1)
+    for mat in (((3, 0), (0, 1)), ((0, -1), (1, 0)), ((1, 0), (2, 1)), ((1, "0"), (0, 1))):
+        assert not ff.is_symplectic(mat, space)
+    assert ff.is_symplectic(((1, 0), (0, 1)), space)
+    with pytest.raises(ValueError):
+        ff.SpElement(((3, 0), (0, 1)))
 
 
 def test_sp_element_matrix_roundtrip():
