@@ -16,14 +16,10 @@ on middle-dimensional homology.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 from . import smallgrp
+from .errors import InvalidMatrixError, _Value
 from .sl2z import UniModMat2
-
-
-class InvalidMatrixError(ValueError):
-    pass
 
 
 class NotBlockStructuredError(ValueError):
@@ -34,23 +30,23 @@ class BlockSizeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SignedPermMatrix:
+class SignedPermMatrix(_Value):
     """Orthogonal matrix with one +-1 entry per row and column."""
 
-    size: int
-    image: tuple[tuple[int, int], ...]  # row -> (column, sign)
+    __slots__ = _fields = ("size", "image")  # image: row -> (column, sign)
 
-    def __post_init__(self):
-        if self.size < 1 or len(self.image) != self.size:
+    def __init__(self, size: int, image: tuple[tuple[int, int], ...]):
+        if size < 1 or len(image) != size:
             raise InvalidMatrixError("image must list one (column, sign) per row")
         cols = set()
-        for col, sign in self.image:
-            if not 0 <= col < self.size or sign not in (1, -1):
+        for col, sign in image:
+            if not 0 <= col < size or sign not in (1, -1):
                 raise InvalidMatrixError(f"bad image entry ({col}, {sign})")
             cols.add(col)
-        if len(cols) != self.size:
+        if len(cols) != size:
             raise InvalidMatrixError("two rows hit the same column")
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "image", image)
 
     def __mul__(self, other: "SignedPermMatrix") -> "SignedPermMatrix":
         """Composite acting as self first, then other (row-vector convention)."""
@@ -189,8 +185,7 @@ def build_omega_prime(p: int, q: int) -> SignedPermMatrix:
     return SignedPermMatrix(size, tuple(image))
 
 
-@dataclass(frozen=True)
-class ProductMapDescriptor:
+class ProductMapDescriptor(_Value):
     """How a block-structured matrix moves the two sphere factors.
 
     first_block_det / second_block_det are the determinants of the signed
@@ -198,10 +193,15 @@ class ProductMapDescriptor:
     the degrees of the corresponding sphere maps.
     """
 
-    block_sizes: tuple[int, int]
-    swaps_factors: bool
-    first_block_det: int
-    second_block_det: int
+    __slots__ = _fields = ("block_sizes", "swaps_factors", "first_block_det",
+                           "second_block_det")
+
+    def __init__(self, block_sizes: tuple[int, int], swaps_factors: bool,
+                 first_block_det: int, second_block_det: int):
+        object.__setattr__(self, "block_sizes", block_sizes)
+        object.__setattr__(self, "swaps_factors", swaps_factors)
+        object.__setattr__(self, "first_block_det", first_block_det)
+        object.__setattr__(self, "second_block_det", second_block_det)
 
 
 def restrict_to_product(m: SignedPermMatrix, p: int, q: int) -> ProductMapDescriptor:
@@ -247,16 +247,16 @@ def restrict_to_product(m: SignedPermMatrix, p: int, q: int) -> ProductMapDescri
     return ProductMapDescriptor((p + 1, q + 1), swaps, first, second)
 
 
-@dataclass(frozen=True)
-class HomologyAction:
+class HomologyAction(_Value):
     """Integer 2x2 matrix of determinant +-1 acting on middle homology."""
 
-    rows: tuple[tuple[int, int], tuple[int, int]]
+    __slots__ = _fields = ("rows",)
 
-    def __post_init__(self):
-        (a, b), (c, d) = self.rows
+    def __init__(self, rows: tuple[tuple[int, int], tuple[int, int]]):
+        (a, b), (c, d) = rows
         if a * d - b * c not in (1, -1):
             raise InvalidMatrixError("determinant must be +-1")
+        object.__setattr__(self, "rows", rows)
 
     def __mul__(self, other: "HomologyAction") -> "HomologyAction":
         (a, b), (c, d) = self.rows

@@ -10,9 +10,8 @@ or looks up their orders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import ambient_geom, f2_forms, homotopy_tables, sl2z, smallgrp
+from .errors import _Value
 
 
 class UnsupportedFamilyError(ValueError):
@@ -131,12 +130,14 @@ STATEMENTS: dict[str, str] = {
 # families
 
 
-@dataclass(frozen=True)
-class KnotFamily:
+class KnotFamily(_Value):
     """A supported family of standardly embedded sphere (products)."""
 
-    kind: str
-    params: tuple[int, ...]
+    __slots__ = _fields = ("kind", "params")
+
+    def __init__(self, kind: str, params: tuple[int, ...]):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "params", params)
 
     @classmethod
     def unknot_sphere(cls, n: int) -> "KnotFamily":
@@ -181,26 +182,31 @@ class KnotFamily:
 # group descriptors
 
 
-@dataclass(frozen=True)
-class Unknown:
-    reason: str
+class Unknown(_Value):
+    __slots__ = _fields = ("reason",)
+
+    def __init__(self, reason: str):
+        object.__setattr__(self, "reason", reason)
 
 
-@dataclass(frozen=True)
-class GroupDescriptor:
+class GroupDescriptor(_Value):
     """Named group with an attached concrete realization.
 
     Finite names carry a multiplication table; the infinite matrix group
     carries its presentation (relators checkable against actual matrices).
     """
 
-    name: str
-    realization: smallgrp.MulTableGroup | smallgrp.Presentation
+    __slots__ = _fields = ("name", "realization")
+
+    def __init__(self, name: str,
+                 realization: smallgrp.MulTableGroup | smallgrp.Presentation):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "realization", realization)
 
     _BUILDERS = {
         "trivial": lambda: smallgrp.cyclic(1),
         "Z2": lambda: smallgrp.cyclic(2),
-        "Z2xZ2": smallgrp.klein,
+        "Z2xZ2": lambda: smallgrp.klein(),
         "D8xZ2": lambda: smallgrp.direct_product(smallgrp.dihedral(8), smallgrp.cyclic(2)),
         "GammaV2": lambda: smallgrp.GAMMA_V2_PRESENTATION,
     }
@@ -242,29 +248,33 @@ class GroupDescriptor:
 # classification results
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
-    family: KnotFamily
-    image: GroupDescriptor | Unknown
-    kernel: GroupDescriptor | Unknown
-    total: GroupDescriptor | Unknown
-    splits: bool | Unknown
-    citations: tuple[str, ...]
-    notes: tuple[str, ...] = ()
+class ClassificationResult(_Value):
+    __slots__ = _fields = ("family", "image", "kernel", "total", "splits", "citations",
+                           "notes")
 
-    def __post_init__(self):
-        if not self.citations:
+    def __init__(self, family: KnotFamily, image: GroupDescriptor | Unknown,
+                 kernel: GroupDescriptor | Unknown, total: GroupDescriptor | Unknown,
+                 splits: bool | Unknown, citations: tuple[str, ...],
+                 notes: tuple[str, ...] = ()):
+        if not citations:
             raise ValueError("a classification must cite at least one statement")
-        for tag in self.citations:
+        for tag in citations:
             if tag not in STATEMENTS:
                 raise ValueError(f"citation {tag!r} is not a registered statement")
-        parts = [self.kernel, self.image, self.total]
+        parts = [kernel, image, total]
         if all(isinstance(g, GroupDescriptor) for g in parts):
             orders = [g.order() for g in parts]
             if all(o is not None for o in orders) and orders[0] * orders[1] != orders[2]:
                 raise ValueError(
                     f"orders are inconsistent: |kernel| * |image| = "
                     f"{orders[0]} * {orders[1]} != |total| = {orders[2]}")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "image", image)
+        object.__setattr__(self, "kernel", kernel)
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "splits", splits)
+        object.__setattr__(self, "citations", citations)
+        object.__setattr__(self, "notes", notes)
 
     def to_json(self) -> dict:
         out: dict = {"family": {"kind": self.family.kind,
@@ -376,8 +386,7 @@ def classify(family: KnotFamily) -> ClassificationResult:
 # exact sequence reports
 
 
-@dataclass(frozen=True)
-class ExactSequenceReport:
+class ExactSequenceReport(_Value):
     """Short exact sequence attached to a family, symbolic where needed.
 
     orders aligns with terms; None marks infinite or symbolic entries.
@@ -385,21 +394,24 @@ class ExactSequenceReport:
     consistency |kernel| * |quotient| = |middle| is asserted on build.
     """
 
-    terms: tuple[str, ...]
-    orders: tuple[int | None, ...]
-    splits: bool | None
-    citations: tuple[str, ...]
-    notes: tuple[str, ...] = ()
+    __slots__ = _fields = ("terms", "orders", "splits", "citations", "notes")
 
-    def __post_init__(self):
-        if len(self.terms) != 5 or len(self.orders) != 5:
+    def __init__(self, terms: tuple[str, ...], orders: tuple[int | None, ...],
+                 splits: bool | None, citations: tuple[str, ...],
+                 notes: tuple[str, ...] = ()):
+        if len(terms) != 5 or len(orders) != 5:
             raise ValueError("expected a five-term sequence 0 -> K -> E -> Q -> 0")
-        _, k, e, q, _ = self.orders
+        _, k, e, q, _ = orders
         if None not in (k, e, q) and k * q != e:
             raise ValueError(f"orders are inconsistent: {k} * {q} != {e}")
-        for tag in self.citations:
+        for tag in citations:
             if tag not in STATEMENTS:
                 raise ValueError(f"citation {tag!r} is not a registered statement")
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "splits", splits)
+        object.__setattr__(self, "citations", citations)
+        object.__setattr__(self, "notes", notes)
 
 
 def exact_sequence_report(family: KnotFamily) -> ExactSequenceReport:
@@ -440,11 +452,13 @@ def exact_sequence_report(family: KnotFamily) -> ExactSequenceReport:
 # cross-validation against the other modules
 
 
-@dataclass(frozen=True)
-class CrossCheck:
-    name: str
-    passed: bool
-    detail: str
+class CrossCheck(_Value):
+    __slots__ = _fields = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
 
 
 def _mod2_matrix(m: sl2z.UniModMat2) -> tuple[tuple[int, ...], ...]:

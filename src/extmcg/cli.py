@@ -8,13 +8,13 @@ undecodable JSON, a non-object document or non-list field, a JSON
 boolean, a sparse matrix entry that is not three integers, unknown
 subcommand, a --max-cosets below 1).  Every malformed-input error is an
 errors.ParseError.  Each handler imports the one module it runs, so a call
-loads only what it needs.
+loads only what it needs: `json` only when it reads a JSON argument or
+prints --json output, and of the parser only the subcommand it names.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .errors import ParseError
@@ -33,6 +33,8 @@ def _has_bool(value) -> bool:
 
 
 def _load_json(text: str) -> dict:
+    import json
+
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -89,8 +91,17 @@ def _group_from_arg(text: str) -> smallgrp.MulTableGroup:
     raise ParseInputError(f"unknown group shorthand {text!r}")
 
 
+def _print_json(payload) -> None:
+    import json
+
+    print(json.dumps(payload))
+
+
 def _emit(args, payload: dict, text: str) -> None:
-    print(json.dumps(payload) if args.json else text)
+    if args.json:
+        _print_json(payload)
+    else:
+        print(text)
 
 
 def cmd_arf(args) -> int:
@@ -109,7 +120,7 @@ def cmd_stabilizer(args) -> int:
     elems = f2_forms.stabilizer(q)
     mats = [[list(row) for row in s.matrix] for s in elems]
     if args.json:
-        print(json.dumps({"order": len(elems), "elements": mats}))
+        _print_json({"order": len(elems), "elements": mats})
     else:
         print(f"order {len(elems)}")
         for m in mats:
@@ -124,7 +135,7 @@ def cmd_orbit(args) -> int:
     elems = f2_forms.orbit(q)
     values = [list(t.basis_values) for t in elems]
     if args.json:
-        print(json.dumps({"order": len(elems), "elements": values}))
+        _print_json({"order": len(elems), "elements": values})
     else:
         print(f"order {len(elems)}")
         for v in values:
@@ -140,7 +151,7 @@ def cmd_enumerate_sp(args) -> int:
     if not args.count:
         payload["elements"] = [[list(row) for row in s.matrix] for s in elems]
     if args.json:
-        print(json.dumps(payload))
+        _print_json(payload)
     else:
         print(f"order {len(elems)}")
         if not args.count:
@@ -224,7 +235,7 @@ def _build_variant(variant: str, p: int, q: int | None) -> ambient_geom.SignedPe
 def cmd_build_omega(args) -> int:
     m = _build_variant(args.variant, args.p, args.q)
     if args.json:
-        print(json.dumps(m.to_json()))
+        _print_json(m.to_json())
     else:
         print(f"size {m.size}, determinant {m.determinant()}, order {m.order()}")
         for row, (col, sign) in enumerate(m.image):
@@ -282,7 +293,7 @@ def cmd_classify(args) -> int:
     family = getattr(classifier.KnotFamily, constructor)(*values)
     result = classifier.classify(family).to_json()
     if args.json:
-        print(json.dumps(result))
+        _print_json(result)
     else:
         print(result["manifold"])
         for label in ("image", "kernel", "total"):
@@ -300,71 +311,84 @@ def cmd_verify_all(args) -> int:
 
     results = verify.run_all()
     if args.json:
-        print(json.dumps([{"name": r.name, "passed": r.passed,
-                           "detail": r.detail, "citations": list(r.citations)}
-                          for r in results]))
+        _print_json([{"name": r.name, "passed": r.passed,
+                      "detail": r.detail, "citations": list(r.citations)}
+                     for r in results])
     else:
         print(verify.format_report(results))
     return 0 if all(r.passed for r in results) else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **kwargs) -> tuple:
+    return flags, kwargs
+
+
+_VARIANTS = ("plain", "hat", "prime")
+
+# subcommand -> (help text, its arguments besides --json); the handler is
+# cmd_<name with "_" for "-">, looked up when the parser is built
+_SUBCOMMANDS = {
+    "arf": ("Arf invariant of a quadratic refinement",
+            [_arg("refinement", help='{"basis_values": [...], "gram": optional}')]),
+    "stabilizer": ("symplectic stabilizer of a refinement", [_arg("refinement")]),
+    "orbit": ("symplectic orbit of a refinement", [_arg("refinement")]),
+    "enumerate-sp": ("list Sp(2k,2)",
+                     [_arg("--k", type=int, required=True),
+                      _arg("--count", action="store_true", help="order only")]),
+    "member": ("row products both even?",
+               [_arg("matrix", help='{"rows": [[a, b], [c, d]]}')]),
+    "mod2": ("congruence class mod 2 (Id, V or Other)", [_arg("matrix")]),
+    "decompose": ("normal-form word for a member matrix", [_arg("matrix")]),
+    "eval-word": ("multiply out a word in V and T",
+                  [_arg("word", help="e.g. 'V T^2' or '- V T^-1' or 'e'")]),
+    "coset-enum": ("order of a finitely presented group",
+                   [_arg("presentation", help="'gens: a,b; rels: a^2, [a,b]'"),
+                    _arg("--max-cosets", type=int, default=100_000)]),
+    "isomorphic": ("isomorphism test for small groups",
+                   [_arg("first", help="cyclic:n, dihedral:n, quaternion:8, klein, "
+                                       "trivial, e-even, or JSON table"),
+                    _arg("second")]),
+    "build-omega": ("ambient rotation matrices",
+                    [_arg("--p", type=int, required=True), _arg("--q", type=int),
+                     _arg("--variant", choices=_VARIANTS, default="plain")]),
+    "induced-action": ("2x2 homology action",
+                       [_arg("matrix", nargs="?", help="sparse signed permutation JSON"),
+                        _arg("--p", type=int), _arg("--q", type=int),
+                        _arg("--variant", choices=_VARIANTS)]),
+    "classify": ("image / kernel / total classification",
+                 [_arg("--family", required=True, choices=tuple(FAMILIES)),
+                  _arg("--n", type=int), _arg("--p", type=int), _arg("--q", type=int)]),
+    "verify-all": ("run the acceptance checks", []),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The full parser, or with a subcommand name only that subparser.
+
+    The usage text lists every subcommand either way: the full parser
+    derives it from its choices, the partial one is given it.  Errors that
+    name the subcommand argument itself come only from the full parser.
+    """
     parser = argparse.ArgumentParser(
         prog="extmcg",
         description="exact algebra for extendable mapping class groups of "
                     "sphere products")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, help_text):
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(_SUBCOMMANDS) + "}" if command else None)
+    for name in (command,) if command else _SUBCOMMANDS:
+        help_text, arguments = _SUBCOMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="emit JSON")
-        p.set_defaults(fn=fn)
-        return p
-
-    p = add("arf", cmd_arf, "Arf invariant of a quadratic refinement")
-    p.add_argument("refinement", help='{"basis_values": [...], "gram": optional}')
-    p = add("stabilizer", cmd_stabilizer, "symplectic stabilizer of a refinement")
-    p.add_argument("refinement")
-    p = add("orbit", cmd_orbit, "symplectic orbit of a refinement")
-    p.add_argument("refinement")
-    p = add("enumerate-sp", cmd_enumerate_sp, "list Sp(2k,2)")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--count", action="store_true", help="order only")
-    p = add("member", cmd_member, "row products both even?")
-    p.add_argument("matrix", help='{"rows": [[a, b], [c, d]]}')
-    p = add("mod2", cmd_mod2, "congruence class mod 2 (Id, V or Other)")
-    p.add_argument("matrix")
-    p = add("decompose", cmd_decompose, "normal-form word for a member matrix")
-    p.add_argument("matrix")
-    p = add("eval-word", cmd_eval_word, "multiply out a word in V and T")
-    p.add_argument("word", help="e.g. 'V T^2' or '- V T^-1' or 'e'")
-    p = add("coset-enum", cmd_coset_enum, "order of a finitely presented group")
-    p.add_argument("presentation", help="'gens: a,b; rels: a^2, [a,b]'")
-    p.add_argument("--max-cosets", type=int, default=100_000)
-    p = add("isomorphic", cmd_isomorphic, "isomorphism test for small groups")
-    p.add_argument("first", help="cyclic:n, dihedral:n, quaternion:8, klein, "
-                                 "trivial, e-even, or JSON table")
-    p.add_argument("second")
-    p = add("build-omega", cmd_build_omega, "ambient rotation matrices")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int)
-    p.add_argument("--variant", choices=("plain", "hat", "prime"), default="plain")
-    p = add("induced-action", cmd_induced_action, "2x2 homology action")
-    p.add_argument("matrix", nargs="?", help="sparse signed permutation JSON")
-    p.add_argument("--p", type=int)
-    p.add_argument("--q", type=int)
-    p.add_argument("--variant", choices=("plain", "hat", "prime"))
-    p = add("classify", cmd_classify, "image / kernel / total classification")
-    p.add_argument("--family", required=True, choices=tuple(FAMILIES))
-    p.add_argument("--n", type=int)
-    p.add_argument("--p", type=int)
-    p.add_argument("--q", type=int)
-    add("verify-all", cmd_verify_all, "run the acceptance checks")
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(fn=globals()["cmd_" + name.replace("-", "_")])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
     args = parser.parse_args(argv)
     try:
         return args.fn(args)

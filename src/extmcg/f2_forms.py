@@ -7,7 +7,10 @@ from a symplectic basis and by exhaustive majority vote, and the two
 routes are kept separate on purpose so each can check the other.
 
 Vectors are bitmask integers (bit i = coordinate i); matrices and basis
-values are exposed as plain 0/1 tuples.  A space pairs masks through its
+values are exposed as plain 0/1 tuples.  A vector of a 2k-dimensional
+space is a mask m with 0 <= m < 2^(2k): `pair_masks` and `eval_mask`
+raise DimensionMismatchError for any other, while `image` and `upper`,
+which the hot loops call, do not check.  A space pairs masks through its
 Gram image, <u, v> = parity(u & J v), and splits off its symplectic
 basis once.  A symplectic matrix keeps only its columns as bitmasks
 (column j is the image of basis vector j), so applying, composing and
@@ -32,9 +35,10 @@ and stop at dimension 6.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
+
+from .errors import UnsupportedSizeError, _Value
 
 
 class DegenerateFormError(ValueError):
@@ -42,10 +46,6 @@ class DegenerateFormError(ValueError):
 
 
 class DimensionMismatchError(ValueError):
-    pass
-
-
-class UnsupportedSizeError(ValueError):
     pass
 
 
@@ -75,25 +75,25 @@ def _rank_f2(rows: list[int]) -> int:
     return rank
 
 
-@dataclass(frozen=True)
-class SymplecticSpaceF2:
+class SymplecticSpaceF2(_Value):
     """Even-dimensional GF(2) space with a nondegenerate alternating Gram matrix."""
 
-    gram: tuple[tuple[int, ...], ...]
+    _fields = ("gram",)
 
-    def __post_init__(self):
-        n = len(self.gram)
+    def __init__(self, gram: tuple[tuple[int, ...], ...]):
+        n = len(gram)
         if n == 0 or n % 2:
             raise DegenerateFormError(f"dimension {n} is not even and positive")
-        for row in self.gram:
+        for row in gram:
             if len(row) != n or any(e not in (0, 1) for e in row):
                 raise DegenerateFormError("Gram matrix must be square over {0,1}")
         for i in range(n):
-            if self.gram[i][i]:
+            if gram[i][i]:
                 raise DegenerateFormError(f"Gram diagonal entry ({i},{i}) is nonzero")
             for j in range(n):
-                if self.gram[i][j] != self.gram[j][i]:
+                if gram[i][j] != gram[j][i]:
                     raise DegenerateFormError("Gram matrix is not symmetric")
+        object.__setattr__(self, "gram", gram)
         if _rank_f2(list(self.row_masks)) != n:
             raise DegenerateFormError("Gram matrix is singular over GF(2)")
 
@@ -131,7 +131,15 @@ class SymplecticSpaceF2:
             v >>= 8
         return out
 
+    def _check_mask(self, mask: int) -> None:
+        """Raise DimensionMismatchError unless 0 <= mask < 2^dim."""
+        if not 0 <= mask < 1 << self.dim:
+            raise DimensionMismatchError(
+                f"mask {mask} outside 0..{(1 << self.dim) - 1} for dimension {self.dim}")
+
     def pair_masks(self, u: int, v: int) -> int:
+        self._check_mask(u)
+        self._check_mask(v)
         return (u & self.image(v)).bit_count() & 1
 
     @cached_property
@@ -181,19 +189,19 @@ def standard_space(k: int) -> SymplecticSpaceF2:
     return SymplecticSpaceF2(tuple(tuple(row) for row in gram))
 
 
-@dataclass(frozen=True)
-class QuadraticRefinement:
+class QuadraticRefinement(_Value):
     """Quadratic refinement of a space's pairing, determined by its basis values."""
 
-    space: SymplecticSpaceF2
-    basis_values: tuple[int, ...]
+    _fields = ("space", "basis_values")
 
-    def __post_init__(self):
-        if len(self.basis_values) != self.space.dim:
+    def __init__(self, space: SymplecticSpaceF2, basis_values: tuple[int, ...]):
+        if len(basis_values) != space.dim:
             raise DimensionMismatchError("basis_values length != dimension")
-        for b in self.basis_values:
+        for b in basis_values:
             if b not in (0, 1):
                 raise ValueError("basis values must be 0 or 1")
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "basis_values", basis_values)
 
     @cached_property
     def value_table(self) -> tuple[int, ...]:
@@ -205,6 +213,7 @@ class QuadraticRefinement:
 
     def eval_mask(self, mask: int) -> int:
         """q(v) = v^T U v plus the sum of q(e_i) over i in v; no value table."""
+        self.space._check_mask(mask)
         total = (mask & self.space.upper(mask)).bit_count()
         values = self.basis_values
         while mask:
@@ -250,8 +259,7 @@ def all_refinements(space: SymplecticSpaceF2) -> list[QuadraticRefinement]:
     return [QuadraticRefinement(space, bits) for bits in product((0, 1), repeat=space.dim)]
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class SpElement:
+class SpElement(_Value):
     """Element of the symplectic group of the standard space.
 
     Built from a square 0/1 matrix whose columns are the images of the
@@ -259,7 +267,7 @@ class SpElement:
     left.  Only the columns are kept, as bitmasks.
     """
 
-    columns: tuple[int, ...]
+    __slots__ = _fields = ("columns",)
 
     def __init__(self, matrix: tuple[tuple[int, ...], ...]):
         n = len(matrix)

@@ -10,16 +10,16 @@ rather than extrapolate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+
+from .errors import _Value
 
 
 class OutOfDomainError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FinAbGroup:
+class FinAbGroup(_Value):
     """Finitely generated abelian group in invariant-factor form.
 
     torsion is a divisibility chain d_1 | d_2 | ... with every d_i >= 2;
@@ -27,17 +27,18 @@ class FinAbGroup:
     one from an arbitrary bag of cyclic orders.
     """
 
-    free_rank: int
-    torsion: tuple[int, ...]
+    __slots__ = _fields = ("free_rank", "torsion")
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int, torsion: tuple[int, ...]):
+        if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
-        for i, d in enumerate(self.torsion):
+        for i, d in enumerate(torsion):
             if d < 2:
                 raise ValueError(f"torsion order {d} must be at least 2")
-            if i and self.torsion[i - 1] != gcd(self.torsion[i - 1], d):
+            if i and torsion[i - 1] != gcd(torsion[i - 1], d):
                 raise ValueError("torsion orders must form a divisibility chain")
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", torsion)
 
     @classmethod
     def make(cls, free_rank: int = 0, cyclic_orders=()) -> "FinAbGroup":

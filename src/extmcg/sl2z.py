@@ -12,13 +12,7 @@ Words multiply left to right: eval_word([V, T]) is the matrix V * T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import ParseError
-
-
-class InvalidMatrixError(ValueError):
-    """Not an integer matrix of determinant +1."""
+from .errors import InvalidMatrixError, ParseError, _Value
 
 
 class NonMemberError(ValueError):
@@ -36,22 +30,22 @@ def _mul(x: tuple, y: tuple) -> tuple:
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
-@dataclass(frozen=True)
-class UniModMat2:
+class UniModMat2(_Value):
     """2x2 integer matrix (a b / c d) with determinant +1."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = _fields = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        for e in (self.a, self.b, self.c, self.d):
+    def __init__(self, a: int, b: int, c: int, d: int):
+        for e in (a, b, c, d):
             if not isinstance(e, int):
                 raise InvalidMatrixError(f"entry {e!r} is not an integer")
-        det = self.a * self.d - self.b * self.c
+        det = a * d - b * c
         if det != 1:
             raise InvalidMatrixError(f"determinant is {det}, must be +1")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
 
     def __mul__(self, other: "UniModMat2") -> "UniModMat2":
         return UniModMat2(*_mul((self.a, self.b, self.c, self.d),
@@ -127,21 +121,21 @@ def reduce_mod2(m: UniModMat2) -> str:
     return Mod2Class.OTHER
 
 
-@dataclass(frozen=True)
-class GenWord:
+class GenWord(_Value):
     """Signed word in V and T: sign * product of gen^exp factors, left to right."""
 
-    tokens: tuple[tuple[str, int], ...]
-    sign: int = 1
+    __slots__ = _fields = ("tokens", "sign")
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise WordSyntaxError(f"sign must be +-1, got {self.sign}")
-        for gen, exp in self.tokens:
+    def __init__(self, tokens: tuple[tuple[str, int], ...], sign: int = 1):
+        if sign not in (1, -1):
+            raise WordSyntaxError(f"sign must be +-1, got {sign}")
+        for gen, exp in tokens:
             if gen not in GENERATORS:
                 raise WordSyntaxError(f"unknown generator {gen!r}")
             if not isinstance(exp, int):
                 raise WordSyntaxError(f"exponent {exp!r} is not an integer")
+        object.__setattr__(self, "tokens", tokens)
+        object.__setattr__(self, "sign", sign)
 
     def __str__(self) -> str:
         parts = ["-"] if self.sign < 0 else []

@@ -10,9 +10,7 @@ passes any cap, reported as CosetCapacityError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .errors import ParseError
+from .errors import ParseError, UnsupportedSizeError, _Value
 
 
 class PresentationError(ParseError):
@@ -35,32 +33,29 @@ class InvalidSubgroupError(ValueError):
     pass
 
 
-class UnsupportedSizeError(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # presentations
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(_Value):
     """Finite presentation: generator names and relator words.
 
     A relator is a tuple of (generator_index, exponent_sign) letters; the
     relator multiplies out to the identity.
     """
 
-    generators: tuple[str, ...]
-    relators: tuple[tuple[tuple[int, int], ...], ...]
+    __slots__ = _fields = ("generators", "relators")
 
-    def __post_init__(self):
-        if len(set(self.generators)) != len(self.generators):
+    def __init__(self, generators: tuple[str, ...],
+                 relators: tuple[tuple[tuple[int, int], ...], ...]):
+        if len(set(generators)) != len(generators):
             raise PresentationError("duplicate generator names")
-        for rel in self.relators:
+        for rel in relators:
             for g, s in rel:
-                if not 0 <= g < len(self.generators) or s not in (1, -1):
+                if not 0 <= g < len(generators) or s not in (1, -1):
                     raise PresentationError(f"bad letter ({g}, {s})")
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "relators", relators)
 
 
 def _parse_factor(tok: str, index: dict[str, int]) -> list[tuple[int, int]]:
@@ -316,41 +311,43 @@ def generate(seed, mul, identity, limit=None) -> frozenset:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class MulTableGroup:
-    """Finite group as a full multiplication table over indices 0..n-1."""
+class MulTableGroup(_Value):
+    """Finite group as a full multiplication table over indices 0..n-1.
 
-    table: tuple[tuple[int, ...], ...]
-    identity: int = field(init=False, default=0)
+    The identity element is found from the table, not passed in.
+    """
 
-    def __post_init__(self):
-        n = len(self.table)
+    __slots__ = _fields = ("table", "identity")
+
+    def __init__(self, table: tuple[tuple[int, ...], ...]):
+        n = len(table)
         if n == 0 or n > 64:
             raise UnsupportedSizeError(f"order {n} outside supported range 1..64")
         rng = range(n)
-        for row in self.table:
+        for row in table:
             if len(row) != n or any(e not in rng for e in row):
                 raise InvalidTableError("table is not square over element indices")
-        for row in self.table:
+        for row in table:
             if len(set(row)) != n:
                 raise InvalidTableError("a row repeats an element (not a bijection)")
         for j in rng:
-            if len({self.table[i][j] for i in rng}) != n:
+            if len({table[i][j] for i in rng}) != n:
                 raise InvalidTableError("a column repeats an element (not a bijection)")
         ident = next((e for e in rng
-                      if all(self.table[e][x] == x and self.table[x][e] == x for x in rng)),
+                      if all(table[e][x] == x and table[x][e] == x for x in rng)),
                      None)
         if ident is None:
             raise InvalidTableError("no two-sided identity element")
-        object.__setattr__(self, "identity", ident)
         for i in rng:
-            if all(self.table[i][j] != ident for j in rng):
+            if all(table[i][j] != ident for j in rng):
                 raise InvalidTableError(f"element {i} has no inverse")
         for a in rng:
             for b in rng:
                 for c in rng:
-                    if self.table[self.table[a][b]][c] != self.table[a][self.table[b][c]]:
+                    if table[table[a][b]][c] != table[a][table[b][c]]:
                         raise InvalidTableError(f"not associative at ({a},{b},{c})")
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "identity", ident)
 
     @property
     def order(self) -> int:

@@ -9,18 +9,20 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
 from itertools import product
 
 from . import ambient_geom, classifier, f2_forms, homotopy_tables, sl2z, smallgrp
+from .errors import _Value
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-    citations: tuple[str, ...]
+class CheckResult(_Value):
+    __slots__ = _fields = ("name", "passed", "detail", "citations")
+
+    def __init__(self, name: str, passed: bool, detail: str, citations: tuple[str, ...]):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
+        object.__setattr__(self, "citations", citations)
 
 
 def _check(name: str, *citations: str):
@@ -366,7 +368,7 @@ def check_property_suites():
     e = smallgrp.build_E_even()
     tables.append(smallgrp.quotient(e, e.closure([smallgrp.E_EVEN_GENS["r"]])))
     # construction re-runs the Latin-square / identity / inverse /
-    # associativity validation in MulTableGroup.__post_init__
+    # associativity validation in MulTableGroup.__init__
     details.append(f"{len(tables)} group tables validated")
     for _ in range(1000):
         m1 = sl2z.eval_word(random_normal_word(rng, 12))

@@ -316,3 +316,76 @@ def test_cold_verify_all_text_is_golden():
     proc = cold("-m", "extmcg.cli", "verify-all")
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == VERIFY_ALL_TEXT
+
+
+# one representative call of every subcommand but verify-all; eval-word
+# comes first and prints no JSON, so json must still be unloaded after it
+REPRESENTATIVE_CALLS = [
+    ["eval-word", "V"],
+    ["arf", '{"basis_values": [1, 1]}'],
+    ["stabilizer", '{"basis_values": [0, 0]}', "--json"],
+    ["orbit", '{"basis_values": [0, 0, 1, 1]}'],
+    ["enumerate-sp", "--k", "1"],
+    ["member", '{"rows": [[1, 2], [0, 1]]}'],
+    ["mod2", '{"rows": [[0, -1], [1, 0]]}'],
+    ["decompose", '{"rows": [[1, 2], [0, 1]]}'],
+    ["coset-enum", "gens: a, b; rels: a^2, b^4, a b a b"],
+    ["isomorphic", "klein", "cyclic:4"],
+    ["build-omega", "--p", "3"],
+    ["induced-action", "--variant", "hat", "--p", "4"],
+    ["classify", "--family", "equal-product", "--p", "4"],
+]
+
+
+def test_cold_calls_import_no_dataclasses_and_json_only_when_used():
+    proc = cold("-c", f"""if True:
+        import sys
+        from extmcg import cli
+        codes, after_eval_word = [], None
+        for argv in {REPRESENTATIVE_CALLS!r}:
+            codes.append(cli.main(argv))
+            if after_eval_word is None:
+                after_eval_word = "json" in sys.modules
+        print("REPORT", codes, after_eval_word,
+              sorted(m for m in ("dataclasses", "inspect") if m in sys.modules))
+    """)
+    assert proc.returncode == 0, proc.stderr
+    report = proc.stdout.splitlines()[-1]
+    assert report == f"REPORT {[0] * len(REPRESENTATIVE_CALLS)} False []"
+    assert len({argv[0] for argv in REPRESENTATIVE_CALLS}) == 13
+
+
+TOP_USAGE = """\
+usage: extmcg [-h]
+              {arf,stabilizer,orbit,enumerate-sp,member,mod2,decompose,eval-word,coset-enum,isomorphic,build-omega,induced-action,classify,verify-all}
+              ...
+"""
+
+PARSER_EDGE_CASES = [
+    (["eval-word", "V", "--bogus"], 2, "",
+     TOP_USAGE + "extmcg: error: unrecognized arguments: --bogus\n"),
+    (["arf"], 2, "",
+     "usage: extmcg arf [-h] [--json] refinement\n"
+     "extmcg arf: error: the following arguments are required: refinement\n"),
+    (["nope"], 2, "",
+     TOP_USAGE + "extmcg: error: argument command: invalid choice: 'nope' (choose from "
+     "'arf', 'stabilizer', 'orbit', 'enumerate-sp', 'member', 'mod2', 'decompose', "
+     "'eval-word', 'coset-enum', 'isomorphic', 'build-omega', 'induced-action', "
+     "'classify', 'verify-all')\n"),
+    (["arf", "--help"], 0,
+     "usage: extmcg arf [-h] [--json] refinement\n\n"
+     "positional arguments:\n"
+     '  refinement  {"basis_values": [...], "gram": optional}\n\n'
+     "options:\n"
+     "  -h, --help  show this help message and exit\n"
+     "  --json      emit JSON\n", ""),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", PARSER_EDGE_CASES,
+                         ids=[" ".join(case[0]) for case in PARSER_EDGE_CASES])
+def test_cold_parser_edge_cases_are_golden(monkeypatch, argv, code, out, err):
+    """Building one subparser must not change any usage or error text."""
+    monkeypatch.setenv("COLUMNS", "80")
+    proc = cold("-m", "extmcg.cli", *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)

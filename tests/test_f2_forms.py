@@ -119,6 +119,20 @@ def test_eval_mask_on_small_vectors():
     assert q.eval_mask(0b11) == 1
 
 
+@pytest.mark.parametrize("mask", [-1, 0b100, 0b100000])
+def test_masks_outside_the_space_are_rejected(mask):
+    space = ff.standard_space(1)
+    q = ff.QuadraticRefinement(space, (1, 1))
+    with pytest.raises(ff.DimensionMismatchError):
+        space.pair_masks(mask, 0b10)
+    with pytest.raises(ff.DimensionMismatchError):
+        space.pair_masks(0b10, mask)
+    with pytest.raises(ff.DimensionMismatchError):
+        q.eval_mask(mask)
+    # the top mask of the space is still inside it
+    assert space.pair_masks(0b11, 0b10) == 1 and q.eval_mask(0b11) == 1
+
+
 def random_invertible(rng, n):
     """GF(2) invertible matrix, rows as ints, from a seeded PRNG."""
     rows = []

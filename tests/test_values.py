@@ -1,0 +1,125 @@
+"""The library's frozen value classes and its shared error classes.
+
+Every value class compares by class and fields, hashes as its field
+tuple, refuses assignment and prints as ``Name(field=value, ...)``; the
+repr texts below are those the classes printed as frozen dataclasses.
+"""
+
+import copy
+import pickle
+
+import pytest
+
+from extmcg import ambient_geom as ag
+from extmcg import classifier as cl
+from extmcg import errors
+from extmcg import f2_forms as ff
+from extmcg import homotopy_tables as ht
+from extmcg import sl2z
+from extmcg import smallgrp as sg
+from extmcg import verify as vf
+
+
+def _family():
+    return cl.KnotFamily.equal_product(4)
+
+
+def _z2():
+    return cl.GroupDescriptor.of("Z2")
+
+
+Z2_TEXT = ("GroupDescriptor(name='Z2', "
+           "realization=MulTableGroup(table=((0, 1), (1, 0)), identity=0))")
+
+# (class, a builder called twice, the repr)
+VALUES = [
+    (sl2z.UniModMat2, lambda: sl2z.UniModMat2(1, 2, 0, 1),
+     "UniModMat2(a=1, b=2, c=0, d=1)"),
+    (sl2z.GenWord, lambda: sl2z.GenWord((("V", 1), ("T", -2))),
+     "GenWord(tokens=(('V', 1), ('T', -2)), sign=1)"),
+    (ff.SymplecticSpaceF2, lambda: ff.standard_space(1),
+     "SymplecticSpaceF2(gram=((0, 1), (1, 0)))"),
+    (ff.QuadraticRefinement, lambda: ff.QuadraticRefinement(ff.standard_space(1), (1, 0)),
+     "QuadraticRefinement(space=SymplecticSpaceF2(gram=((0, 1), (1, 0))), "
+     "basis_values=(1, 0))"),
+    (ff.SpElement, lambda: ff.SpElement(((0, 1), (1, 0))),
+     "SpElement(columns=(2, 1))"),
+    (sg.Presentation, lambda: sg.Presentation(("a",), (((0, 1), (0, 1)),)),
+     "Presentation(generators=('a',), relators=(((0, 1), (0, 1)),))"),
+    (sg.MulTableGroup, lambda: sg.cyclic(2),
+     "MulTableGroup(table=((0, 1), (1, 0)), identity=0)"),
+    (ag.SignedPermMatrix, lambda: ag.SignedPermMatrix(2, ((1, -1), (0, 1))),
+     "SignedPermMatrix(size=2, image=((1, -1), (0, 1)))"),
+    (ag.ProductMapDescriptor, lambda: ag.ProductMapDescriptor((2, 2), True, 1, -1),
+     "ProductMapDescriptor(block_sizes=(2, 2), swaps_factors=True, first_block_det=1, "
+     "second_block_det=-1)"),
+    (ag.HomologyAction, lambda: ag.HomologyAction(((0, 1), (1, 0))),
+     "HomologyAction(rows=((0, 1), (1, 0)))"),
+    (cl.KnotFamily, _family,
+     "KnotFamily(kind='equal-product', params=(4,))"),
+    (cl.Unknown, lambda: cl.Unknown("why"), "Unknown(reason='why')"),
+    (cl.GroupDescriptor, _z2, Z2_TEXT),
+    (cl.ClassificationResult,
+     lambda: cl.ClassificationResult(_family(), _z2(), cl.Unknown("k"), _z2(),
+                                     cl.Unknown("s"), ("so-tables",)),
+     "ClassificationResult(family=KnotFamily(kind='equal-product', params=(4,)), "
+     f"image={Z2_TEXT}, kernel=Unknown(reason='k'), total={Z2_TEXT}, "
+     "splits=Unknown(reason='s'), citations=('so-tables',), notes=())"),
+    (cl.ExactSequenceReport,
+     lambda: cl.exact_sequence_report(cl.KnotFamily.adjacent_product(14)),
+     "ExactSequenceReport(terms=('0', 'Z2', 'Z2 + Z2', 'Z2', '0'), "
+     "orders=(1, 2, 4, 2, 1), splits=True, citations=('adjacent-split',), notes=())"),
+    (cl.CrossCheck, lambda: cl.CrossCheck("n", True, "d"),
+     "CrossCheck(name='n', passed=True, detail='d')"),
+    (ht.FinAbGroup, lambda: ht.FinAbGroup(1, (2, 4)),
+     "FinAbGroup(free_rank=1, torsion=(2, 4))"),
+    (vf.CheckResult, lambda: vf.CheckResult("n", False, "d", ("a",)),
+     "CheckResult(name='n', passed=False, detail='d', citations=('a',))"),
+]
+
+
+def test_every_value_class_is_listed():
+    modules = (sl2z, ff, sg, ag, cl, ht, vf)
+    found = {obj for mod in modules for obj in vars(mod).values()
+             if isinstance(obj, type) and issubclass(obj, errors._Value)
+             and obj is not errors._Value}
+    assert found == {cls for cls, _, _ in VALUES} and len(VALUES) == 18
+
+
+@pytest.mark.parametrize("cls, build, text", VALUES, ids=[c.__name__ for c, _, _ in VALUES])
+def test_value_semantics(cls, build, text):
+    a, b = build(), build()
+    assert type(a) is cls and a is not b
+    fields = tuple(getattr(a, f) for f in cls._fields)
+    assert a == b and not a != b
+    assert hash(a) == hash(b) == hash(fields)
+    assert a != fields and a.__eq__(fields) is NotImplemented
+    for f in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(a, f, getattr(b, f))
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert repr(a) == text
+    assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
+
+
+def test_defaults_and_keywords():
+    assert sl2z.GenWord(tokens=(("T", 3),)).sign == 1
+    assert sl2z.UniModMat2(d=1, c=0, b=2, a=1) == sl2z.UniModMat2(1, 2, 0, 1)
+    result = cl.ClassificationResult(family=_family(), image=_z2(), kernel=_z2(),
+                                     total=cl.GroupDescriptor.of("Z2xZ2"), splits=True,
+                                     citations=("so-tables",))
+    assert result.notes == ()
+    with pytest.raises(TypeError):
+        sg.MulTableGroup(((0,),), identity=0)
+    with pytest.raises(TypeError):
+        sl2z.UniModMat2(1, 2, 0)
+
+
+def test_one_class_per_shared_error():
+    assert sl2z.InvalidMatrixError is ag.InvalidMatrixError is errors.InvalidMatrixError
+    assert ff.UnsupportedSizeError is sg.UnsupportedSizeError is errors.UnsupportedSizeError
+    with pytest.raises(ag.InvalidMatrixError, match="determinant is 2, must be"):
+        sl2z.UniModMat2(2, 0, 0, 1)
+    with pytest.raises(ff.UnsupportedSizeError, match="order 65 outside"):
+        sg.cyclic(65)
