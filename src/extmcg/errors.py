@@ -26,7 +26,12 @@ class _Value:
     """Frozen value: a subclass lists its fields in `_fields` and sets them
     in `__init__` with `object.__setattr__`.  Instances are equal when they
     have the same class and equal fields, hash as the field tuple, print as
-    `Name(field=value, ...)`, and refuse assignment with AttributeError."""
+    `Name(field=value, ...)`, and refuse assignment with AttributeError.
+
+    `__init__` checks its arguments; `_trusted` takes field values the
+    library built itself and stores them unchecked.  Validation therefore
+    runs once, where a value first enters from outside.
+    """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -54,10 +59,19 @@ class _Value:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    # copy and pickle restore the fields without calling __init__
-    def __getstate__(self):
-        return self._astuple
+    @classmethod
+    def _trusted(cls, *values):
+        """The instance with these field values, made without `__init__`.
 
-    def __setstate__(self, state):
-        for f, v in zip(self._fields, state):
+        Only for values that already meet `__init__`'s checks: results the
+        library computed from checked values, and copies.  A class on a hot
+        path overrides this with direct slot stores.
+        """
+        self = object.__new__(cls)
+        for f, v in zip(cls._fields, values):
             object.__setattr__(self, f, v)
+        return self
+
+    # copy and pickle rebuild an instance from its fields through _trusted
+    def __reduce__(self):
+        return self._trusted, self._astuple

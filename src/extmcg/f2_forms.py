@@ -27,6 +27,18 @@ vote needs anyway and which `transport` reuses across the many elements
 it is called with; the two Arf routes therefore share no code for
 evaluating q.
 
+Validation happens once, at the boundary.  The public constructors and
+`from_columns` check their input.  What the library builds from checked
+values, such as the refinement `transport` returns, a product, the
+elements of `enumerate_sp` and the transvections, is made by `_trusted`
+without a second check.  `transport` must still know that its element
+preserves the refinement's form.  Each SpElement therefore carries a memo
+beside its columns: the Gram row masks of a form it is known to
+preserve, or None.  `enumerate_sp` and the transvections set it, a
+product keeps it when both factors carry the same form, and `transport`
+runs the full check only when the memo does not match, recording the
+form when the check passes.
+
 Orbits of refinements are found by breadth-first search over 3k - 1
 transvections that generate Sp(2k, 2), without enumerating the group, up
 to dimension 10.  Stabilizers filter the full enumeration of Sp(2k, 2)
@@ -203,6 +215,15 @@ class QuadraticRefinement(_Value):
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "basis_values", basis_values)
 
+    @classmethod
+    def _trusted(cls, space: SymplecticSpaceF2,
+                 basis_values: tuple[int, ...]) -> "QuadraticRefinement":
+        q = object.__new__(cls)
+        fields = q.__dict__
+        fields["space"] = space
+        fields["basis_values"] = basis_values
+        return q
+
     @cached_property
     def value_table(self) -> tuple[int, ...]:
         # q(v + e_i) = q(v) + q(e_i) + <v, e_i>, doubling over i in mask order.
@@ -265,23 +286,41 @@ class SpElement(_Value):
     Built from a square 0/1 matrix whose columns are the images of the
     standard basis vectors; the matrix acts on column vectors from the
     left.  Only the columns are kept, as bitmasks.
+
+    The constructor and `from_columns` check the shape and entries only;
+    whether the element preserves a form is checked by `transport`.  The
+    slot `_form`, which is not a field, memoizes that check: the Gram row
+    masks of a form the element is known to preserve, or None.  Equality,
+    hash and repr ignore it, and copy and pickle bring it back as None.
     """
 
-    __slots__ = _fields = ("columns",)
+    __slots__ = ("columns", "_form")
+    _fields = ("columns",)
 
     def __init__(self, matrix: tuple[tuple[int, ...], ...]):
         n = len(matrix)
         if any(len(row) != n or any(e not in (0, 1) for e in row) for row in matrix):
             raise ValueError("matrix must be square with 0/1 entries")
-        object.__setattr__(self, "columns", tuple(
-            sum(matrix[i][j] << i for i in range(n)) for j in range(n)))
+        _set_columns(self, tuple(sum(matrix[i][j] << i for i in range(n)) for j in range(n)))
+        _set_form(self, None)
+
+    @classmethod
+    def _trusted(cls, columns: tuple[int, ...],
+                 form: tuple[int, ...] | None = None) -> "SpElement":
+        s = object.__new__(cls)
+        _set_columns(s, columns)
+        _set_form(s, form)
+        return s
 
     @classmethod
     def from_columns(cls, columns: tuple[int, ...]) -> "SpElement":
-        """The element whose column j is the mask columns[j] (below 2^n)."""
-        s = object.__new__(cls)
-        object.__setattr__(s, "columns", tuple(columns))
-        return s
+        """The element whose column j is the mask columns[j], an int below 2^n."""
+        columns = tuple(columns)
+        top = (1 << len(columns)) - 1
+        for c in columns:
+            if not isinstance(c, int) or not 0 <= c <= top:
+                raise DimensionMismatchError(f"column {c!r} is not a mask in 0..{top}")
+        return cls._trusted(columns)
 
     @property
     def matrix(self) -> tuple[tuple[int, ...], ...]:
@@ -302,7 +341,12 @@ class SpElement(_Value):
     def __mul__(self, other: "SpElement") -> "SpElement":
         if self.dim != other.dim:
             raise DimensionMismatchError("matrix dimensions differ")
-        return SpElement.from_columns(tuple(self.apply_mask(c) for c in other.columns))
+        form = self._form
+        return SpElement._trusted(tuple(self.apply_mask(c) for c in other.columns),
+                                  form if form == other._form else None)
+
+
+_set_columns, _set_form = SpElement.columns.__set__, SpElement._form.__set__
 
 
 def _preserves_form(columns, space: SymplecticSpaceF2) -> bool:
@@ -388,7 +432,8 @@ def enumerate_sp(k: int) -> list[SpElement]:
 
     extend(full, 0)
     out.sort()
-    return [SpElement.from_columns(c) for _, c in out]
+    form = space.row_masks
+    return [SpElement._trusted(c, form) for _, c in out]
 
 
 def sp_order(k: int) -> int:
@@ -399,13 +444,20 @@ def sp_order(k: int) -> int:
 
 
 def transport(q: QuadraticRefinement, s: SpElement) -> QuadraticRefinement:
-    """Pull back a refinement along a symplectic matrix: q'(v) = q(S v)."""
+    """Pull back a refinement along a symplectic matrix: q'(v) = q(S v).
+
+    The element must preserve q's form.  That is checked in full unless
+    the element's memo already names the form, and recorded after a pass.
+    """
     space, columns = q.space, s.columns
     if len(columns) != space.dim:
         raise DimensionMismatchError("matrix does not match refinement dimension")
-    if not _preserves_form(columns, space):
-        raise ValueError("matrix does not preserve the pairing")
-    return QuadraticRefinement(space, tuple(map(q.value_table.__getitem__, columns)))
+    form = space.row_masks
+    if s._form != form:
+        if not _preserves_form(columns, space):
+            raise ValueError("matrix does not preserve the pairing")
+        _set_form(s, form)
+    return QuadraticRefinement._trusted(space, tuple(map(q.value_table.__getitem__, columns)))
 
 
 def _require_standard(q: QuadraticRefinement, what: str, max_dim: int) -> int:
@@ -426,8 +478,8 @@ def stabilizer(q: QuadraticRefinement) -> list[SpElement]:
 def _transvection(space: SymplecticSpaceF2, w: int) -> SpElement:
     """The symplectic map v -> v + <v, w> w."""
     jw = space.image(w)
-    return SpElement.from_columns(tuple(
-        (1 << j) ^ (w if (jw >> j) & 1 else 0) for j in range(space.dim)))
+    return SpElement._trusted(tuple((1 << j) ^ (w if (jw >> j) & 1 else 0)
+                                    for j in range(space.dim)), space.row_masks)
 
 
 def orbit(q: QuadraticRefinement) -> list[QuadraticRefinement]:

@@ -8,6 +8,10 @@ the order-2 image of V with the infinite cyclic image of T, so every
 element has a unique alternating normal form with an overall sign.
 
 Words multiply left to right: eval_word([V, T]) is the matrix V * T.
+
+The public constructors check what they are given.  Products, inverses,
+evaluated words, normal forms and decompositions are built from checked
+values by `_trusted` and are not checked again.
 """
 
 from __future__ import annotations
@@ -47,15 +51,23 @@ class UniModMat2(_Value):
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
 
+    @classmethod
+    def _trusted(cls, a: int, b: int, c: int, d: int) -> "UniModMat2":
+        m = object.__new__(cls)
+        _set_a(m, a)
+        _set_b(m, b)
+        _set_c(m, c)
+        _set_d(m, d)
+        return m
+
     def __mul__(self, other: "UniModMat2") -> "UniModMat2":
-        return UniModMat2(*_mul((self.a, self.b, self.c, self.d),
-                                (other.a, other.b, other.c, other.d)))
+        return UniModMat2._trusted(*_mul(self._astuple, other._astuple))
 
     def __neg__(self) -> "UniModMat2":
-        return UniModMat2(-self.a, -self.b, -self.c, -self.d)
+        return UniModMat2._trusted(-self.a, -self.b, -self.c, -self.d)
 
     def inverse(self) -> "UniModMat2":
-        return UniModMat2(self.d, -self.b, -self.c, self.a)
+        return UniModMat2._trusted(self.d, -self.b, -self.c, self.a)
 
     def __pow__(self, n: int) -> "UniModMat2":
         base = self if n >= 0 else self.inverse()
@@ -83,6 +95,9 @@ class UniModMat2(_Value):
             raise InvalidMatrixError("expected {\"rows\": [[a, b], [c, d]]}")
         return cls(rows[0][0], rows[0][1], rows[1][0], rows[1][1])
 
+
+_set_a, _set_b, _set_c, _set_d = (UniModMat2.a.__set__, UniModMat2.b.__set__,
+                                  UniModMat2.c.__set__, UniModMat2.d.__set__)
 
 IDENTITY = UniModMat2(1, 0, 0, 1)
 V = UniModMat2(0, -1, 1, 0)
@@ -137,6 +152,13 @@ class GenWord(_Value):
         object.__setattr__(self, "tokens", tokens)
         object.__setattr__(self, "sign", sign)
 
+    @classmethod
+    def _trusted(cls, tokens: tuple[tuple[str, int], ...], sign: int) -> "GenWord":
+        w = object.__new__(cls)
+        _set_tokens(w, tokens)
+        _set_sign(w, sign)
+        return w
+
     def __str__(self) -> str:
         parts = ["-"] if self.sign < 0 else []
         for gen, exp in self.tokens:
@@ -144,6 +166,9 @@ class GenWord(_Value):
         if not self.tokens:
             parts.append("e")
         return " ".join(parts)
+
+
+_set_tokens, _set_sign = GenWord.tokens.__set__, GenWord.sign.__set__
 
 
 def parse_word(text: str) -> GenWord:
@@ -182,7 +207,8 @@ def parse_word(text: str) -> GenWord:
 def eval_word(w: GenWord) -> UniModMat2:
     """Multiply the word out, left to right, including the central sign.
 
-    The product runs on plain entries and is validated once, at the end.
+    The product runs on plain entries.  A checked word gives integer
+    entries with determinant +1, so the result is built unchecked.
     T^k is the closed form (1 2k / 0 1); a power of V is computed by
     square-and-multiply, so V^4 = Id is a product, never a rule.
     """
@@ -201,7 +227,7 @@ def eval_word(w: GenWord) -> UniModMat2:
             if exp:
                 m = _mul(m, m)
     a, b, c, d = acc if w.sign == 1 else (-e for e in acc)
-    return UniModMat2(a, b, c, d)
+    return UniModMat2._trusted(a, b, c, d)
 
 
 def normal_form(w: GenWord) -> GenWord:
@@ -223,7 +249,7 @@ def normal_form(w: GenWord) -> GenWord:
 
     for gen, exp in w.tokens:
         push(gen, exp)
-    return GenWord(tuple(stack), sign)
+    return GenWord._trusted(tuple(stack), sign)
 
 
 def is_normal_form(w: GenWord) -> bool:
@@ -265,7 +291,7 @@ def decompose(m: UniModMat2) -> GenWord:
     tokens = [(gen, -exp) for gen, exp in steps]
     if k:
         tokens.append(("T", k))
-    return normal_form(GenWord(tuple(tokens), 1 if eps == 1 else -1))
+    return normal_form(GenWord._trusted(tuple(tokens), 1 if eps == 1 else -1))
 
 
 def normal_forms_up_to(bound: int, signs: bool = True):
@@ -287,9 +313,9 @@ def normal_forms_up_to(bound: int, signs: bool = True):
                     yield from grow(tokens + (("T", exp),), budget - size, "T")
 
     for tokens in grow((), bound, None):
-        yield GenWord(tokens, 1)
+        yield GenWord._trusted(tokens, 1)
         if signs:
-            yield GenWord(tokens, -1)
+            yield GenWord._trusted(tokens, -1)
 
 
 def verify_presentation(bound: int) -> int:

@@ -377,6 +377,15 @@ def test_sp_element_matrix_roundtrip():
             assert s.apply_mask(1 << j) == sum(s.matrix[i][j] << i for i in range(4))
 
 
+def test_from_columns_checks_its_masks():
+    """A column outside 0..2^n-1 used to be kept, and then lost in `matrix`."""
+    s = ff.SpElement.from_columns([2, 1])
+    assert s == ff.SpElement(((0, 1), (1, 0))) and ff.SpElement(s.matrix) == s
+    for bad in ((5, 1), (2, -1), (2, 1.0), ("2", 1), (2, None), (1, 2, 8)):
+        with pytest.raises(ff.DimensionMismatchError, match="not a mask"):
+            ff.SpElement.from_columns(bad)
+
+
 def test_transport_rejects_non_symplectic():
     q1 = ff.QuadraticRefinement(ff.standard_space(1), (1, 0))
     with pytest.raises(ValueError, match="pairing"):
