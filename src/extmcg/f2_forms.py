@@ -324,7 +324,8 @@ class SpElement(_Value):
 
     @property
     def matrix(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple((c >> i) & 1 for c in self.columns) for i in range(self.dim))
+        cols = self.columns
+        return tuple(tuple([(c >> i) & 1 for c in cols]) for i in range(len(cols)))
 
     @property
     def dim(self) -> int:

@@ -41,7 +41,7 @@ class UniModMat2(_Value):
 
     def __init__(self, a: int, b: int, c: int, d: int):
         for e in (a, b, c, d):
-            if not isinstance(e, int):
+            if not isinstance(e, int) or isinstance(e, bool):
                 raise InvalidMatrixError(f"entry {e!r} is not an integer")
         det = a * d - b * c
         if det != 1:
@@ -61,7 +61,9 @@ class UniModMat2(_Value):
         return m
 
     def __mul__(self, other: "UniModMat2") -> "UniModMat2":
-        return UniModMat2._trusted(*_mul(self._astuple, other._astuple))
+        a, b, c, d = self.a, self.b, self.c, self.d
+        e, f, g, h = other.a, other.b, other.c, other.d
+        return UniModMat2._trusted(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
     def __neg__(self) -> "UniModMat2":
         return UniModMat2._trusted(-self.a, -self.b, -self.c, -self.d)
@@ -142,12 +144,12 @@ class GenWord(_Value):
     __slots__ = _fields = ("tokens", "sign")
 
     def __init__(self, tokens: tuple[tuple[str, int], ...], sign: int = 1):
-        if sign not in (1, -1):
+        if sign not in (1, -1) or isinstance(sign, bool):
             raise WordSyntaxError(f"sign must be +-1, got {sign}")
         for gen, exp in tokens:
             if gen not in GENERATORS:
                 raise WordSyntaxError(f"unknown generator {gen!r}")
-            if not isinstance(exp, int):
+            if not isinstance(exp, int) or isinstance(exp, bool):
                 raise WordSyntaxError(f"exponent {exp!r} is not an integer")
         object.__setattr__(self, "tokens", tokens)
         object.__setattr__(self, "sign", sign)
@@ -207,48 +209,60 @@ def parse_word(text: str) -> GenWord:
 def eval_word(w: GenWord) -> UniModMat2:
     """Multiply the word out, left to right, including the central sign.
 
-    The product runs on plain entries.  A checked word gives integer
-    entries with determinant +1, so the result is built unchecked.
-    T^k is the closed form (1 2k / 0 1); a power of V is computed by
-    square-and-multiply, so V^4 = Id is a product, never a rule.
+    The product runs on plain entries (a b / c d) held in locals.  A
+    checked word gives integer entries with determinant +1, so the result
+    is built unchecked.  Each factor is a right product in closed form:
+    T^k gives (a, b + 2ka, c, d + 2kc), V gives (b, -a, d, -c) and V^-1
+    gives (-b, a, -d, c).  A power V^e with |e| >= 2 is computed by
+    square-and-multiply, so V^4 = Id is a product, never a rule.  The
+    word's sign is applied once, at the end.
     """
-    acc = (1, 0, 0, 1)
+    a, b, c, d = 1, 0, 0, 1
     for gen, exp in w.tokens:
         if gen == "T":
+            b += 2 * exp * a
+            d += 2 * exp * c
+        elif exp == 1:
+            a, b, c, d = b, -a, d, -c
+        elif exp == -1:
+            a, b, c, d = -b, a, -d, c
+        elif exp:
+            acc = (a, b, c, d)
+            m = (0, -1, 1, 0) if exp > 0 else (0, 1, -1, 0)  # V or V^-1
+            exp = abs(exp)
+            while exp:
+                if exp & 1:
+                    acc = _mul(acc, m)
+                exp >>= 1
+                if exp:
+                    m = _mul(m, m)
             a, b, c, d = acc
-            acc = (a, b + 2 * exp * a, c, d + 2 * exp * c)
-            continue
-        m = (0, -1, 1, 0) if exp > 0 else (0, 1, -1, 0)  # V or V^-1
-        exp = abs(exp)
-        while exp:
-            if exp & 1:
-                acc = _mul(acc, m)
-            exp >>= 1
-            if exp:
-                m = _mul(m, m)
-    a, b, c, d = acc if w.sign == 1 else (-e for e in acc)
-    return UniModMat2._trusted(a, b, c, d)
+    if w.sign == 1:
+        return UniModMat2._trusted(a, b, c, d)
+    return UniModMat2._trusted(-a, -b, -c, -d)
 
 
 def normal_form(w: GenWord) -> GenWord:
     """Collapse to the alternating form: V factors with exponent exactly 1,
-    nonzero T exponents, central sign pulled out via V^2 = -Id."""
+    nonzero T exponents, central sign pulled out via V^2 = -Id.
+
+    One pass over the tokens with a stack: a factor merges into the top
+    of the stack when both are powers of the same generator.  A power V^e
+    keeps e mod 2 and flips the sign when e mod 4 is 2 or 3, so V^-1
+    becomes -V; a factor whose exponent ends at 0 is dropped.
+    """
     sign = w.sign
     stack: list[tuple[str, int]] = []
-
-    def push(gen: str, exp: int):
-        nonlocal sign
+    for gen, exp in w.tokens:
         if stack and stack[-1][0] == gen:
             exp += stack.pop()[1]
         if gen == "V":
-            if exp % 4 in (2, 3):
+            exp %= 4
+            if exp >= 2:
                 sign = -sign
-            exp = exp % 4 % 2
+            exp &= 1
         if exp:
             stack.append((gen, exp))
-
-    for gen, exp in w.tokens:
-        push(gen, exp)
     return GenWord._trusted(tuple(stack), sign)
 
 
@@ -268,11 +282,15 @@ def decompose(m: UniModMat2) -> GenWord:
     the bottom row to the top, shrinking |a| below |c| (the two have
     opposite parity, so the strict inequality is always reachable), then V
     swaps the rows.  |c| drops strictly each round, so we reach c = 0,
-    where the residue is +-T^k.  The accumulated left factors are then
-    inverted back onto the result.
+    where the residue is +-T^k.  The left factors are inverted back onto
+    the result as they are found: T^k gives T^-k, and V gives V^-1 = -V,
+    a V with the sign flipped.  After the first round |a| > |c|, so every
+    later round has a nonzero T step; no two factors of one generator are
+    adjacent, and the word is already the normal form.
     """
     require_member(m)
-    steps: list[tuple[str, int]] = []  # applied left factors, in order
+    tokens: list[tuple[str, int]] = []
+    sign = 1
     a, b, c, d = m.a, m.b, m.c, m.d
     while c != 0:
         if a != 0:
@@ -281,17 +299,16 @@ def decompose(m: UniModMat2) -> GenWord:
             k = -((a + c) // (2 * c))
             if k:
                 a, b = a + 2 * k * c, b + 2 * k * d  # T^k * cur
-                steps.append(("T", k))
+                tokens.append(("T", -k))
         assert abs(a) < abs(c)
         a, b, c, d = -c, -d, a, b  # V * cur
-        steps.append(("V", 1))
+        tokens.append(("V", 1))
+        sign = -sign
     # cur = eps * T^k with eps = a in {1, -1}
-    eps = a
-    k = eps * b // 2
-    tokens = [(gen, -exp) for gen, exp in steps]
+    k = a * b // 2
     if k:
         tokens.append(("T", k))
-    return normal_form(GenWord._trusted(tuple(tokens), 1 if eps == 1 else -1))
+    return GenWord._trusted(tuple(tokens), sign * a)
 
 
 def normal_forms_up_to(bound: int, signs: bool = True):

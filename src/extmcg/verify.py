@@ -41,25 +41,44 @@ def _check(name: str, *citations: str):
     return decorate
 
 
-_T_EXPONENTS = tuple(e for e in range(-9, 10) if e)
+_T_TOKENS = tuple(("T", e) for e in range(-9, 10) if e)
+_T_COUNT = len(_T_TOKENS)
+_T_BITS = _T_COUNT.bit_length()
 
 
 def random_normal_word(rng: random.Random, max_tokens: int = 20) -> sl2z.GenWord:
     """Uniform-ish random normal-form word with up to max_tokens factors.
 
-    Its letters come from a fixed valid alphabet, so it is built unchecked.
+    The length is uniform on 0..max_tokens, the first generator and the
+    sign are fair coins, the factors alternate between V and T, and each
+    T exponent is uniform on -9..9 without 0.  Each draw calls
+    `rng.getrandbits` with the rejection loop that `randint` and `choice`
+    run in `Random._randbelow`, so a `random.Random` gives the same word
+    stream as `randint(0, max_tokens)`, `choice(("V", "T"))`, one
+    `choice` per T exponent and `choice((1, -1))`.  Its letters come from
+    a fixed valid alphabet, so it is built unchecked.
     """
-    n = rng.randint(0, max_tokens)
-    tokens = []
-    gen = rng.choice(("V", "T"))
-    for _ in range(n):
-        if gen == "V":
-            tokens.append(("V", 1))
-        else:
-            exp = rng.choice(_T_EXPONENTS)
-            tokens.append(("T", exp))
-        gen = "T" if gen == "V" else "V"
-    return sl2z.GenWord._trusted(tuple(tokens), rng.choice((1, -1)))
+    getrandbits = rng.getrandbits
+    width = max_tokens + 1
+    bits = width.bit_length()
+    n = getrandbits(bits)
+    while n >= width:
+        n = getrandbits(bits)
+    first = getrandbits(2)  # 0 starts with V, 1 with T
+    while first >= 2:
+        first = getrandbits(2)
+    t_tokens = []
+    for _ in range((n + first) >> 1):
+        r = getrandbits(_T_BITS)
+        while r >= _T_COUNT:
+            r = getrandbits(_T_BITS)
+        t_tokens.append(_T_TOKENS[r])
+    tokens = [("V", 1)] * n
+    tokens[1 - first::2] = t_tokens
+    sign = getrandbits(2)
+    while sign >= 2:
+        sign = getrandbits(2)
+    return sl2z.GenWord._trusted(tuple(tokens), -1 if sign else 1)
 
 
 @_check("membership-characterization", "mod2-membership", "arf-zero-standard")
@@ -98,7 +117,7 @@ def check_symplectic_census():
     ok = len(sp1) == 6 and len(sp2) == 720
     details.append(f"|Sp(2,2)| = {len(sp1)}, |Sp(4,2)| = {len(sp2)}")
     space = f2_forms.standard_space(2)
-    if len({s.matrix for s in sp2}) != 720:
+    if len({s.columns for s in sp2}) != 720:
         ok = False
         details.append("duplicates in Sp(4,2)")
     if not all(f2_forms.is_symplectic(s.matrix, space) for s in sp2):

@@ -184,3 +184,37 @@ def test_property_suites_fail_on_a_corrupted_value_table(monkeypatch):
     assert result.name == "property-suites"
     assert not result.passed
     assert "quadratic identity fails at k=4" in result.detail
+
+
+def _corrupt_census_enumeration(monkeypatch, corrupt):
+    """The census's own enumeration of Sp(4,2), the first one of a run,
+    comes back corrupted; later calls (stabilizer) see the real group."""
+    real = ff.enumerate_sp
+    pending = [True]
+
+    def enumerate_sp(k):
+        elements = real(k)
+        if k == 2 and pending:
+            pending.pop()
+            return corrupt(elements)
+        return elements
+
+    monkeypatch.setattr(ff, "enumerate_sp", enumerate_sp)
+
+
+def test_symplectic_census_fails_on_a_duplicate(monkeypatch):
+    _corrupt_census_enumeration(monkeypatch, lambda sp: sp[:-1] + [sp[0]])
+    res = verify.check_symplectic_census()
+    assert not res.passed
+    assert "duplicates in Sp(4,2)" in res.detail
+    assert "non-symplectic" not in res.detail
+
+
+def test_symplectic_census_fails_on_a_non_symplectic_element(monkeypatch):
+    singular = ff.SpElement.from_columns((1, 1, 4, 8))
+    assert not ff.is_symplectic(singular.matrix, ff.standard_space(2))
+    _corrupt_census_enumeration(monkeypatch, lambda sp: sp[:-1] + [singular])
+    res = verify.check_symplectic_census()
+    assert not res.passed
+    assert "non-symplectic matrix in enumeration" in res.detail
+    assert "duplicates" not in res.detail

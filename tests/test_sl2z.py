@@ -224,3 +224,17 @@ def test_verify_presentation_injectivity():
     count = sl2z.verify_presentation(6)
     assert count == 380
     assert sl2z.verify_presentation(8) == 1532
+
+
+@pytest.mark.parametrize("entries", [(True, 0, 0, True), (1, False, 0, 1),
+                                     (1, 0, False, 1), (True, 2, 0, 1)])
+def test_matrix_rejects_boolean_entries(entries):
+    with pytest.raises(sl2z.InvalidMatrixError, match="not an integer"):
+        sl2z.UniModMat2(*entries)
+
+
+@pytest.mark.parametrize("tokens, sign", [((("T", True),), 1), ((("V", False),), 1),
+                                          ((), True), ((("V", 1),), True)])
+def test_word_rejects_boolean_exponent_and_sign(tokens, sign):
+    with pytest.raises(sl2z.WordSyntaxError):
+        sl2z.GenWord(tokens, sign)
