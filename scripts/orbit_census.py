@@ -8,8 +8,9 @@ checks that the Arf 0 and Arf 1 classes are single orbits of sizes
 transvection search, so they need no enumeration of the group.
 
 Sp(2k,2) is enumerated only for k <= 3 (1451520 elements at k = 3).
-Stabilizers are enumerated for k <= 2; from k = 3 on the stabilizer
-order is derived as |Sp(2k,2)| / |orbit| and labelled as such.
+Stabilizers are enumerated for k <= 3 (40320 and 51840 elements at
+k = 3); from k = 4 on the stabilizer order is derived as
+|Sp(2k,2)| / |orbit| and labelled as such.
 
 Usage:
     python3 scripts/orbit_census.py [--max-k 2]    # up to 5
@@ -41,7 +42,7 @@ def census(k) -> bool:
         seen.update(t.basis_values for t in orb)
         value = ff.arf(q)
         sizes.setdefault(value, []).append(len(orb))
-        if k <= 2:
+        if k <= 3:
             stab, how = len(ff.stabilizer(q)), ""
         else:
             stab, how = ff.sp_order(k) // len(orb), " (derived)"

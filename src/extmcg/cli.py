@@ -113,18 +113,24 @@ def cmd_arf(args) -> int:
     return 0
 
 
+def _print_elements(args, elems, payload: dict, listed: bool) -> None:
+    """Print the order and, if listed, the matrices: one a line, or under "elements"."""
+    payload["order"] = len(elems)
+    if args.json:
+        if listed:
+            payload["elements"] = [[list(row) for row in s.matrix] for s in elems]
+        _print_json(payload)
+    else:
+        print(f"order {len(elems)}")
+        for s in elems if listed else ():
+            print(" / ".join(" ".join(str(e) for e in row) for row in s.matrix))
+
+
 def cmd_stabilizer(args) -> int:
     from . import f2_forms
 
     q = _refinement_from_json(args.refinement)
-    elems = f2_forms.stabilizer(q)
-    mats = [[list(row) for row in s.matrix] for s in elems]
-    if args.json:
-        _print_json({"order": len(elems), "elements": mats})
-    else:
-        print(f"order {len(elems)}")
-        for m in mats:
-            print(" / ".join(" ".join(str(e) for e in row) for row in m))
+    _print_elements(args, f2_forms.stabilizer(q), {}, True)
     return 0
 
 
@@ -146,17 +152,7 @@ def cmd_orbit(args) -> int:
 def cmd_enumerate_sp(args) -> int:
     from . import f2_forms
 
-    elems = f2_forms.enumerate_sp(args.k)
-    payload: dict = {"k": args.k, "order": len(elems)}
-    if not args.count:
-        payload["elements"] = [[list(row) for row in s.matrix] for s in elems]
-    if args.json:
-        _print_json(payload)
-    else:
-        print(f"order {len(elems)}")
-        if not args.count:
-            for s in elems:
-                print(" / ".join(" ".join(str(e) for e in row) for row in s.matrix))
+    _print_elements(args, f2_forms.enumerate_sp(args.k), {"k": args.k}, not args.count)
     return 0
 
 

@@ -30,19 +30,20 @@ evaluating q.
 Validation happens once, at the boundary.  The public constructors and
 `from_columns` check their input.  What the library builds from checked
 values, such as the refinement `transport` returns, a product, the
-elements of `enumerate_sp` and the transvections, is made by `_trusted`
+elements of the basis search and the transvections, is made by `_trusted`
 without a second check.  `transport` must still know that its element
 preserves the refinement's form.  Each SpElement therefore carries a memo
 beside its columns: the Gram row masks of a form it is known to
-preserve, or None.  `enumerate_sp` and the transvections set it, a
+preserve, or None.  The basis search and the transvections set it, a
 product keeps it when both factors carry the same form, and `transport`
 runs the full check only when the memo does not match, recording the
 form when the check passes.
 
 Orbits of refinements are found by breadth-first search over 3k - 1
 transvections that generate Sp(2k, 2), without enumerating the group, up
-to dimension 10.  Stabilizers filter the full enumeration of Sp(2k, 2)
-and stop at dimension 6.
+to dimension 10.  Stabilizers restrict the search that enumerates
+Sp(2k, 2) to columns S e_j with q(S e_j) = q(e_j), which make q o S = q;
+both stop at dimension 6.
 """
 
 from __future__ import annotations
@@ -367,31 +368,21 @@ def _preserves_form(columns, space: SymplecticSpaceF2) -> bool:
 
 def is_symplectic(mat: tuple[tuple[int, ...], ...], space: SymplecticSpaceF2) -> bool:
     """Check S^T J S = J over GF(2); False unless S is n x n with 0/1 entries."""
-    n = space.dim
-    if len(mat) != n:
+    try:
+        columns = SpElement(mat).columns
+    except ValueError:
         return False
-    for row in mat:
-        if len(row) != n:
-            return False
-        for e in row:
-            if e not in (0, 1):
-                return False
-    return _preserves_form([sum(mat[i][j] << i for i in range(n)) for j in range(n)], space)
+    return len(columns) == space.dim and _preserves_form(columns, space)
 
 
-def enumerate_sp(k: int) -> list[SpElement]:
-    """All elements of Sp(2k, 2) for the standard space, sorted, each exactly once.
+def _extend_bases(space: SymplecticSpaceF2, want) -> list[SpElement]:
+    """The symplectic maps of the standard space with column j in the vector
+    bitset want[j], sorted by matrix rows, each exactly once.
 
-    Elements are enumerated by extending symplectic bases: pick the image
-    of a_1 (any nonzero vector), the image of b_1 (pairing 1 with it),
-    then recurse inside the simultaneous annihilator.  Orders: 6 at k=1,
-    720 at k=2, 1451520 at k=3.  The order is that of the matrices, row
-    by row.
+    Symplectic bases are extended: pick the image of a_1 (nonzero), the image
+    of b_1 (pairing 1 with it), then recurse inside their annihilator.
     """
-    if not 1 <= k <= 3:
-        raise UnsupportedSizeError(f"k = {k} outside supported range 1..3")
-    space = standard_space(k)
-    n = 2 * k
+    n = space.dim
     size = 1 << n
     # bitset over vector indices: bit v of ortho[u] says <u, v> = 0
     ortho = [0] * size
@@ -420,8 +411,8 @@ def enumerate_sp(k: int) -> list[SpElement]:
         if j == n:
             out.append((key, tuple(cols)))
             return
-        for a in iter_bits(candidates & ~1):  # nonzero vectors only
-            partners = candidates & ~ortho[a]
+        for a in iter_bits(candidates & want[j] & ~1):  # nonzero vectors only
+            partners = candidates & ~ortho[a] & want[j + 1]
             rest_a = candidates & ortho[a]
             key_a = key | spread[a] << (n - 1 - j)
             cols.append(a)
@@ -435,6 +426,13 @@ def enumerate_sp(k: int) -> list[SpElement]:
     out.sort()
     form = space.row_masks
     return [SpElement._trusted(c, form) for _, c in out]
+
+
+def enumerate_sp(k: int) -> list[SpElement]:
+    """All elements of Sp(2k, 2) for the standard space, sorted, each exactly once."""
+    if not 1 <= k <= 3:
+        raise UnsupportedSizeError(f"k = {k} outside supported range 1..3")
+    return _extend_bases(standard_space(k), (-1,) * (2 * k))
 
 
 def sp_order(k: int) -> int:
@@ -472,8 +470,9 @@ def _require_standard(q: QuadraticRefinement, what: str, max_dim: int) -> int:
 
 def stabilizer(q: QuadraticRefinement) -> list[SpElement]:
     """All symplectic matrices with q(S v) = q(v) for every v.  Dimension <= 6."""
-    k = _require_standard(q, "stabilizer", 6)
-    return [s for s in enumerate_sp(k) if transport(q, s).basis_values == q.basis_values]
+    _require_standard(q, "stabilizer", 6)
+    ones = sum(t << v for v, t in enumerate(q.value_table))
+    return _extend_bases(q.space, [ones if b else ~ones for b in q.basis_values])
 
 
 def _transvection(space: SymplecticSpaceF2, w: int) -> SpElement:

@@ -146,7 +146,11 @@ class GenWord(_Value):
     def __init__(self, tokens: tuple[tuple[str, int], ...], sign: int = 1):
         if sign not in (1, -1) or isinstance(sign, bool):
             raise WordSyntaxError(f"sign must be +-1, got {sign}")
-        for gen, exp in tokens:
+        tokens = (tokens,) if isinstance(tokens, str) else tuple(tokens)
+        for token in tokens:
+            if not isinstance(token, tuple) or len(token) != 2:
+                raise WordSyntaxError(f"token {token!r} is not a (generator, exponent) pair")
+            gen, exp = token
             if gen not in GENERATORS:
                 raise WordSyntaxError(f"unknown generator {gen!r}")
             if not isinstance(exp, int) or isinstance(exp, bool):

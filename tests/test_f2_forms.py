@@ -267,14 +267,57 @@ def test_orbit_stabilizer_census_at_k2():
     assert all(ff.arf(t) == 1 for t in orb1)
 
 
-def test_stabilizer_by_definition():
+def bit_string(bits):
+    return "".join(map(str, bits))
+
+
+@pytest.mark.parametrize("bits", [bits for k in (1, 2)
+                                  for bits in itertools.product((0, 1), repeat=2 * k)],
+                         ids=bit_string)
+def test_stabilizer_by_definition(bits):
     """Cross-check the library stabilizer against a definition-level filter."""
-    space = ff.standard_space(2)
-    q = ff.QuadraticRefinement(space, (0, 0, 0, 0))
+    k = len(bits) // 2
+    space = ff.standard_space(k)
+    q = ff.QuadraticRefinement(space, bits)
     table = q.value_table
-    direct = [s for s in ff.enumerate_sp(2)
-              if all(table[s.apply_mask(v)] == table[v] for v in range(16))]
+    direct = [s for s in ff.enumerate_sp(k)
+              if all(table[s.apply_mask(v)] == table[v] for v in range(1 << 2 * k))]
     assert [s.matrix for s in direct] == [s.matrix for s in ff.stabilizer(q)]
+
+
+def orthogonal_order(k, value):
+    """|O+(2k,2)| for Arf 0, |O-(2k,2)| for Arf 1:
+    2 * 2^(k(k-1)) * (2^k -+ 1) * prod over 0 < i < k of (4^i - 1)."""
+    n = 2 * 2 ** (k * (k - 1)) * (2 ** k + (1 if value else -1))
+    for i in range(1, k):
+        n *= 4 ** i - 1
+    return n
+
+
+def check_stabilizer_k3(q):
+    """The order matches the closed form and orbit-stabilizer, and every
+    element, rebuilt without its form memo, is symplectic and fixes q."""
+    stab = ff.stabilizer(q)
+    assert len(stab) == orthogonal_order(3, ff.arf(q)) == ff.sp_order(3) // len(ff.orbit(q))
+    assert len(set(stab)) == len(stab)
+    for s in stab:
+        assert ff.transport(q, ff.SpElement.from_columns(s.columns)) == q
+
+
+def test_orthogonal_order_closed_form():
+    assert [orthogonal_order(k, v) for k in (1, 2, 3) for v in (0, 1)] == \
+        [2, 6, 72, 120, 40320, 51840]
+
+
+@pytest.mark.parametrize("value", [0, 1])
+def test_stabilizer_at_dimension_6(value):
+    check_stabilizer_k3(refinement_with_arf(3, value))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("bits", list(itertools.product((0, 1), repeat=6)), ids=bit_string)
+def test_stabilizer_at_dimension_6_every_refinement(bits):
+    check_stabilizer_k3(ff.QuadraticRefinement(ff.standard_space(3), bits))
 
 
 def test_transport_composition():

@@ -238,3 +238,16 @@ def test_matrix_rejects_boolean_entries(entries):
 def test_word_rejects_boolean_exponent_and_sign(tokens, sign):
     with pytest.raises(sl2z.WordSyntaxError):
         sl2z.GenWord(tokens, sign)
+
+
+def test_word_tokens_are_stored_as_pairs():
+    """A list of tokens becomes a tuple of pairs, so the word hashes."""
+    w = sl2z.GenWord([("V", 1)])
+    assert w.tokens == (("V", 1),) and hash(w) == hash(sl2z.GenWord((("V", 1),)))
+
+
+@pytest.mark.parametrize("tokens", [(("V", 1, 2),), (("V",),), ("V", 1), ["V1"], "VT", "",
+                                    [["V", 1]]])
+def test_word_rejects_tokens_that_are_not_pairs(tokens):
+    with pytest.raises(sl2z.WordSyntaxError, match="not a"):
+        sl2z.GenWord(tokens)
