@@ -78,11 +78,6 @@ STATEMENTS: dict[str, str] = {
         "For the product of spheres of adjacent dimensions p-2 and p-1 in "
         "S^(2p-1), with p = 6 mod 8 and p >= 9, the extendable mapping class "
         "group is a split extension of Z2 by Z2, hence Klein four.",
-    "sdiff-sequence":
-        "For p >= 3, the homology-trivial pseudo-isotopy classes of S^p x S^p "
-        "fit in an extension 0 -> Theta_(2p+1) -> pi_0 SDiff -> "
-        "Hom(H_p, SPi_p(SO(p))) -> 0, with Theta_(2p+1) the group of "
-        "homotopy (2p+1)-spheres, kept symbolic here.",
     "so-tables":
         "SPi_p(SO(p)) for p >= 3 depends only on p mod 8, namely Z2+Z2, Z2, "
         "Z2, Z, Z2, 0, Z2, Z for residues 0..7, except that it is trivial at "
@@ -229,15 +224,11 @@ class GroupDescriptor(_Value):
             pres = self.realization
             if not isinstance(pres, smallgrp.Presentation):
                 return False
-            mats = {"V": sl2z.V, "T": sl2z.T}
             for rel in pres.relators:
-                acc = sl2z.IDENTITY
-                for g, s in rel:
-                    m = mats[pres.generators[g]]
-                    acc = acc * (m if s == 1 else m.inverse())
-                if acc != sl2z.IDENTITY:
+                word = sl2z.GenWord(tuple((pres.generators[g], s) for g, s in rel))
+                if sl2z.eval_word(word) != sl2z.IDENTITY:
                     return False
-            return all(sl2z.is_member(m) for m in mats.values())
+            return sl2z.is_member(sl2z.V) and sl2z.is_member(sl2z.T)
         if not isinstance(self.realization, smallgrp.MulTableGroup):
             return False
         ok, _ = smallgrp.is_isomorphic(self.realization, self._BUILDERS[self.name]())
@@ -383,72 +374,6 @@ def classify(family: KnotFamily) -> ClassificationResult:
 
 
 # ---------------------------------------------------------------------------
-# exact sequence reports
-
-
-class ExactSequenceReport(_Value):
-    """Short exact sequence attached to a family, symbolic where needed.
-
-    orders aligns with terms; None marks infinite or symbolic entries.
-    When kernel, middle and quotient orders are all finite the product
-    consistency |kernel| * |quotient| = |middle| is asserted on build.
-    """
-
-    __slots__ = _fields = ("terms", "orders", "splits", "citations", "notes")
-
-    def __init__(self, terms: tuple[str, ...], orders: tuple[int | None, ...],
-                 splits: bool | None, citations: tuple[str, ...],
-                 notes: tuple[str, ...] = ()):
-        if len(terms) != 5 or len(orders) != 5:
-            raise ValueError("expected a five-term sequence 0 -> K -> E -> Q -> 0")
-        _, k, e, q, _ = orders
-        if None not in (k, e, q) and k * q != e:
-            raise ValueError(f"orders are inconsistent: {k} * {q} != {e}")
-        for tag in citations:
-            if tag not in STATEMENTS:
-                raise ValueError(f"citation {tag!r} is not a registered statement")
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "orders", orders)
-        object.__setattr__(self, "splits", splits)
-        object.__setattr__(self, "citations", citations)
-        object.__setattr__(self, "notes", notes)
-
-
-def exact_sequence_report(family: KnotFamily) -> ExactSequenceReport:
-    if family.kind == "equal-product":
-        p = family.params[0]
-        if p >= 4 and p % 2 == 0:
-            return ExactSequenceReport(
-                terms=("0", "Z2 + Z2", "D8 x Z2", "Z2 + Z2", "0"),
-                orders=(1, 4, 16, 4, 1),
-                splits=_even_model_splits(),
-                citations=("even-sequence", "even-splits-computed"),
-                notes=("splits computed on the order-16 model",))
-        if p >= 3 and p % 2:
-            quot = homotopy_tables.hom_to(2, homotopy_tables.s_pi_p_so_p(p))
-            return ExactSequenceReport(
-                terms=("0", f"Theta_{2 * p + 1}",
-                       f"pi_0 SDiff(S^{p} x S^{p})",
-                       f"Hom(Z^2, {homotopy_tables.s_pi_p_so_p(p)})", "0"),
-                orders=(1, None, None, quot.order(), 1),
-                splits=None,
-                citations=("sdiff-sequence", "so-tables", "odd-kernel"),
-                notes=("Theta terms stay symbolic; no homotopy sphere group "
-                       "orders are computed",
-                       "restricted to extendable classes the kernel term "
-                       "vanishes"))
-        raise UnsupportedFamilyError(
-            f"no sequence report for equal products with p = {p}")
-    if family.kind == "adjacent-product":
-        return ExactSequenceReport(
-            terms=("0", "Z2", "Z2 + Z2", "Z2", "0"),
-            orders=(1, 2, 4, 2, 1),
-            splits=True,
-            citations=("adjacent-split",))
-    raise UnsupportedFamilyError(f"no sequence report for {family.kind!r}")
-
-
-# ---------------------------------------------------------------------------
 # cross-validation against the other modules
 
 
@@ -473,6 +398,10 @@ def cross_validate(family: KnotFamily) -> list[CrossCheck]:
     the ambient rotation must induce a member matrix.  Even equal
     products: the order-16 model must match D8 x Z2 and the two ambient
     involutions must generate the declared Klein image.
+
+    Every check here is also made by `verify-all`.  Outside the tests,
+    only the benchmark's `groups` workload calls this; it and `CrossCheck`
+    go when that workload's op list next changes (ROADMAP item 1).
     """
     if family.kind != "equal-product":
         raise UnsupportedFamilyError("cross validation covers equal products only")

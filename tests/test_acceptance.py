@@ -12,7 +12,7 @@ from itertools import product
 
 import pytest
 
-from extmcg import cli, f2_forms as ff, verify
+from extmcg import cli, f2_forms as ff, smallgrp, verify
 
 NAMES = ["membership-characterization", "symplectic-census", "coset-enumeration",
          "word-algebra", "ambient-matrices", "classification-table",
@@ -43,7 +43,7 @@ def test_criterion_2_symplectic_counts(results):
 
 def test_criterion_3_coset_enumeration(results):
     _report(3, "three-involution presentation closes at order 8 = D8 (not Q8); "
-               "full model has order 16 = D8 x Z2",
+               "full model has order 16 = D8 x Z2 with Klein quotient by <delta1, delta2>",
             results["coset-enumeration"])
 
 
@@ -218,3 +218,23 @@ def test_symplectic_census_fails_on_a_non_symplectic_element(monkeypatch):
     assert not res.passed
     assert "non-symplectic matrix in enumeration" in res.detail
     assert "duplicates" not in res.detail
+
+
+def test_coset_enumeration_fails_when_the_kernel_is_not_klein(monkeypatch):
+    """With u in place of delta2 the generated subgroup is the order-8
+    dihedral part of the model, not the Klein kernel."""
+    monkeypatch.setitem(smallgrp.E_EVEN_GENS, "delta2", smallgrp.E_EVEN_GENS["u"])
+    res = verify.check_coset_enumeration()
+    assert res.name == "coset-enumeration"
+    assert not res.passed
+    assert "quotient by <delta1, delta2> is Klein: False" in res.detail
+
+
+def test_word_algebra_fails_when_a_relator_fails(monkeypatch):
+    """The relators are checked once, by sl2z.verify_presentation; its
+    failure is the check's own FAIL line."""
+    monkeypatch.setattr(verify.sl2z, "IDENTITY", verify.sl2z.V)
+    res = verify.check_word_algebra()
+    assert res.name == "word-algebra"
+    assert not res.passed
+    assert res.detail == "raised AssertionError('V^4 is not the identity')"

@@ -1,4 +1,4 @@
-"""Classification table, exact-sequence reports and cross-module checks.
+"""Classification table and cross-module checks.
 
 The expected rows are written out here independently of the library's own
 verification module, descriptor realizations are re-verified, and every
@@ -102,6 +102,9 @@ def test_group_descriptors():
     # realization and name disagreeing is caught
     lying = cf.GroupDescriptor("Z2", smallgrp.klein())
     assert not lying.verify_realization()
+    # V^2 = -Id is not a relator of the matrix group
+    wrong = cf.GroupDescriptor("GammaV2", smallgrp.parse_presentation("gens: V,T; rels: V^2"))
+    assert not wrong.verify_realization()
 
 
 def test_result_validation():
@@ -117,51 +120,6 @@ def test_result_validation():
         # 1 * 2 != 4
         cf.ClassificationResult(fam, z2, triv, cf.GroupDescriptor.of("Z2xZ2"),
                                 True, citations=("even-total",))
-
-
-def test_even_sequence_report():
-    rep = cf.exact_sequence_report(cf.KnotFamily.equal_product(6))
-    assert rep.terms == ("0", "Z2 + Z2", "D8 x Z2", "Z2 + Z2", "0")
-    assert rep.orders == (1, 4, 16, 4, 1)
-    assert rep.splits is True
-
-
-def test_odd_sequence_report():
-    rep = cf.exact_sequence_report(cf.KnotFamily.equal_product(5))
-    assert len(rep.terms) == len(rep.orders) == 5
-    assert rep.terms[0] == rep.terms[4] == "0"
-    assert rep.terms[1] == "Theta_11"
-    assert "SDiff" in rep.terms[2]
-    # p = 5 sits on the trivial residue, so the quotient is finite
-    assert rep.orders[3] == 1
-    assert rep.splits is None
-    rep3 = cf.exact_sequence_report(cf.KnotFamily.equal_product(3))
-    assert rep3.orders[3] is None  # Hom(Z^2, Z) is infinite
-    rep9 = cf.exact_sequence_report(cf.KnotFamily.equal_product(9))
-    assert rep9.orders[3] == 4  # Hom(Z^2, Z2) at residue 1
-
-
-def test_adjacent_sequence_report():
-    rep = cf.exact_sequence_report(cf.KnotFamily.adjacent_product(14))
-    assert rep.orders == (1, 2, 4, 2, 1)
-    assert rep.splits is True
-
-
-def test_sequence_report_unsupported():
-    with pytest.raises(cf.UnsupportedFamilyError):
-        cf.exact_sequence_report(cf.KnotFamily.unknot_sphere(5))
-    with pytest.raises(cf.UnsupportedFamilyError):
-        cf.exact_sequence_report(cf.KnotFamily.unequal_product(2, 5))
-    with pytest.raises(cf.UnsupportedFamilyError):
-        cf.exact_sequence_report(cf.KnotFamily.equal_product(2))
-
-
-def test_sequence_validation():
-    with pytest.raises(ValueError):
-        cf.ExactSequenceReport(("0", "A", "B", "C"), (1, 2, 4, 2), None, ())
-    with pytest.raises(ValueError):
-        cf.ExactSequenceReport(("0", "A", "B", "C", "0"), (1, 2, 5, 2, 1),
-                               None, ())
 
 
 @pytest.mark.parametrize("p", [1, 3, 5, 7])

@@ -65,10 +65,6 @@ VALUES = [
      "ClassificationResult(family=KnotFamily(kind='equal-product', params=(4,)), "
      f"image={Z2_TEXT}, kernel=Unknown(reason='k'), total={Z2_TEXT}, "
      "splits=Unknown(reason='s'), citations=('so-tables',), notes=())"),
-    (cl.ExactSequenceReport,
-     lambda: cl.exact_sequence_report(cl.KnotFamily.adjacent_product(14)),
-     "ExactSequenceReport(terms=('0', 'Z2', 'Z2 + Z2', 'Z2', '0'), "
-     "orders=(1, 2, 4, 2, 1), splits=True, citations=('adjacent-split',), notes=())"),
     (cl.CrossCheck, lambda: cl.CrossCheck("n", True, "d"),
      "CrossCheck(name='n', passed=True, detail='d')"),
     (ht.FinAbGroup, lambda: ht.FinAbGroup(1, (2, 4)),
@@ -83,7 +79,7 @@ def test_every_value_class_is_listed():
     found = {obj for mod in modules for obj in vars(mod).values()
              if isinstance(obj, type) and issubclass(obj, errors._Value)
              and obj is not errors._Value}
-    assert found == {cls for cls, _, _ in VALUES} and len(VALUES) == 18
+    assert found == {cls for cls, _, _ in VALUES} and len(VALUES) == 17
 
 
 @pytest.mark.parametrize("cls, build, text", VALUES, ids=[c.__name__ for c, _, _ in VALUES])
