@@ -10,7 +10,8 @@ blocks swap and the incoming first coordinate flips sign.
 
 The degree of the sphere map each block performs equals the determinant
 of its signed permutation block, which is what drives the induced action
-on middle-dimensional homology.
+on middle-dimensional homology: a 2x2 SignedPermMatrix in the basis of
+the two factor cycles.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from __future__ import annotations
 import operator
 
 from . import smallgrp
-from .errors import InvalidMatrixError, _Value
-from .sl2z import UniModMat2
+from .errors import InvalidMatrixError, ParseError, _Value
 
 
 class NotBlockStructuredError(ValueError):
@@ -49,7 +49,7 @@ class SignedPermMatrix(_Value):
         object.__setattr__(self, "image", image)
 
     def __mul__(self, other: "SignedPermMatrix") -> "SignedPermMatrix":
-        """Composite acting as self first, then other (row-vector convention)."""
+        """Matrix product self * other: on row vectors, self acts first."""
         if self.size != other.size:
             raise InvalidMatrixError("sizes differ")
         out = []
@@ -57,14 +57,6 @@ class SignedPermMatrix(_Value):
             col2, sign2 = other.image[col]
             out.append((col2, sign * sign2))
         return SignedPermMatrix(self.size, tuple(out))
-
-    def __pow__(self, n: int) -> "SignedPermMatrix":
-        if n < 0:
-            return self.inverse() ** (-n)
-        acc = identity(self.size)
-        for _ in range(n):
-            acc = acc * self
-        return acc
 
     def inverse(self) -> "SignedPermMatrix":
         out = [(0, 0)] * self.size
@@ -101,11 +93,11 @@ class SignedPermMatrix(_Value):
                 sign = -sign
         return sign
 
-    def to_dense(self) -> list[list[int]]:
-        rows = [[0] * self.size for _ in range(self.size)]
-        for i, (col, sign) in enumerate(self.image):
-            rows[i][col] = sign
-        return rows
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The dense matrix, row by row."""
+        return tuple(tuple(sign if j == col else 0 for j in range(self.size))
+                     for col, sign in self.image)
 
     def to_json(self) -> dict:
         return {"size": self.size,
@@ -113,19 +105,17 @@ class SignedPermMatrix(_Value):
 
     @classmethod
     def from_json(cls, data: dict) -> "SignedPermMatrix":
-        try:
-            size = data["size"]
-            entries = data["entries"]
-        except (KeyError, TypeError):
-            raise InvalidMatrixError("expected {\"size\": n, \"entries\": [[row, col, sign], ...]}")
+        size, entries = data.get("size"), data.get("entries")
         # bool is an int subclass, so true/false would pass as 1/0
-        if type(size) is not int or not isinstance(entries, list) or len(entries) != size:
+        if type(size) is not int or not isinstance(entries, list):
+            raise ParseError("expected {\"size\": n, \"entries\": [[row, col, sign], ...]}")
+        if len(entries) != size:
             raise InvalidMatrixError("entries must list each row exactly once")
         image = [None] * size
         for ent in entries:
             if (not isinstance(ent, list) or len(ent) != 3
                     or not all(type(x) is int for x in ent)):
-                raise InvalidMatrixError(f"bad entry {ent!r}")
+                raise ParseError("each entry must be three integers [row, col, sign]")
             row, col, sign = ent
             if not 0 <= row < size or image[row] is not None:
                 raise InvalidMatrixError(f"bad or repeated row in entry {ent!r}")
@@ -247,29 +237,7 @@ def restrict_to_product(m: SignedPermMatrix, p: int, q: int) -> ProductMapDescri
     return ProductMapDescriptor((p + 1, q + 1), swaps, first, second)
 
 
-class HomologyAction(_Value):
-    """Integer 2x2 matrix of determinant +-1 acting on middle homology."""
-
-    __slots__ = _fields = ("rows",)
-
-    def __init__(self, rows: tuple[tuple[int, int], tuple[int, int]]):
-        (a, b), (c, d) = rows
-        if a * d - b * c not in (1, -1):
-            raise InvalidMatrixError("determinant must be +-1")
-        object.__setattr__(self, "rows", rows)
-
-    def __mul__(self, other: "HomologyAction") -> "HomologyAction":
-        (a, b), (c, d) = self.rows
-        (e, f), (g, h) = other.rows
-        return HomologyAction(((a * e + b * g, a * f + b * h),
-                               (c * e + d * g, c * f + d * h)))
-
-    def to_unimodular(self) -> UniModMat2:
-        (a, b), (c, d) = self.rows
-        return UniModMat2(a, b, c, d)
-
-
-def induced_homology_action(desc: ProductMapDescriptor) -> HomologyAction:
+def induced_homology_action(desc: ProductMapDescriptor) -> SignedPermMatrix:
     """Action on the rank-2 middle homology of an equal-dimension product.
 
     A non-swapping map scales the two generating cycles by the block
@@ -279,17 +247,12 @@ def induced_homology_action(desc: ProductMapDescriptor) -> HomologyAction:
         raise BlockSizeError("induced 2x2 action needs equal factor dimensions")
     d1, d2 = desc.first_block_det, desc.second_block_det
     if desc.swaps_factors:
-        return HomologyAction(((0, d1), (d2, 0)))
-    return HomologyAction(((d1, 0), (0, d2)))
+        return SignedPermMatrix(2, ((1, d1), (0, d2)))
+    return SignedPermMatrix(2, ((0, d1), (1, d2)))
 
 
-def homology_group_closure(mats: list[HomologyAction]) -> list[HomologyAction]:
-    """Multiplicative closure of finitely many homology actions (must stay finite)."""
-    group = smallgrp.generate(mats, operator.mul, identity_action(), limit=256)
-    if len(group) > 256:
-        raise InvalidMatrixError("closure is not small; giving up")
-    return sorted(group, key=lambda m: m.rows)
-
-
-def identity_action() -> HomologyAction:
-    return HomologyAction(((1, 0), (0, 1)))
+def homology_group_closure(mats: list[SignedPermMatrix]) -> list[SignedPermMatrix]:
+    """The group generated by 2x2 homology actions, sorted by rows; it has
+    at most 8 elements, the order of the 2x2 signed permutations."""
+    return sorted(smallgrp.generate(mats, operator.mul, identity(2)),
+                  key=operator.attrgetter("rows"))

@@ -218,11 +218,12 @@ class GroupDescriptor(_Value):
         return None
 
     def verify_realization(self) -> bool:
-        """Realization matches the name: table isomorphism for finite names,
-        relators holding on the actual matrices for the infinite one."""
+        """Realization matches the name: table isomorphism for finite names;
+        for the infinite one, the library's presentation, whose relators
+        hold on the actual matrices."""
         if self.name == "GammaV2":
             pres = self.realization
-            if not isinstance(pres, smallgrp.Presentation):
+            if pres != smallgrp.GAMMA_V2_PRESENTATION:
                 return False
             for rel in pres.relators:
                 word = sl2z.GenWord(tuple((pres.generators[g], s) for g, s in rel))
@@ -419,7 +420,8 @@ def cross_validate(family: KnotFamily) -> list[CrossCheck]:
         omega = ambient_geom.build_omega(p)
         action = ambient_geom.induced_homology_action(
             ambient_geom.restrict_to_product(omega, p, p))
-        mat = action.to_unimodular()
+        (a, b), (c, d) = action.rows
+        mat = sl2z.UniModMat2(a, b, c, d)
         checks.append(CrossCheck(
             "omega-induces-v",
             mat == sl2z.V and sl2z.is_member(mat),

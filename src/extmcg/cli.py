@@ -4,12 +4,15 @@ Every subcommand wraps exactly one library operation (verify-all wraps
 the acceptance suite).  --json switches to the documented JSON schemas.
 Exit codes: 0 success, 1 domain/validation error (non-member matrix,
 coset cap, out-of-domain parameter), 2 malformed input (bad word syntax,
-undecodable JSON, a non-object document or non-list field, a JSON
-boolean, a sparse matrix entry that is not three integers, unknown
-subcommand, a --max-cosets below 1).  Every malformed-input error is an
-errors.ParseError.  Each handler imports the one module it runs, so a call
-loads only what it needs: `json` only when it reads a JSON argument or
-prints --json output, and of the parser only the subcommand it names.
+undecodable JSON, unknown subcommand, a --max-cosets below 1).  For a
+JSON argument, wrong types exit 2 and wrong values exit 1: a document is
+an object holding only objects, lists and integers, so any other leaf, a
+missing field or a field of the wrong container or length exits 2, while
+a wrong determinant, an out-of-range value, a repeat or mismatched sizes
+exit 1.  Every malformed-input error is an errors.ParseError.  Each
+handler imports the one module it runs, so a call loads only what it
+needs: `json` only when it reads a JSON argument or prints --json
+output, and of the parser only the subcommand it names.
 """
 
 from __future__ import annotations
@@ -24,15 +27,8 @@ class ParseInputError(ParseError):
     pass
 
 
-def _has_bool(value) -> bool:
-    if isinstance(value, bool):
-        return True
-    if isinstance(value, list):
-        return any(map(_has_bool, value))
-    return isinstance(value, dict) and any(map(_has_bool, value.values()))
-
-
 def _load_json(text: str) -> dict:
+    """The JSON object in `text`; every leaf must be an integer."""
     import json
 
     try:
@@ -41,9 +37,17 @@ def _load_json(text: str) -> dict:
         raise ParseInputError(f"bad JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ParseInputError("expected a JSON object")
-    # bool is an int subclass, so true/false would pass every integer check
-    if _has_bool(data):
-        raise ParseInputError("JSON booleans are not accepted; use 0 and 1")
+    todo = [data]
+    for value in todo:
+        if isinstance(value, dict):
+            todo.extend(value.values())
+        elif isinstance(value, list):
+            todo.extend(value)
+        # bool is an int subclass, so true/false would pass every integer check
+        elif isinstance(value, bool):
+            raise ParseInputError("JSON booleans are not accepted; use 0 and 1")
+        elif not isinstance(value, int):
+            raise ParseInputError(f"expected an integer, got {json.dumps(value)}")
     return data
 
 
@@ -243,11 +247,7 @@ def cmd_induced_action(args) -> int:
     from . import ambient_geom
 
     if args.matrix is not None:
-        data = _load_json(args.matrix)
-        if not all(len(e) == 3 and all(isinstance(x, int) for x in e)
-                   for e in _list(data, "entries", rows=True)):
-            raise ParseInputError("each entry must be three integers [row, col, sign]")
-        m = ambient_geom.SignedPermMatrix.from_json(data)
+        m = ambient_geom.SignedPermMatrix.from_json(_load_json(args.matrix))
         if args.p is None:
             raise ParseInputError("--p is required with an explicit matrix")
         p = args.p

@@ -94,7 +94,7 @@ class UniModMat2(_Value):
         rows = data.get("rows")
         if (not isinstance(rows, list) or len(rows) != 2
                 or any(not isinstance(r, list) or len(r) != 2 for r in rows)):
-            raise InvalidMatrixError("expected {\"rows\": [[a, b], [c, d]]}")
+            raise ParseError("expected {\"rows\": [[a, b], [c, d]]}")
         return cls(rows[0][0], rows[0][1], rows[1][0], rows[1][1])
 
 

@@ -291,12 +291,11 @@ def todd_coxeter(pres: Presentation, max_cosets: int = 100_000) -> "MulTableGrou
 # table groups
 
 
-def generate(seed, mul, identity, limit=None) -> frozenset:
+def generate(seed, mul, identity) -> frozenset:
     """Breadth-first search from `identity`, right-multiplying by the seed.
 
     In a finite group the monoid this produces is the subgroup the seed
-    generates.  The search stops once it holds more than `limit` elements;
-    what that means is the caller's to decide.
+    generates.
     """
     gens = set(seed)
     out, queue = {identity}, [identity]
@@ -306,8 +305,6 @@ def generate(seed, mul, identity, limit=None) -> frozenset:
             if y not in out:
                 out.add(y)
                 queue.append(y)
-                if limit is not None and len(out) > limit:
-                    return frozenset(out)
     return frozenset(out)
 
 

@@ -15,8 +15,8 @@ from extmcg import ambient_geom as ag
 
 def dense_mul(a, b):
     n = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)]
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+                 for i in range(n))
 
 
 def det_by_inversions(m):
@@ -63,7 +63,7 @@ def test_composition_matches_dense_product(seed):
     size = rng.randrange(1, 8)
     m1 = random_signed_perm(rng, size)
     m2 = random_signed_perm(rng, size)
-    assert (m1 * m2).to_dense() == dense_mul(m1.to_dense(), m2.to_dense())
+    assert (m1 * m2).rows == dense_mul(m1.rows, m2.rows)
     assert (m1 * m2).determinant() == m1.determinant() * m2.determinant()
 
 
@@ -82,7 +82,7 @@ def test_inverse_and_order():
 def test_json_roundtrip():
     m = ag.build_omega(3)
     assert ag.SignedPermMatrix.from_json(m.to_json()) == m
-    with pytest.raises(ag.InvalidMatrixError):
+    with pytest.raises(ag.ParseError):  # a missing key is malformed input
         ag.SignedPermMatrix.from_json({"size": 2})
     with pytest.raises(ag.InvalidMatrixError):
         ag.SignedPermMatrix.from_json({"size": 2, "entries": [[0, 0, 1]]})
@@ -97,9 +97,10 @@ def test_json_roundtrip():
     [[0, 0, True], [1, 1, 1]],  # boolean sign
 ])
 def test_from_json_rejects_non_integer_entries(entries):
-    with pytest.raises(ag.InvalidMatrixError):
+    # a wrong JSON type is malformed input, not a bad matrix
+    with pytest.raises(ag.ParseError):
         ag.SignedPermMatrix.from_json({"size": 2, "entries": entries})
-    with pytest.raises(ag.InvalidMatrixError):
+    with pytest.raises(ag.ParseError):
         ag.SignedPermMatrix.from_json({"size": True, "entries": [[0, 0, 1]]})
 
 
@@ -181,27 +182,27 @@ def test_restrict_to_product_rejections():
 
 
 def test_homology_action_algebra():
-    with pytest.raises(ag.InvalidMatrixError):
-        ag.HomologyAction(((1, 0), (0, 2)))
-    quarter = ag.HomologyAction(((0, -1), (1, 0)))
+    quarter = ag.SignedPermMatrix(2, ((1, -1), (0, 1)))
+    assert quarter.rows == ((0, -1), (1, 0))
     assert (quarter * quarter).rows == ((-1, 0), (0, -1))
-    assert quarter.to_unimodular().to_json() == {"rows": [[0, -1], [1, 0]]}
-    swap = ag.HomologyAction(((0, 1), (1, 0)))
-    minus = ag.HomologyAction(((-1, 0), (0, -1)))
+    swap = ag.SignedPermMatrix(2, ((1, 1), (0, 1)))
+    minus = ag.SignedPermMatrix(2, ((0, -1), (1, -1)))
     closure = ag.homology_group_closure([swap, minus])
     assert len(closure) == 4
     assert all((m * m).rows == ((1, 0), (0, 1)) for m in closure)
     # the quarter turn generates the cyclic group of order 4
     assert len(ag.homology_group_closure([quarter])) == 4
-    shear = ag.HomologyAction(((1, 2), (0, 1)))
-    with pytest.raises(ag.InvalidMatrixError):
-        ag.homology_group_closure([shear])  # infinite order
+    # all 2x2 signed permutations: the dihedral group of order 8
+    everything = ag.homology_group_closure([quarter, swap])
+    assert len(everything) == 8
+    assert [m.rows for m in everything] == sorted(m.rows for m in everything)
 
 
 def test_even_actions_generate_klein_four():
     p = 4
     acts = [ag.induced_homology_action(ag.restrict_to_product(m, p, p))
             for m in (ag.build_omega_hat(p), ag.build_omega_prime(p, p))]
+    assert all(isinstance(a, ag.SignedPermMatrix) and a.size == 2 for a in acts)
     closure = ag.homology_group_closure(acts)
     assert sorted(m.rows for m in closure) == [
         ((-1, 0), (0, -1)), ((0, -1), (-1, 0)), ((0, 1), (1, 0)), ((1, 0), (0, 1))]

@@ -105,6 +105,10 @@ def test_group_descriptors():
     # V^2 = -Id is not a relator of the matrix group
     wrong = cf.GroupDescriptor("GammaV2", smallgrp.parse_presentation("gens: V,T; rels: V^2"))
     assert not wrong.verify_realization()
+    # V^4 holds on the matrices, but without V^2 T V^-2 T^-1 this is Z4 * Z
+    missing = cf.GroupDescriptor("GammaV2", smallgrp.parse_presentation("gens: V,T; rels: V^4"))
+    assert not missing.verify_realization()
+    assert not cf.GroupDescriptor("GammaV2", smallgrp.klein()).verify_realization()
 
 
 def test_result_validation():

@@ -75,7 +75,7 @@ def test_member_domain_and_parse_errors(capsys):
     code, _, err = run(capsys, "member", "{bad json")
     assert code == 2
     code, _, err = run(capsys, "member", '{"cols": []}')
-    assert code == 1
+    assert code == 2  # a missing field is malformed input
 
 
 def test_mod2(capsys):
@@ -144,6 +144,34 @@ def test_booleans_and_non_integer_entries_exit_2(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv
         assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
+# wrong JSON types exit 2, wrong values exit 1
+WRONG_TYPES = [
+    ["member", '{"cols": []}'],
+    ["member", '{"rows": [["a", 0], [0, 1]]}'],
+    ["member", '{"rows": [[1.0, 0], [0, 1]]}'],
+    ["member", '{"rows": [[null, 0], [0, 1]]}'],
+    ["arf", '{"basis_values": ["a", 0]}'],
+    ["arf", '{"basis_values": [0, 0], "gram": [[0, "1"], [1, 0]]}'],
+    ["isomorphic", '{"table": [[0, "a"], [1, 0]]}', "klein"],
+    ["induced-action", '{"size": "3", "entries": [[0, 0, 1], [1, 1, 1], [2, 2, 1]]}',
+     "--p", "1"],
+]
+WRONG_VALUES = [
+    ["member", '{"rows": [[1, 0], [0, 0]]}'],
+    ["isomorphic", '{"table": [[0, 1], [0, 1]]}', "klein"],
+    ["arf", '{"basis_values": [2, 0]}'],
+]
+
+
+@pytest.mark.parametrize("argv, code", [(a, 2) for a in WRONG_TYPES]
+                         + [(a, 1) for a in WRONG_VALUES],
+                         ids=[" ".join(a) for a in WRONG_TYPES + WRONG_VALUES])
+def test_exit_code_follows_json_types_then_values(capsys, argv, code):
+    got, out, err = run(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_isomorphic(capsys):
@@ -244,22 +272,40 @@ def cold(*args):
                           text=True, timeout=60)
 
 
-def test_cold_cli_imports_only_the_module_it_runs():
-    proc = cold("-c", """if True:
+def cold_extmcg_modules(argv):
+    """Run one call in a fresh interpreter: its first output line, exit
+    code, and the extmcg modules loaded before and after it."""
+    proc = cold("-c", f"""if True:
         import json, sys
         def loaded():
             return sorted(m for m in sys.modules if m.split(".")[0] == "extmcg")
         from extmcg import cli
         before = loaded()
-        code = cli.main(["eval-word", "V T^2"])
+        code = cli.main({argv!r})
         print(json.dumps([code, before, loaded()]))
     """)
     assert proc.returncode == 0, proc.stderr
-    out, report = proc.stdout.splitlines()
-    code, before, after = json.loads(report)
-    assert (out, code) == ("0 -1 / 1 4", 0)
+    lines = proc.stdout.splitlines()
+    code, before, after = json.loads(lines[-1])
     assert before == ["extmcg", "extmcg.cli", "extmcg.errors"]
-    assert after == sorted(before + ["extmcg.sl2z"])
+    return lines[0], code, after
+
+
+def test_cold_cli_imports_only_the_module_it_runs():
+    out, code, after = cold_extmcg_modules(["eval-word", "V T^2"])
+    assert (out, code) == ("0 -1 / 1 4", 0)
+    assert after == ["extmcg", "extmcg.cli", "extmcg.errors", "extmcg.sl2z"]
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["build-omega", "--p", "3"], "size 9, determinant 1, order 4"),
+    (["induced-action", "--variant", "hat", "--p", "4"], "0 1 / 1 0"),
+], ids=["build-omega", "induced-action"])
+def test_cold_ambient_calls_do_not_load_sl2z(argv, out):
+    first, code, after = cold_extmcg_modules(argv)
+    assert (first, code) == (out, 0)
+    assert after == ["extmcg", "extmcg.ambient_geom", "extmcg.cli", "extmcg.errors",
+                     "extmcg.smallgrp"]
 
 
 @pytest.mark.parametrize("argv", [["eval-word", "V^x"], ["coset-enum", "gens a"]])

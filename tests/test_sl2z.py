@@ -32,7 +32,7 @@ def test_matrix_arithmetic():
     assert m ** -2 == (m.inverse()) ** 2
     assert -(-m) == m
     assert sl2z.UniModMat2.from_json(m.to_json()) == m
-    with pytest.raises(sl2z.InvalidMatrixError):
+    with pytest.raises(sl2z.ParseError):  # a wrong shape is malformed input
         sl2z.UniModMat2.from_json({"rows": [[1, 0]]})
 
 

@@ -53,8 +53,6 @@ VALUES = [
     (ag.ProductMapDescriptor, lambda: ag.ProductMapDescriptor((2, 2), True, 1, -1),
      "ProductMapDescriptor(block_sizes=(2, 2), swaps_factors=True, first_block_det=1, "
      "second_block_det=-1)"),
-    (ag.HomologyAction, lambda: ag.HomologyAction(((0, 1), (1, 0))),
-     "HomologyAction(rows=((0, 1), (1, 0)))"),
     (cl.KnotFamily, _family,
      "KnotFamily(kind='equal-product', params=(4,))"),
     (cl.Unknown, lambda: cl.Unknown("why"), "Unknown(reason='why')"),
@@ -79,7 +77,7 @@ def test_every_value_class_is_listed():
     found = {obj for mod in modules for obj in vars(mod).values()
              if isinstance(obj, type) and issubclass(obj, errors._Value)
              and obj is not errors._Value}
-    assert found == {cls for cls, _, _ in VALUES} and len(VALUES) == 17
+    assert found == {cls for cls, _, _ in VALUES} and len(VALUES) == 16
 
 
 @pytest.mark.parametrize("cls, build, text", VALUES, ids=[c.__name__ for c, _, _ in VALUES])
