@@ -17,6 +17,7 @@ the two factor cycles.
 from __future__ import annotations
 
 import operator
+from math import lcm
 
 from . import smallgrp
 from .errors import InvalidMatrixError, ParseError, _Value
@@ -58,40 +59,32 @@ class SignedPermMatrix(_Value):
             out.append((col2, sign * sign2))
         return SignedPermMatrix(self.size, tuple(out))
 
-    def inverse(self) -> "SignedPermMatrix":
-        out = [(0, 0)] * self.size
-        for row, (col, sign) in enumerate(self.image):
-            out[col] = (row, sign)
-        return SignedPermMatrix(self.size, tuple(out))
-
-    def is_identity(self) -> bool:
-        return all(col == row and sign == 1 for row, (col, sign) in enumerate(self.image))
-
-    def order(self, cap: int = 16) -> int:
-        acc = self
-        for n in range(1, cap + 1):
-            if acc.is_identity():
-                return n
-            acc = acc * self
-        raise InvalidMatrixError(f"order exceeds {cap}")
-
-    def determinant(self) -> int:
-        sign = 1
-        for _, s in self.image:
-            sign *= s
+    def _cycles(self):
+        """(length, product of signs) for each cycle of the permutation."""
         seen = [False] * self.size
         for start in range(self.size):
-            if seen[start]:
-                continue
-            length = 0
-            j = start
+            length, sign, j = 0, 1, start
             while not seen[j]:
                 seen[j] = True
-                j = self.image[j][0]
+                j, s = self.image[j]
                 length += 1
-            if length % 2 == 0:
-                sign = -sign
-        return sign
+                sign *= s
+            if length:
+                yield length, sign
+
+    def order(self) -> int:
+        """A cycle of length L returns to itself times its sign product
+        after L steps, so it has order L, or 2L when the signs multiply
+        to -1."""
+        return lcm(*(length if sign == 1 else 2 * length
+                     for length, sign in self._cycles()))
+
+    def determinant(self) -> int:
+        """The product of all signs, negated for each even-length cycle."""
+        det = 1
+        for length, sign in self._cycles():
+            det *= sign if length % 2 else -sign
+        return det
 
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:

@@ -75,19 +75,6 @@ def _byte_tables(columns) -> tuple[list[int], ...]:
     return tuple(tables)
 
 
-def _rank_f2(rows: list[int]) -> int:
-    rank = 0
-    basis: list[int] = []
-    for r in rows:
-        for b in basis:
-            r = min(r, r ^ b)
-        if r:
-            basis.append(r)
-            basis.sort(reverse=True)
-            rank += 1
-    return rank
-
-
 class SymplecticSpaceF2(_Value):
     """Even-dimensional GF(2) space with a nondegenerate alternating Gram matrix."""
 
@@ -107,8 +94,7 @@ class SymplecticSpaceF2(_Value):
                 if gram[i][j] != gram[j][i]:
                     raise DegenerateFormError("Gram matrix is not symmetric")
         object.__setattr__(self, "gram", gram)
-        if _rank_f2(list(self.row_masks)) != n:
-            raise DegenerateFormError("Gram matrix is singular over GF(2)")
+        self.basis_masks  # raises DegenerateFormError unless nondegenerate
 
     @cached_property
     def dim(self) -> int:
@@ -162,7 +148,9 @@ class SymplecticSpaceF2(_Value):
         Greedy Gram-Schmidt: take the first vector a of the pool, the first
         b pairing 1 with it, and project the rest of the pool onto the
         complement of <a, b>.  The projections stay a basis of that
-        complement, and the form stays nondegenerate on it.
+        complement, so the search succeeds exactly when the form is
+        nondegenerate: a vector pairing trivially with the rest of the
+        pool lies in the radical.
         """
         pool = [1 << i for i in range(self.dim)]
         pairs: list[tuple[int, int]] = []
@@ -171,7 +159,7 @@ class SymplecticSpaceF2(_Value):
             ja = self.image(a)
             b = next((v for v in pool if (v & ja).bit_count() & 1), None)
             if b is None:
-                raise DegenerateFormError("vector pairs trivially with the whole space")
+                raise DegenerateFormError("Gram matrix is singular over GF(2)")
             pool.remove(b)
             jb = self.image(b)
             pool = [v ^ (a if (v & jb).bit_count() & 1 else 0)

@@ -23,8 +23,7 @@ class FinAbGroup(_Value):
     """Finitely generated abelian group in invariant-factor form.
 
     torsion is a divisibility chain d_1 | d_2 | ... with every d_i >= 2;
-    free_rank counts the infinite cyclic summands.  Use make() to build
-    one from an arbitrary bag of cyclic orders.
+    free_rank counts the infinite cyclic summands.
     """
 
     __slots__ = _fields = ("free_rank", "torsion")
@@ -40,73 +39,11 @@ class FinAbGroup(_Value):
         object.__setattr__(self, "free_rank", free_rank)
         object.__setattr__(self, "torsion", torsion)
 
-    @classmethod
-    def make(cls, free_rank: int = 0, cyclic_orders=()) -> "FinAbGroup":
-        return cls(free_rank, _invariant_factors(cyclic_orders))
 
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
-
-    def order(self) -> int | None:
-        """Number of elements, or None if infinite."""
-        if self.free_rank:
-            return None
-        n = 1
-        for d in self.torsion:
-            n *= d
-        return n
-
-    def __str__(self) -> str:
-        parts = ["Z"] * self.free_rank + [f"Z{d}" for d in self.torsion]
-        return " + ".join(parts) if parts else "0"
-
-    def to_json(self) -> dict:
-        return {"rank": self.free_rank, "torsion": list(self.torsion)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "FinAbGroup":
-        if not isinstance(data, dict) or "rank" not in data or "torsion" not in data:
-            raise ValueError("expected {\"rank\": r, \"torsion\": [...]}")
-        return cls.make(data["rank"], tuple(data["torsion"]))
-
-
-def _invariant_factors(orders) -> tuple[int, ...]:
-    """Canonical divisibility chain of a direct sum of cyclic groups."""
-    primary: dict[int, list[int]] = {}
-    for n in orders:
-        if n < 1:
-            raise ValueError(f"cyclic order {n} must be positive")
-        if n == 1:
-            continue
-        m = n
-        p = 2
-        while p * p <= m:
-            if m % p == 0:
-                e = 0
-                while m % p == 0:
-                    m //= p
-                    e += 1
-                primary.setdefault(p, []).append(p ** e)
-            p += 1
-        if m > 1:
-            primary.setdefault(m, []).append(m)
-    for plist in primary.values():
-        plist.sort(reverse=True)
-    depth = max((len(v) for v in primary.values()), default=0)
-    factors = []
-    for i in range(depth):
-        d = 1
-        for plist in primary.values():
-            if i < len(plist):
-                d *= plist[i]
-        factors.append(d)
-    return tuple(reversed(factors))
-
-
-TRIVIAL = FinAbGroup.make()
-Z = FinAbGroup.make(free_rank=1)
-Z2 = FinAbGroup.make(cyclic_orders=(2,))
-Z2_Z2 = FinAbGroup.make(cyclic_orders=(2, 2))
+TRIVIAL = FinAbGroup(0, ())
+Z = FinAbGroup(1, ())
+Z2 = FinAbGroup(0, (2,))
+Z2_Z2 = FinAbGroup(0, (2, 2))
 
 # image of pi_p(SO(p)) in pi_p(SO(p+1)), by p mod 8 (generic rows)
 _S_PI_BY_RESIDUE = {
@@ -152,10 +89,3 @@ def pi_p_so_p_residue5(p: int) -> FinAbGroup:
         raise OutOfDomainError(f"p = {p} not tabulated (need p = 5 mod 8, p >= 13)")
     return Z2
 
-
-def hom_to(source_rank: int, target: FinAbGroup) -> FinAbGroup:
-    """Hom(Z^rank, A) = direct sum of rank copies of A, canonicalized."""
-    if source_rank < 0:
-        raise OutOfDomainError("source rank must be nonnegative")
-    return FinAbGroup.make(source_rank * target.free_rank,
-                           target.torsion * source_rank)

@@ -67,16 +67,26 @@ def test_composition_matches_dense_product(seed):
     assert (m1 * m2).determinant() == m1.determinant() * m2.determinant()
 
 
-def test_inverse_and_order():
+def order_by_powers(m):
+    """Smallest n >= 1 with m^n the identity, by repeated multiplication."""
+    one = ag.identity(m.size)
+    acc, n = m, 1
+    while acc != one:
+        acc, n = acc * m, n + 1
+    return n
+
+
+def test_order_against_power_loop():
     rng = random.Random(5)
-    for _ in range(30):
-        m = random_signed_perm(rng, 6)
-        assert (m * m.inverse()).is_identity()
-        assert (m.inverse() * m).is_identity()
+    for _ in range(2000):
+        m = random_signed_perm(rng, rng.randrange(1, 9))
+        assert m.order() == order_by_powers(m)
     assert ag.identity(4).order() == 1
     cycle17 = ag.SignedPermMatrix(17, tuple(((i + 1) % 17, 1) for i in range(17)))
-    with pytest.raises(ag.InvalidMatrixError):
-        cycle17.order()  # order 17 is past the cap
+    assert cycle17.order() == 17
+    # a 3-cycle whose signs multiply to -1 returns to minus itself after 3 steps
+    negated3 = ag.SignedPermMatrix(3, ((1, 1), (2, 1), (0, -1)))
+    assert negated3.order() == order_by_powers(negated3) == 6
 
 
 def test_json_roundtrip():

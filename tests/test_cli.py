@@ -352,7 +352,7 @@ PASS coset-enumeration [d8-presentation,gammav2-presentation]: presented group o
 PASS word-algebra [gammav2-presentation]: relations hold; roundtrip failures 0/1000; 380 normal forms of length <= 6, no collisions
 PASS ambient-matrices [omega-action,omega-hat-action,omega-prime-action]: omega p in 3..9: det +1, order 4, quarter turn; omega-hat / omega-prime p in 4..8: det +1, order 2; even actions generate order 4, exponent 2
 PASS classification-table [unknot-trivial,odd-total,even-total,dim2-image,unequal-image,adjacent-split]: 21 rows checked
-PASS homotopy-tables [so-tables]: tables agree on p in 3..34; 6/6 domain errors raised
+PASS homotopy-tables [so-tables]: tables agree on p in 3..34; 5/5 domain errors raised
 PASS property-suites [arf-census,mod2-membership,gammav2-presentation]: quadratic identity exhausted on dims 2..8; 23 group tables validated; closure failures 0/1000; Arf transport-invariant over Sp(2,2) and Sp(4,2); majority oracle agrees on all refinements
 """
 

@@ -365,6 +365,34 @@ def test_space_validation():
             ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)))
 
 
+def gl_order(n):
+    order = 1
+    for i in range(n):
+        order *= 2 ** n - 2 ** i
+    return order
+
+
+@pytest.mark.parametrize("n, count", [
+    (2, 1), (4, 28), pytest.param(6, 13888, marks=pytest.mark.slow)])
+def test_every_alternating_gram(n, count):
+    # GL(n, 2) acts transitively on the nondegenerate alternating forms
+    # with stabilizer Sp(n, 2), so they number |GL(n, 2)| / |Sp(n, 2)|
+    assert count == gl_order(n) // ff.sp_order(n // 2)
+    cells = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    built = 0
+    for bits in itertools.product((0, 1), repeat=len(cells)):
+        gram = [[0] * n for _ in range(n)]
+        for (i, j), e in zip(cells, bits):
+            gram[i][j] = gram[j][i] = e
+        try:
+            ff.SymplecticSpaceF2(tuple(map(tuple, gram)))
+        except ff.DegenerateFormError as exc:
+            assert str(exc) == "Gram matrix is singular over GF(2)"
+        else:
+            built += 1
+    assert built == count
+
+
 def test_refinement_validation():
     space = ff.standard_space(1)
     with pytest.raises(ff.DimensionMismatchError):
