@@ -10,6 +10,10 @@ passes any cap, reported as CosetCapacityError.
 
 from __future__ import annotations
 
+from itertools import product
+from math import gcd
+from operator import eq
+
 from .errors import ParseError, UnsupportedSizeError, _Value
 
 
@@ -321,8 +325,10 @@ class MulTableGroup(_Value):
         if n == 0 or n > 64:
             raise UnsupportedSizeError(f"order {n} outside supported range 1..64")
         rng = range(n)
+        # entries are checked in C: each a plain int (no bool, no float) in range
+        indices = set(rng)
         for row in table:
-            if len(row) != n or any(e not in rng for e in row):
+            if len(row) != n or set(map(type, row)) != {int} or not indices.issuperset(row):
                 raise InvalidTableError("table is not square over element indices")
         for row in table:
             if len(set(row)) != n:
@@ -361,7 +367,7 @@ class MulTableGroup(_Value):
         return n
 
     def order_profile(self) -> tuple[int, ...]:
-        return tuple(sorted(self.element_order(a) for a in range(self.order)))
+        return tuple(sorted(_element_orders(self)))
 
     def is_abelian(self) -> bool:
         t = self.table
@@ -524,61 +530,115 @@ def _generating_set(g: MulTableGroup) -> list[int]:
     return gens
 
 
+def _element_orders(g: MulTableGroup) -> list[int]:
+    """Order of every element.  Each new element's cyclic subgroup is walked
+    once; if a has order m, then a^j has order m // gcd(j, m)."""
+    t, e = g.table, g.identity
+    orders = [0] * len(t)
+    for a in range(len(t)):
+        if orders[a]:
+            continue
+        powers, x = [a], a
+        while x != e:
+            x = t[x][a]
+            powers.append(x)
+        m = len(powers)
+        for j, x in enumerate(powers, 1):
+            orders[x] = m // gcd(j, m)
+    return orders
+
+
 def is_isomorphic(g: MulTableGroup, h: MulTableGroup) -> tuple[bool, tuple[int, ...] | None]:
     """Isomorphism test with witness: (True, mapping) or (False, None).
 
-    mapping[i] is the image in h of element i of g.  Backtracks over
-    images of a generating set, pruned by element orders.
+    mapping[i] is the image in h of element i of g.  Cheap invariants
+    reject first: the element-order counts, commutativity and the size of
+    the centre.  Then a backtrack search over images of a generating set of
+    g, with candidates of the same element order, closes the partial map
+    after each image and prunes a branch at the first conflict or repeated
+    image (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
+    ch. 9).  Generators and candidates are tried in index order, so the
+    witness is the first isomorphism in that order.
     """
-    if g.order != h.order:
+    n = g.order
+    if n != h.order:
         return False, None
-    if g.order_profile() != h.order_profile():
+    g_orders, h_orders = _element_orders(g), _element_orders(h)
+    if sorted(g_orders) != sorted(h_orders):
+        return False, None
+    g_rows = [bytes(row) for row in g.table]
+    h_rows = [bytes(row) for row in h.table]
+    g_cols = [bytes(col) for col in zip(*g.table)]
+    h_cols = [bytes(col) for col in zip(*h.table)]
+    # a group is abelian when every row equals its column, and its centre
+    # is the elements whose row does
+    if (g_rows == g_cols) != (h_rows == h_cols) or \
+            sum(map(eq, g_rows, g_cols)) != sum(map(eq, h_rows, h_cols)):
         return False, None
 
     gens = _generating_set(g)
-    h_orders = [h.element_order(a) for a in range(h.order)]
+    candidates = [[b for b in range(n) if h_orders[b] == g_orders[a]] for a in gens]
+    gt, ht = g.table, h.table
+    phi = [-1] * n          # the partial map; -1 where not yet defined
+    taken = [False] * n     # images already used
+    phi[g.identity], taken[h.identity] = h.identity, True
+    domain = [g.identity]   # the subgroup phi is defined on, in the order reached
+    pairs: list[tuple[int, int]] = []
 
-    def extend(images: list[int]) -> tuple[int, ...] | None:
-        # grow the partial map from the chosen generator images by closure
-        phi: dict[int, int] = {g.identity: h.identity}
-        frontier = [g.identity]
-        pairs = list(zip(gens, images))
-        for a, b in pairs:
-            if g.element_order(a) != h_orders[b]:
-                return None
-        while frontier:
-            x = frontier.pop()
-            for a, b in pairs:
-                y = g.table[x][a]
-                fy = h.table[phi[x]][b]
-                if y in phi:
-                    if phi[y] != fy:
-                        return None
-                else:
-                    phi[y] = fy
-                    frontier.append(y)
-        if len(phi) != g.order or len(set(phi.values())) != g.order:
-            return None
-        out = tuple(phi[i] for i in range(g.order))
-        for a in range(g.order):
-            for b in range(g.order):
-                if out[g.table[a][b]] != h.table[out[a]][out[b]]:
-                    return None
-        return out
+    def close(a: int, b: int) -> bool:
+        """Extend phi to the subgroup with the next generator a sent to b.
 
-    def search(i: int, images: list[int]) -> tuple[int, ...] | None:
+        The old domain is already closed under the earlier generators, so
+        it needs only the new one; each new element needs them all.
+        False at the first conflict or repeated image.
+        """
+        pairs.append((a, b))
+        old = len(domain)
+        i = 0
+        while i < len(domain):
+            x = domain[i]
+            fx = phi[x]
+            for c, d in (pairs[-1:] if i < old else pairs):
+                y, fy = gt[x][c], ht[fx][d]
+                if phi[y] < 0:
+                    if taken[fy]:
+                        return False
+                    phi[y], taken[fy] = fy, True
+                    domain.append(y)
+                elif phi[y] != fy:
+                    return False
+            i += 1
+        return True
+
+    def undo(size: int) -> None:
+        pairs.pop()
+        for y in domain[size:]:
+            taken[phi[y]], phi[y] = False, -1
+        del domain[size:]
+
+    pad = bytes(256 - n)
+    h_tables = [row + pad for row in h_rows]
+
+    def is_homomorphism() -> bool:
+        # row a of g read through phi equals row phi(a) of h read at phi
+        image = bytes(phi)
+        through = image + pad
+        return all(g_rows[a].translate(through) == image.translate(h_tables[phi[a]])
+                   for a in range(n))
+
+    def search(i: int) -> bool:
         if i == len(gens):
-            return extend(images)
-        want = g.element_order(gens[i])
-        for b in range(h.order):
-            if h_orders[b] == want:
-                result = search(i + 1, images + [b])
-                if result is not None:
-                    return result
-        return None
+            return is_homomorphism()
+        size = len(domain)
+        for b in candidates[i]:
+            if close(gens[i], b) and search(i + 1):
+                return True
+            undo(size)
+        return False
 
-    witness = search(0, [])
-    return (witness is not None), witness
+    if search(0):
+        return True, tuple(phi)
+    return False, None
 
 
 # ---------------------------------------------------------------------------
@@ -604,21 +664,28 @@ def all_subgroups(g: MulTableGroup) -> set[frozenset[int]]:
 
 
 def has_complement(g: MulTableGroup, normal) -> bool:
-    """Is there a subgroup meeting the normal subgroup trivially with full span?
+    """Is there a subgroup meeting the normal subgroup N trivially with full span?
 
-    Equivalent to the quotient extension splitting.  Exhaustive over the
-    subgroup lattice; fine for the orders (<= 64) this library handles.
+    Equivalent to the quotient extension splitting.  Picks representatives
+    r_1..r_k whose cosets generate G/N.  A complement holds one lift of each
+    r_i N, and any lifts generate a subgroup that maps onto G/N, which meets
+    N trivially exactly when its order is |G|/|N|.  So the search tries the
+    |N|^k choices of lifts and never builds the subgroup lattice.
     """
     nset = frozenset(normal)
     if not g.is_normal(nset):
         raise InvalidSubgroupError("subset is not a normal subgroup")
     want = g.order // len(nset)
-    for sub in all_subgroups(g):
-        if len(sub) == want and sub & nset == {g.identity}:
-            products = {g.table[a][b] for a in nset for b in sub}
-            if len(products) == g.order:
-                return True
-    return False
+    reps: list[int] = []
+    span = nset
+    for a in range(g.order):
+        if len(span) == g.order:
+            break
+        if a not in span:
+            reps.append(a)
+            span = g.closure(nset.union(reps))
+    cosets = [[g.table[r][x] for x in nset] for r in reps]
+    return any(len(g.closure(lifts)) == want for lifts in product(*cosets))
 
 
 # ---------------------------------------------------------------------------

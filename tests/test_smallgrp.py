@@ -1,11 +1,13 @@
 """Small-group engine: tables, coset enumeration, isomorphism, complements.
 
 Oracles: subgroup lattices are recomputed by filtering every subset,
-isomorphism for tiny orders by trying every bijection, complements by an
-independent scan of the subgroup lattice.
+isomorphism for tiny orders by trying every bijection and otherwise by an
+exhaustive backtracking search, complements by an independent scan of the
+subgroup lattice.
 """
 
 import itertools
+import math
 
 import pytest
 
@@ -54,6 +56,25 @@ def test_table_validation():
             (4, 3, 1, 2, 0))
     with pytest.raises(sg.InvalidTableError):
         sg.MulTableGroup(loop)
+
+
+@pytest.mark.parametrize("table", [
+    ((0, 1.0), (1, 0)),        # a float equal to an index
+    ((0, True), (True, 0)),    # bool is not an element index
+    ((0, "1"), (1, 0)),
+    ((0, 2), (1, 0)),          # out of range
+    ((0, -1), (1, 0)),
+    ((0, 1), (1,)),            # ragged
+])
+def test_table_entries_must_be_plain_indices(table):
+    with pytest.raises(sg.InvalidTableError, match="table is not square over element indices"):
+        sg.MulTableGroup(table)
+
+
+def test_list_tables_are_accepted():
+    g = sg.MulTableGroup([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+    assert g.order == 3 and g.identity == 0
+    assert sg.is_isomorphic(g, sg.cyclic(3)) == (True, (0, 1, 2))
 
 
 def brute_force_subgroups(g):
@@ -160,6 +181,193 @@ def test_not_isomorphic():
     assert sg.is_isomorphic(sg.dihedral(8), sg.quaternion(8)) == (False, None)
     assert not sg.is_isomorphic(sg.cyclic(8), sg.dihedral(8))[0]
     assert not sg.is_isomorphic(sg.cyclic(4), sg.klein())[0]
+
+
+def cyclic_action(n, m, u):
+    """Z_m acting on Z_n by x -> b * u^x; u must be a unit with u^m = 1 mod n."""
+    return {x: tuple(b * pow(u, x, n) % n for b in range(n)) for x in range(m)}
+
+
+def builder_groups(max_order):
+    """Groups from every public builder up to max_order, keyed by a name:
+    cyclic, Klein, dihedral and quaternion groups, every semidirect product
+    Z_n ⋊ Z_m by a unit of Z_n, Klein extensions and build_E_even, then the
+    direct product of each pair of those."""
+    base = {f"Z{n}": sg.cyclic(n) for n in range(1, max_order + 1)}
+    base["K4"] = sg.klein()
+    base.update((f"D{m}", sg.dihedral(m)) for m in range(6, max_order + 1, 2))
+    base["Q8"] = sg.quaternion(8)
+    for n in range(3, max_order // 2 + 1):
+        for m in range(2, max_order // n + 1):
+            for u in range(2, n):
+                if math.gcd(u, n) == 1 and pow(u, m, n) == 1:
+                    base[f"Z{n}:{u}Z{m}"] = sg.semidirect_product(
+                        sg.cyclic(n), sg.cyclic(m), cyclic_action(n, m, u))
+    swap = (0, 2, 1, 3)
+    base["K4:Z2"] = sg.semidirect_product(sg.klein(), sg.cyclic(2),
+                                          {0: (0, 1, 2, 3), 1: swap})
+    if max_order >= 12:
+        base["K4:Z3"] = sg.semidirect_product(
+            sg.klein(), sg.cyclic(3), {0: (0, 1, 2, 3), 1: (0, 2, 3, 1), 2: (0, 3, 1, 2)})
+    if max_order >= 16:
+        base["K4:Z4"] = sg.semidirect_product(
+            sg.klein(), sg.cyclic(4), {x: (0, 1, 2, 3) if x % 2 == 0 else swap for x in range(4)})
+        base["E_even"] = sg.build_E_even()
+    groups = dict(base)
+    for (a, g), (b, h) in itertools.combinations_with_replacement(sorted(base.items()), 2):
+        if 1 < g.order and 1 < h.order and g.order * h.order <= max_order:
+            groups[f"{a}x{b}"] = sg.direct_product(g, h)
+    return groups
+
+
+def equal_order_pairs(groups, lo, hi):
+    """Every ordered pair (a, b) of names whose groups have one order in lo..hi."""
+    return [(a, b) for a, g in groups.items() for b, h in groups.items()
+            if lo <= g.order == h.order <= hi]
+
+
+def reference_generating_set(g):
+    gens, span = [], g.closure([])
+    for a in range(g.order):
+        if a not in span:
+            gens.append(a)
+            span = g.closure(gens)
+            if len(span) == g.order:
+                break
+    return gens
+
+
+def reference_is_isomorphic(g, h):
+    """Exhaustive backtracking: every generator gets an image of its element
+    order before any check, and the map is closed and checked only then.
+    Returns the first isomorphism in index order, as is_isomorphic must."""
+    if g.order != h.order:
+        return False, None
+    g_orders = [g.element_order(a) for a in range(g.order)]
+    h_orders = [h.element_order(a) for a in range(h.order)]
+    if sorted(g_orders) != sorted(h_orders):
+        return False, None
+    gens = reference_generating_set(g)
+
+    def extend(images):
+        phi = {g.identity: h.identity}
+        frontier = [g.identity]
+        pairs = list(zip(gens, images))
+        while frontier:
+            x = frontier.pop()
+            for a, b in pairs:
+                y, fy = g.mul(x, a), h.mul(phi[x], b)
+                if y in phi:
+                    if phi[y] != fy:
+                        return None
+                else:
+                    phi[y] = fy
+                    frontier.append(y)
+        if len(set(phi.values())) != g.order:
+            return None
+        out = tuple(phi[i] for i in range(g.order))
+        if all(out[g.mul(a, b)] == h.mul(out[a], out[b])
+               for a in range(g.order) for b in range(g.order)):
+            return out
+        return None
+
+    def search(images):
+        if len(images) == len(gens):
+            return extend(images)
+        want = g_orders[gens[len(images)]]
+        for b in range(h.order):
+            if h_orders[b] == want:
+                found = search(images + [b])
+                if found is not None:
+                    return found
+        return None
+
+    witness = search([])
+    return witness is not None, witness
+
+
+def assert_isomorphism(g, h, witness):
+    assert sorted(witness) == list(range(g.order))
+    assert all(witness[g.mul(a, b)] == h.mul(witness[a], witness[b])
+               for a in range(g.order) for b in range(g.order))
+
+
+def test_is_isomorphic_large_abelian():
+    z2_6 = elementary_abelian_2(6)
+    ok, witness = sg.is_isomorphic(z2_6, z2_6)
+    assert ok
+    assert_isomorphism(z2_6, z2_6, witness)
+    z4, k4 = sg.cyclic(4), sg.klein()
+    g = sg.direct_product(sg.direct_product(z4, z4), k4)
+    h = sg.direct_product(k4, sg.direct_product(z4, z4))
+    for a, b in ((g, h), (h, g)):
+        ok, witness = sg.is_isomorphic(a, b)
+        assert ok
+        assert_isomorphism(a, b, witness)
+
+
+def test_z4xz4_is_not_z4_semidirect_z4():
+    z4 = sg.cyclic(4)
+    abelian = sg.direct_product(z4, z4)
+    split = sg.semidirect_product(z4, z4, cyclic_action(4, 4, 3))
+    # same element-order counts (1, 3 involutions, 12 of order 4)
+    assert abelian.order_profile() == split.order_profile()
+    assert sg.is_isomorphic(abelian, split) == (False, None)
+    assert sg.is_isomorphic(split, abelian) == (False, None)
+
+
+def order_16_groups():
+    """Order-16 groups from direct_product and semidirect_product, each with
+    the name of its isomorphism class (12 of the 14 classes)."""
+    c, dp, sd = sg.cyclic, sg.direct_product, sg.semidirect_product
+    k4, swap = sg.klein(), {0: (0, 1, 2, 3), 1: (0, 2, 1, 3)}
+    d8_alt = sd(k4, c(2), swap)
+    return [
+        ("Z16", sd(c(16), c(1), {0: tuple(range(16))})),
+        ("Z8xZ2", dp(c(8), c(2))), ("Z8xZ2", dp(c(2), c(8))),
+        ("Z4xZ4", dp(c(4), c(4))),
+        ("Z4xZ2^2", dp(c(4), k4)), ("Z4xZ2^2", dp(k4, c(4))),
+        ("Z4xZ2^2", dp(dp(c(2), c(4)), c(2))),
+        ("Z2^4", dp(k4, k4)), ("Z2^4", dp(c(2), dp(k4, c(2)))),
+        ("D16", sd(c(8), c(2), cyclic_action(8, 2, 7))),
+        ("SD16", sd(c(8), c(2), cyclic_action(8, 2, 3))),
+        ("M16", sd(c(8), c(2), cyclic_action(8, 2, 5))),
+        ("Z4:Z4", sd(c(4), c(4), cyclic_action(4, 4, 3))),
+        ("D8xZ2", dp(sg.dihedral(8), c(2))), ("D8xZ2", dp(c(2), d8_alt)),
+        ("D8xZ2", dp(sd(c(4), c(2), cyclic_action(4, 2, 3)), c(2))),
+        ("D8xZ2", sg.build_E_even()),
+        ("Q8xZ2", dp(sg.quaternion(8), c(2))), ("Q8xZ2", dp(c(2), sg.quaternion(8))),
+        ("K4:Z4", sd(k4, c(4), {x: swap[x % 2] for x in range(4)})),
+    ]
+
+
+def test_is_isomorphic_on_order_16_products():
+    groups = order_16_groups()
+    assert len({label for label, _ in groups}) == 12
+    for (la, g), (lb, h) in itertools.product(groups, repeat=2):
+        ok, witness = sg.is_isomorphic(g, h)
+        assert ok == (la == lb), (la, lb)
+        if ok:
+            assert_isomorphism(g, h, witness)
+        else:
+            assert witness is None
+
+
+def test_is_isomorphic_matches_exhaustive_backtracking():
+    groups = builder_groups(16)
+    pairs = equal_order_pairs(groups, 1, 16)
+    assert len(pairs) > 400
+    for a, b in pairs:
+        assert sg.is_isomorphic(groups[a], groups[b]) == \
+            reference_is_isomorphic(groups[a], groups[b]), (a, b)
+
+
+@pytest.mark.slow
+def test_is_isomorphic_matches_exhaustive_backtracking_to_order_32():
+    groups = builder_groups(32)
+    for a, b in equal_order_pairs(groups, 17, 32):
+        assert sg.is_isomorphic(groups[a], groups[b]) == \
+            reference_is_isomorphic(groups[a], groups[b]), (a, b)
 
 
 def test_parse_presentation():
@@ -297,6 +505,32 @@ def test_has_complement_against_lattice_scan():
     assert sg.has_complement(e, kernel) is True
     assert sg.has_complement(d8, d8.center()) is False
     assert sg.has_complement(q8, q8.center()) is False
+
+
+def test_has_complement_on_every_normal_subgroup():
+    for name, g in builder_groups(16).items():
+        for n in sg.all_subgroups(g):
+            if g.is_normal(n):
+                assert sg.has_complement(g, n) == brute_force_has_complement(g, n), \
+                    (name, sorted(n))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", range(1, 65))
+def test_has_complement_in_cyclic_groups(n):
+    g = sg.cyclic(n)
+    for d in divisors(n):
+        sub = g.closure([n // d % n])  # the subgroup of order d
+        assert sg.has_complement(g, sub) == brute_force_has_complement(g, sub) \
+            == (math.gcd(d, n // d) == 1)
+
+
+@pytest.mark.slow
+def test_has_complement_of_dihedral_rotations():
+    g = sg.dihedral(64)
+    rotations = g.closure([2])
+    assert len(rotations) == 32
+    assert sg.has_complement(g, rotations) is brute_force_has_complement(g, rotations) is True
 
 
 def test_build_E_even_structure():
