@@ -10,6 +10,8 @@ or looks up their orders.
 
 from __future__ import annotations
 
+import functools
+
 from . import ambient_geom, f2_forms, homotopy_tables, sl2z, smallgrp
 from .errors import _Value
 
@@ -210,7 +212,7 @@ class GroupDescriptor(_Value):
     def of(cls, name: str) -> "GroupDescriptor":
         if name not in cls._BUILDERS:
             raise UnsupportedFamilyError(f"no canonical realization for {name!r}")
-        return cls(name, cls._BUILDERS[name]())
+        return cls(name, _canonical(name))
 
     def order(self) -> int | None:
         if isinstance(self.realization, smallgrp.MulTableGroup):
@@ -232,8 +234,17 @@ class GroupDescriptor(_Value):
             return sl2z.is_member(sl2z.V) and sl2z.is_member(sl2z.T)
         if not isinstance(self.realization, smallgrp.MulTableGroup):
             return False
+        # a fresh build, not the shared one of _canonical, so a table that
+        # no longer matches its name is compared with what the name builds
         ok, _ = smallgrp.is_isomorphic(self.realization, self._BUILDERS[self.name]())
         return ok
+
+
+@functools.cache
+def _canonical(name: str) -> smallgrp.MulTableGroup | smallgrp.Presentation:
+    """The realization of a canonical name, built once per process and
+    shared by every descriptor of that name; realizations are immutable."""
+    return GroupDescriptor._BUILDERS[name]()
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +300,7 @@ class ClassificationResult(_Value):
         return out
 
 
+@functools.cache
 def _even_model_splits() -> bool:
     group = smallgrp.build_E_even()
     gens = smallgrp.E_EVEN_GENS

@@ -25,7 +25,9 @@ adds up basis values only, and builds no table.  The majority vote and
 `transport` read the full 2^dim value table instead, which the majority
 vote needs anyway and which `transport` reuses across the many elements
 it is called with; the two Arf routes therefore share no code for
-evaluating q.
+evaluating q.  The table is doubled on one int bitset, one shift and XOR
+per coordinate with two bitsets the space caches per coordinate, and
+unpacked into its 0/1 entries once.
 
 Validation happens once, at the boundary.  The public constructors and
 `from_columns` check their input.  What the library builds from checked
@@ -52,6 +54,9 @@ from functools import cached_property
 from itertools import product
 
 from .errors import UnsupportedSizeError, _Value
+
+
+_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 class DegenerateFormError(ValueError):
@@ -168,6 +173,19 @@ class SymplecticSpaceF2(_Value):
         return tuple(pairs)
 
     @cached_property
+    def _doubling(self) -> tuple[tuple[int, int], ...]:
+        """For each i, two bitsets over the vectors m < 2^i (bit m for m):
+        all of them, and those with <m, e_i> = 1.  Each is grown one
+        coordinate j at a time: m + 2^j pairs with e_i as m does, plus G_ij."""
+        steps = []
+        for i, row in enumerate(self.row_masks):
+            odd = 0
+            for j in range(i):
+                odd |= (odd ^ (steps[j][0] if row >> j & 1 else 0)) << (1 << j)
+            steps.append(((1 << (1 << i)) - 1, odd))
+        return tuple(steps)
+
+    @cached_property
     def _arf_terms(self) -> tuple[tuple[int, tuple[int, ...], int, tuple[int, ...]], ...]:
         """For each pair (a, b) of basis_masks: parity(a & U a), the set bits
         of a, then the same for b.  q(v) is that parity plus the basis
@@ -215,11 +233,12 @@ class QuadraticRefinement(_Value):
 
     @cached_property
     def value_table(self) -> tuple[int, ...]:
-        # q(v + e_i) = q(v) + q(e_i) + <v, e_i>, doubling over i in mask order.
-        table = [0]
-        for b, row in zip(self.basis_values, self.space.row_masks):
-            table += [t ^ b ^ ((row & m).bit_count() & 1) for m, t in enumerate(table)]
-        return tuple(table)
+        # q(v + e_i) = q(v) + q(e_i) + <v, e_i>: bit v of `bits` holds q(v),
+        # and step i fills v in [2^i, 2^(i+1)) from v - 2^i in one XOR
+        bits = 0
+        for i, (b, (below, odd)) in enumerate(zip(self.basis_values, self.space._doubling)):
+            bits |= (bits ^ odd ^ (below if b else 0)) << (1 << i)
+        return tuple(f"{bits:0{1 << self.space.dim}b}"[::-1].encode().translate(_BITS))
 
     def eval_mask(self, mask: int) -> int:
         """q(v) = v^T U v plus the sum of q(e_i) over i in v; no value table."""

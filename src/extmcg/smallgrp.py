@@ -321,15 +321,19 @@ class MulTableGroup(_Value):
     __slots__ = _fields = ("table", "identity")
 
     def __init__(self, table: tuple[tuple[int, ...], ...]):
-        n = len(table)
-        if n == 0 or n > 64:
-            raise UnsupportedSizeError(f"order {n} outside supported range 1..64")
-        rng = range(n)
-        # entries are checked in C: each a plain int (no bool, no float) in range
-        indices = set(rng)
-        for row in table:
-            if len(row) != n or set(map(type, row)) != {int} or not indices.issuperset(row):
-                raise InvalidTableError("table is not square over element indices")
+        # entries are checked in C: each a plain int (no bool, no float) in
+        # range; a table or row without a length raises TypeError here
+        try:
+            n = len(table)
+            if n == 0 or n > 64:
+                raise UnsupportedSizeError(f"order {n} outside supported range 1..64")
+            rng = range(n)
+            indices = set(rng)
+            for row in table:
+                if len(row) != n or set(map(type, row)) != {int} or not indices.issuperset(row):
+                    raise InvalidTableError("table is not square over element indices")
+        except TypeError:
+            raise InvalidTableError("table is not square over element indices") from None
         for row in table:
             if len(set(row)) != n:
                 raise InvalidTableError("a row repeats an element (not a bijection)")

@@ -326,9 +326,11 @@ def _quadratic_identity_holds(space: f2_forms.SymplecticSpaceF2, tables) -> bool
     so T_x, with bit y of each block holding q(x ^ y), follows from the
     previous T_x by one butterfly swap: the two halves of every
     2^(i+1)-bit sub-block trade places for the bit i of x that changed.
-    The row {y : <x, y> = 1} is built from space.image(x) by doubling and
-    replicated over the blocks, q(x) is spread over its block, and one
-    comparison per x covers every y of every table.
+    The row {y : <x, y> = 1}, replicated over the blocks, is kept beside
+    it: <x, y> is linear in x, so the same step XORs in the replicated row
+    of e_i, built once per i from space.image(e_i) by doubling.  q(x) is
+    spread over its block, and one comparison per x covers every y of
+    every table.
     """
     dim = space.dim
     size = 1 << dim
@@ -340,20 +342,23 @@ def _quadratic_identity_holds(space: f2_forms.SymplecticSpaceF2, tables) -> bool
     starts = int(("0" * (size - 1) + "1") * count, 2)  # bit 0 of each block
     lows = [int(("0" * (1 << i) + "1" * (1 << i)) * (width >> i + 1), 2)
             for i in range(dim)]
+    rows = []
+    for e in range(dim):
+        row = 0
+        je = space.image(1 << e)
+        for i in range(dim):
+            half = 1 << i
+            row |= (row ^ ((1 << half) - 1 if je >> i & 1 else 0)) << half
+        rows.append(row * starts)
     moved = packed
-    x = 0
+    row = x = 0
     for g in range(size):
         if g:
             i = (g & -g).bit_length() - 1
             half, low = 1 << i, lows[i]
             moved = (moved >> half) & low | (moved & low) << half
+            row ^= rows[i]
             x ^= half
-        row = 0
-        jx = space.image(x)
-        for i in range(dim):
-            half = 1 << i
-            row |= (row ^ ((1 << half) - 1 if jx >> i & 1 else 0)) << half
-        row *= starts
         qx = packed >> x & starts
         if moved ^ packed ^ ((qx << size) - qx) != row:
             return False

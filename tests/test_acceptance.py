@@ -113,10 +113,21 @@ def test_crashed_check_keeps_its_result_name(monkeypatch, capsys):
     assert "FAIL property-suites [-]: raised RuntimeError('boom')" in capsys.readouterr().out
 
 
-def value_tables(k):
-    space = ff.standard_space(k)
+def value_tables(k, space=None):
+    space = space or ff.standard_space(k)
     return [ff.QuadraticRefinement(space, bits).value_table
             for bits in product((0, 1), repeat=space.dim)]
+
+
+def congruent_space(k):
+    """P^T J P for J standard and P the upper triangle of ones: congruent
+    to the standard space but not equal to it, so space.image(e_i) is not
+    the standard partner of e_i."""
+    n = 2 * k
+    gram = ff.standard_space(k).gram
+    return ff.SymplecticSpaceF2(tuple(
+        tuple(sum(gram[a][b] for a in range(i + 1) for b in range(j + 1)) & 1
+              for j in range(n)) for i in range(n)))
 
 
 def flipped(table, y):
@@ -136,6 +147,26 @@ def test_identity_kernel_accepts_every_refinement(k):
 def test_identity_kernel_rejects_every_single_flip(k):
     space = ff.standard_space(k)
     for table in value_tables(k):
+        for y in range(len(table)):
+            assert not verify._quadratic_identity_holds(space, [flipped(table, y)])
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_identity_kernel_on_a_congruent_space(k):
+    """The rows XORed in at each Gray step come from space.image(e_i); on a
+    non-standard Gram every refinement passes and a standard-space table
+    of another form fails."""
+    space = congruent_space(k)
+    assert space.gram != ff.standard_space(k).gram
+    tables = value_tables(k, space)
+    assert verify._quadratic_identity_holds(space, iter(tables))
+    assert all(verify._quadratic_identity_holds(space, [t]) for t in tables)
+    assert not verify._quadratic_identity_holds(space, value_tables(k)[:1])
+
+
+def test_identity_kernel_rejects_every_single_flip_on_a_congruent_space():
+    space = congruent_space(2)
+    for table in value_tables(2, space):
         for y in range(len(table)):
             assert not verify._quadratic_identity_holds(space, [flipped(table, y)])
 

@@ -5,10 +5,13 @@ verification module, descriptor realizations are re-verified, and every
 cited statement tag must resolve.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from extmcg import classifier as cf
-from extmcg import smallgrp
+from extmcg import cli, smallgrp, verify
 
 
 def test_family_validation():
@@ -109,6 +112,49 @@ def test_group_descriptors():
     missing = cf.GroupDescriptor("GammaV2", smallgrp.parse_presentation("gens: V,T; rels: V^4"))
     assert not missing.verify_realization()
     assert not cf.GroupDescriptor("GammaV2", smallgrp.klein()).verify_realization()
+
+
+@pytest.mark.parametrize("name", ["trivial", "Z2", "Z2xZ2", "D8xZ2"])
+def test_realization_is_shared_and_verified_afresh(monkeypatch, name):
+    """Descriptors of one name are distinct values sharing one realization;
+    verify_realization still calls the builder, counted through _BUILDERS."""
+    a, b = cf.GroupDescriptor.of(name), cf.GroupDescriptor.of(name)
+    assert a is not b and a == b
+    assert a.realization is b.realization
+    build = cf.GroupDescriptor._BUILDERS[name]
+    calls = []
+
+    def counted():
+        calls.append(name)
+        return build()
+
+    monkeypatch.setitem(cf.GroupDescriptor._BUILDERS, name, counted)
+    assert a.verify_realization()
+    assert a.verify_realization()
+    assert len(calls) == 2
+    assert cf.GroupDescriptor.of(name).realization is a.realization
+    assert len(calls) == 2
+
+
+def test_classify_json_is_golden_cold_and_warm(capsys):
+    """classify --json for the 21 rows of the acceptance table, once with
+    the shared realizations and the even-model split cleared and once
+    warm, matches the golden CLI records."""
+    golden = {tuple(r["argv"]): r["stdout"]
+              for r in json.loads((Path(__file__).parent / "golden" / "cli.json").read_text())}
+    flags = {"unknot-sphere": ("--n",), "unequal-product": ("--p", "--q")}
+    rows = verify._expected_rows()
+    assert len(rows) == 21
+    for family, _ in rows:
+        argv = ["classify", "--family", family.kind]
+        for flag, value in zip(flags.get(family.kind, ("--p",)), family.params):
+            argv += [flag, str(value)]
+        argv.append("--json")
+        cf._canonical.cache_clear()
+        cf._even_model_splits.cache_clear()
+        for _ in range(2):
+            assert cli.main(argv) == 0
+            assert capsys.readouterr().out == golden[tuple(argv)]
 
 
 def test_result_validation():

@@ -148,17 +148,23 @@ def random_invertible(rng, n):
     return rows
 
 
+def congruent_space(k, rng):
+    """The space of P^T J P for a seeded random invertible P, J standard."""
+    n = 2 * k
+    p_rows = random_invertible(rng, n)
+    p = tuple(tuple((p_rows[i] >> j) & 1 for j in range(n)) for i in range(n))
+    return ff.SymplecticSpaceF2(
+        dense_mul(dense_transpose(p), dense_mul(ff.standard_space(k).gram, p)))
+
+
 @pytest.mark.parametrize("k", [1, 4, 5, 9])
 def test_pair_masks_matches_dense_form(k):
     """<u, v> = u^T G v, on a random congruent Gram; dimensions past 8 too."""
     import random
     rng = random.Random(k)
     n = 2 * k
-    p_rows = random_invertible(rng, n)
-    p = tuple(tuple((p_rows[i] >> j) & 1 for j in range(n)) for i in range(n))
-    j0 = ff.standard_space(k).gram
-    gram = dense_mul(dense_transpose(p), dense_mul(j0, p))
-    space = ff.SymplecticSpaceF2(gram)
+    space = congruent_space(k, rng)
+    gram = space.gram
     for _ in range(300):
         u, v = rng.randrange(1 << n), rng.randrange(1 << n)
         dense = sum(((u >> i) & 1) * gram[i][j] * ((v >> j) & 1)
@@ -171,12 +177,7 @@ def test_pair_masks_matches_dense_form(k):
 def test_symplectic_basis_on_congruent_grams(k, seed):
     """Random change of basis P: the greedy pairing still splits P^T J P."""
     import random
-    n = 2 * k
-    p_rows = random_invertible(random.Random(seed), n)
-    p = tuple(tuple((p_rows[i] >> j) & 1 for j in range(n)) for i in range(n))
-    j0 = ff.standard_space(k).gram
-    gram = dense_mul(dense_transpose(p), dense_mul(j0, p))
-    space = ff.SymplecticSpaceF2(gram)
+    space = congruent_space(k, random.Random(seed))
     pairs = space.basis_masks
     assert len(pairs) == k
     flat = [v for pair in pairs for v in pair]
@@ -202,11 +203,7 @@ def test_eval_mask_matches_value_table(k, seed, congruent):
     import random
     rng = random.Random(seed)
     n = 2 * k
-    space = ff.standard_space(k)
-    if congruent:
-        p_rows = random_invertible(rng, n)
-        p = tuple(tuple((p_rows[i] >> j) & 1 for j in range(n)) for i in range(n))
-        space = ff.SymplecticSpaceF2(dense_mul(dense_transpose(p), dense_mul(space.gram, p)))
+    space = congruent_space(k, rng) if congruent else ff.standard_space(k)
     q = ff.QuadraticRefinement(space, tuple(rng.randrange(2) for _ in range(n)))
     table = q.value_table
     assert all(q.eval_mask(m) == table[m] for m in range(1 << n))
@@ -220,23 +217,53 @@ def test_arf_matches_majority_on_congruent_grams(k, seed):
     import random
     rng = random.Random(seed)
     n = 2 * k
-    p_rows = random_invertible(rng, n)
-    p = tuple(tuple((p_rows[i] >> j) & 1 for j in range(n)) for i in range(n))
-    space = ff.SymplecticSpaceF2(
-        dense_mul(dense_transpose(p), dense_mul(ff.standard_space(k).gram, p)))
+    space = congruent_space(k, rng)
     q = ff.QuadraticRefinement(space, tuple(rng.randrange(2) for _ in range(n)))
     assert ff.arf(q) == ff.arf_by_majority(q)
+
+
+def entrywise_table(q):
+    """Oracle: the value table doubled one entry at a time, q(v + e_i) =
+    q(v) + q(e_i) + <v, e_i>, with <v, e_i> read from row i of the Gram."""
+    table = [0]
+    for b, gram_row in zip(q.basis_values, q.space.gram):
+        row = sum(e << j for j, e in enumerate(gram_row))
+        table += [t ^ b ^ ((row & m).bit_count() & 1) for m, t in enumerate(table)]
+    return tuple(table)
+
+
+@pytest.mark.parametrize("congruent", [False, True])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_value_table_matches_entrywise_doubling(k, congruent):
+    """Every refinement to k = 3, 64 seeded ones at k = 4 and 5, on the
+    standard Gram and on a congruent non-standard one."""
+    import random
+    rng = random.Random(k)
+    space = ff.standard_space(k)
+    if congruent:
+        space = congruent_space(k, rng)
+        # at k = 1 the standard form is the only one
+        assert k == 1 or space.gram != ff.standard_space(k).gram
+    if k <= 3:
+        refinements = ff.all_refinements(space)
+    else:
+        refinements = [ff.QuadraticRefinement(space, tuple(rng.randrange(2) for _ in range(2 * k)))
+                       for _ in range(64)]
+    for q in refinements:
+        assert q.value_table == entrywise_table(q)
 
 
 def test_arf_builds_no_value_table():
     q = ff.QuadraticRefinement(ff.standard_space(3), (1, 0, 1, 1, 0, 1))
     assert ff.arf(q) == 1
     assert "value_table" not in vars(q)
+    assert "_doubling" not in vars(q.space)
     # dimension 40: a 2^40 table could not be built
     bv = tuple((i * 7 + i // 3) % 2 for i in range(40))
     q = ff.QuadraticRefinement(ff.standard_space(20), bv)
     assert ff.arf(q) == sum(bv[2 * i] * bv[2 * i + 1] for i in range(20)) % 2
     assert "value_table" not in vars(q)
+    assert "_doubling" not in vars(q.space)
 
 
 def test_stabilizer_and_orbit_at_k1():

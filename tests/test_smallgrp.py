@@ -65,6 +65,9 @@ def test_table_validation():
     ((0, 2), (1, 0)),          # out of range
     ((0, -1), (1, 0)),
     ((0, 1), (1,)),            # ragged
+    5,                         # no rows at all
+    (5, 5),                    # rows without a length
+    ((0, 1), 5),
 ])
 def test_table_entries_must_be_plain_indices(table):
     with pytest.raises(sg.InvalidTableError, match="table is not square over element indices"):
