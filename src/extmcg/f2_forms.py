@@ -21,13 +21,16 @@ q(e_i) over i in v, with U the strict upper triangle of the Gram matrix
 applied through byte tables like J.  The Arf invariant by basis reads
 that form from data the space caches once: for each symplectic basis
 vector, parity(v & U v) and the set bits of v.  Per refinement it then
-adds up basis values only, and builds no table.  The majority vote and
-`transport` read the full 2^dim value table instead, which the majority
-vote needs anyway and which `transport` reuses across the many elements
-it is called with; the two Arf routes therefore share no code for
-evaluating q.  The table is doubled on one int bitset, one shift and XOR
-per coordinate with two bitsets the space caches per coordinate, and
-unpacked into its 0/1 entries once.
+adds up basis values only, and builds no table.  Every other reader
+evaluates q everywhere, through the value bitset: one int whose bit v
+holds q(v), doubled once per refinement, one shift and XOR per
+coordinate with two bitsets the space caches per coordinate.  The
+majority vote counts its bits, `stabilizer` restricts the basis search
+with it, and the quadratic-identity and Arf-invariance kernels of
+`verify` read it whole.  The public `value_table` unpacks it once into
+0/1 entries, which `transport` indexes by column, reusing the table
+across the many elements it is called with.  The two Arf routes
+therefore share no code for evaluating q.
 
 Validation happens once, at the boundary.  The public constructors and
 `from_columns` check their input.  What the library builds from checked
@@ -232,13 +235,19 @@ class QuadraticRefinement(_Value):
         return q
 
     @cached_property
-    def value_table(self) -> tuple[int, ...]:
-        # q(v + e_i) = q(v) + q(e_i) + <v, e_i>: bit v of `bits` holds q(v),
-        # and step i fills v in [2^i, 2^(i+1)) from v - 2^i in one XOR
+    def _value_bits(self) -> int:
+        """The value bitset: bit v holds q(v), for every vector v."""
+        # q(v + e_i) = q(v) + q(e_i) + <v, e_i>: step i fills v in
+        # [2^i, 2^(i+1)) from v - 2^i in one XOR
         bits = 0
         for i, (b, (below, odd)) in enumerate(zip(self.basis_values, self.space._doubling)):
             bits |= (bits ^ odd ^ (below if b else 0)) << (1 << i)
-        return tuple(f"{bits:0{1 << self.space.dim}b}"[::-1].encode().translate(_BITS))
+        return bits
+
+    @cached_property
+    def value_table(self) -> tuple[int, ...]:
+        """q(v) at index v, for every vector v: the value bitset unpacked."""
+        return tuple(f"{self._value_bits:0{1 << self.space.dim}b}"[::-1].encode().translate(_BITS))
 
     def eval_mask(self, mask: int) -> int:
         """q(v) = v^T U v plus the sum of q(e_i) over i in v; no value table."""
@@ -277,7 +286,7 @@ def arf_by_majority(q: QuadraticRefinement) -> int:
     n = q.space.dim
     if n > 16:
         raise UnsupportedSizeError("majority count is exhaustive; dimension too large")
-    ones = sum(q.value_table)
+    ones = q._value_bits.bit_count()
     half = 1 << (n - 1)
     if ones == half:
         raise DegenerateFormError("no majority value; pairing must be degenerate")
@@ -478,7 +487,7 @@ def _require_standard(q: QuadraticRefinement, what: str, max_dim: int) -> int:
 def stabilizer(q: QuadraticRefinement) -> list[SpElement]:
     """All symplectic matrices with q(S v) = q(v) for every v.  Dimension <= 6."""
     _require_standard(q, "stabilizer", 6)
-    ones = sum(t << v for v, t in enumerate(q.value_table))
+    ones = q._value_bits
     return _extend_bases(q.space, [ones if b else ~ones for b in q.basis_values])
 
 

@@ -5,7 +5,11 @@ Groups of order at most 64 are stored as explicit multiplication tables
 deterministic HLT-style Todd-Coxeter enumeration of the trivial-subgroup
 cosets; for a finite presented group the cosets are the elements, which
 yields the table.  On a presentation of an infinite group the coset count
-passes any cap, reported as CosetCapacityError.
+passes any cap, reported as CosetCapacityError, which shows nothing about
+finiteness; `abelian_invariants` proves a group infinite instead, when
+its abelianization has positive free rank, from the Smith normal form of
+the relator exponent sums.  It returns a plain (free rank, torsion) pair,
+so this module imports no other group layer.
 """
 
 from __future__ import annotations
@@ -725,11 +729,52 @@ def build_E_even() -> MulTableGroup:
     return direct_product(inner, cyclic(2))
 
 
-def abelianized(pres: Presentation) -> Presentation:
-    """Add all pairwise commutators to a presentation."""
-    extra = []
+def abelian_invariants(pres: Presentation) -> tuple[int, tuple[int, ...]]:
+    """The abelianization of the presented group as (free rank, torsion).
+
+    Row r of the relator matrix holds the exponent sum of each generator
+    in relator r; the abelianization is Z^n modulo its rows.  Integer row
+    and column operations diagonalize it: the entry of least absolute
+    value is the pivot, reduces its row and column, and is split off once
+    they are clear; a nonzero remainder is a smaller pivot, so this ends.
+    Each diagonal entry d gives a Z/d, each column left without one a Z.
+    Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b) then puts the torsion in
+    divisibility order (Smith normal form), with the factors 1 dropped.
+    """
     n = len(pres.generators)
-    for i in range(n):
-        for j in range(i + 1, n):
-            extra.append(((i, 1), (j, 1), (i, -1), (j, -1)))
-    return Presentation(pres.generators, pres.relators + tuple(extra))
+    rows = []
+    for rel in pres.relators:
+        row = [0] * n
+        for g, s in rel:
+            row[g] += s
+        rows.append(row)
+    diagonal = []
+    while True:
+        entries = [(abs(e), r, c) for r, row in enumerate(rows)
+                   for c, e in enumerate(row) if e]
+        if not entries:
+            break
+        _, r, c = min(entries)
+        pivot_row = rows[r]
+        p = pivot_row[c]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                f = row[c] // p
+                rows[i] = [x - f * y for x, y in zip(row, pivot_row)]
+        for j, e in enumerate(pivot_row):
+            if j != c and e:
+                f = e // p
+                for row in rows:
+                    row[j] -= f * row[c]
+        if any(e for j, e in enumerate(pivot_row) if j != c) or any(
+                row[c] for i, row in enumerate(rows) if i != r):
+            continue
+        diagonal.append(abs(p))
+        del rows[r]
+        for row in rows:
+            del row[c]
+    for i in range(len(diagonal)):
+        for j in range(i + 1, len(diagonal)):
+            g = gcd(diagonal[i], diagonal[j])
+            diagonal[i], diagonal[j] = g, diagonal[i] * diagonal[j] // g
+    return n - len(diagonal), tuple(d for d in diagonal if d > 1)

@@ -3,8 +3,11 @@
 Each criterion is backed by a named check in extmcg.verify; the whole
 bundle runs once per session and every test prints its own PASS/FAIL
 line (visible with pytest -v -s or in the failure report).  The tests
-after them pin how a crashed check is reported and probe the
-bit-parallel quadratic-identity kernel of the property suite directly.
+after them pin how a crashed check is reported, probe the bit-parallel
+quadratic-identity and Arf-invariance kernels of the property suite
+directly, break each check's input to see it FAIL, and guard against
+the brute-force routes (coset enumeration of Gamma_V2, one `transport`
+per element) coming back.
 """
 
 import random
@@ -119,6 +122,13 @@ def value_tables(k, space=None):
             for bits in product((0, 1), repeat=space.dim)]
 
 
+def holds(space, tables):
+    """The identity kernel on these value tables, each packed into the
+    bitset the kernel reads (bit y holds q(y))."""
+    return verify._quadratic_identity_holds(
+        space, (sum(t << y for y, t in enumerate(table)) for table in tables))
+
+
 def congruent_space(k):
     """P^T J P for J standard and P the upper triangle of ones: congruent
     to the standard space but not equal to it, so space.image(e_i) is not
@@ -138,9 +148,9 @@ def flipped(table, y):
 def test_identity_kernel_accepts_every_refinement(k):
     space = ff.standard_space(k)
     tables = value_tables(k)
-    assert verify._quadratic_identity_holds(space, iter(tables))
+    assert holds(space, iter(tables))
     # one table at a time, as a block of its own
-    assert all(verify._quadratic_identity_holds(space, [t]) for t in tables[::37])
+    assert all(holds(space, [t]) for t in tables[::37])
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -148,7 +158,7 @@ def test_identity_kernel_rejects_every_single_flip(k):
     space = ff.standard_space(k)
     for table in value_tables(k):
         for y in range(len(table)):
-            assert not verify._quadratic_identity_holds(space, [flipped(table, y)])
+            assert not holds(space, [flipped(table, y)])
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -159,16 +169,16 @@ def test_identity_kernel_on_a_congruent_space(k):
     space = congruent_space(k)
     assert space.gram != ff.standard_space(k).gram
     tables = value_tables(k, space)
-    assert verify._quadratic_identity_holds(space, iter(tables))
-    assert all(verify._quadratic_identity_holds(space, [t]) for t in tables)
-    assert not verify._quadratic_identity_holds(space, value_tables(k)[:1])
+    assert holds(space, iter(tables))
+    assert all(holds(space, [t]) for t in tables)
+    assert not holds(space, value_tables(k)[:1])
 
 
 def test_identity_kernel_rejects_every_single_flip_on_a_congruent_space():
     space = congruent_space(2)
     for table in value_tables(2, space):
         for y in range(len(table)):
-            assert not verify._quadratic_identity_holds(space, [flipped(table, y)])
+            assert not holds(space, [flipped(table, y)])
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -182,8 +192,8 @@ def test_identity_kernel_rejects_tables_of_another_form(k):
     for a in range(n):
         for b in range(a + 1, n):
             other = tuple(t ^ (v >> a & v >> b & 1) for v, t in enumerate(tables[-1]))
-            assert not verify._quadratic_identity_holds(space, [other])
-            assert not verify._quadratic_identity_holds(space, tables + [other])
+            assert not holds(space, [other])
+            assert not holds(space, tables + [other])
 
 
 def test_identity_kernel_rejects_sampled_flips_at_dim_8():
@@ -192,25 +202,25 @@ def test_identity_kernel_rejects_sampled_flips_at_dim_8():
     tables = value_tables(4)
     for _ in range(40):
         table = rng.choice(tables)
-        assert not verify._quadratic_identity_holds(space, [flipped(table, rng.randrange(256))])
+        assert not holds(space, [flipped(table, rng.randrange(256))])
     # a flip in one block of the full 256-table bundle
     for _ in range(3):
         r, y = rng.randrange(256), rng.randrange(256)
         bundle = tables[:r] + [flipped(tables[r], y)] + tables[r + 1:]
-        assert not verify._quadratic_identity_holds(space, bundle)
+        assert not holds(space, bundle)
 
 
 def test_property_suites_fail_on_a_corrupted_value_table(monkeypatch):
-    """One entry of one dimension-8 refinement's table is wrong: only the
-    identity kernel reads those tables, and it must catch it."""
-    build = ff.QuadraticRefinement.value_table.func
+    """One entry of one dimension-8 refinement's value bitset is wrong:
+    only the identity kernel reads those bitsets, and it must catch it."""
+    build = ff.QuadraticRefinement._value_bits.func
     target = (0, 1, 1, 0, 1, 0, 0, 1)
 
     def corrupted(q):
-        table = build(q)
-        return flipped(table, 200) if q.basis_values == target else table
+        bits = build(q)
+        return bits ^ 1 << 200 if q.basis_values == target else bits
 
-    monkeypatch.setattr(ff.QuadraticRefinement, "value_table", property(corrupted))
+    monkeypatch.setattr(ff.QuadraticRefinement, "_value_bits", property(corrupted))
     result = verify.check_property_suites()
     assert result.name == "property-suites"
     assert not result.passed
@@ -218,8 +228,9 @@ def test_property_suites_fail_on_a_corrupted_value_table(monkeypatch):
 
 
 def _corrupt_census_enumeration(monkeypatch, corrupt):
-    """The census's own enumeration of Sp(4,2), the first one of a run,
-    comes back corrupted; later calls (stabilizer) see the real group."""
+    """The first enumeration of Sp(4,2) of a run, the census's own or the
+    property suite's, comes back corrupted; later calls (stabilizer) see
+    the real group."""
     real = ff.enumerate_sp
     pending = [True]
 
@@ -249,6 +260,91 @@ def test_symplectic_census_fails_on_a_non_symplectic_element(monkeypatch):
     assert not res.passed
     assert "non-symplectic matrix in enumeration" in res.detail
     assert "duplicates" not in res.detail
+
+
+def test_property_suites_catch_an_element_that_changes_arf(monkeypatch):
+    """One element of Sp(4,2) replaced by the singular map with columns
+    (e0, e0, e2, e3): q = (1, 0, 0, 0) has Arf 0, but q(S a_0) q(S b_0) =
+    q(e0) = 1.  The bit-sliced kernel reads the enumerated group, so the
+    suite must fail."""
+    singular = ff.SpElement.from_columns((1, 1, 4, 8))
+    _corrupt_census_enumeration(monkeypatch, lambda sp: sp[:500] + [singular] + sp[501:])
+    result = verify.check_property_suites()
+    assert not result.passed
+    assert "transport changes Arf at k=2" in result.detail
+    assert "majority oracle disagrees" not in result.detail
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_arf_kernel_matches_the_per_call_loop(k):
+    """Every refinement against every element of Sp(2k, 2): bit i of the
+    kernel's bitset is arf(transport(q, S)) for S the i-th element."""
+    space = ff.standard_space(k)
+    sp = ff.enumerate_sp(k)
+    refinements = ff.all_refinements(space)
+    kernel = verify._transported_arfs(space, sp, refinements)
+    assert len(kernel) == len(refinements) == 4 ** k
+    for q, arfs in zip(refinements, kernel):
+        assert arfs == sum(ff.arf(ff.transport(q, s)) << i for i, s in enumerate(sp))
+        assert arfs == ((1 << len(sp)) - 1 if ff.arf(q) else 0)
+
+
+def test_arf_kernel_matches_the_per_call_loop_off_the_group():
+    """On maps that are not symplectic the Arf bits vary from element to
+    element; the kernel still reads sum_i q(S a_i) q(S b_i) for each, the
+    per-call value of arf on the pulled-back basis values."""
+    space = ff.standard_space(2)
+    rng = random.Random(11)
+    maps = [ff.SpElement.from_columns(tuple(rng.randrange(16) for _ in range(4)))
+            for _ in range(300)]
+    refinements = ff.all_refinements(space)
+    for q, arfs in zip(refinements, verify._transported_arfs(space, maps, refinements)):
+        table = q.value_table
+        want = 0
+        for i, s in enumerate(maps):
+            moved = ff.QuadraticRefinement(space, tuple(table[c] for c in s.columns))
+            want |= ff.arf(moved) << i
+        assert arfs == want
+
+
+def _gamma_v2_with_t5():
+    pres = smallgrp.GAMMA_V2_PRESENTATION
+    return smallgrp.Presentation(pres.generators, pres.relators + (((1, 1),) * 5,))
+
+
+def test_coset_enumeration_fails_on_a_finite_abelianization(monkeypatch):
+    """With T^5 added, Gamma_V2's abelianization is Z4 + Z5 = Z20, finite:
+    the check must not call the group infinite."""
+    monkeypatch.setattr(smallgrp, "GAMMA_V2_PRESENTATION", _gamma_v2_with_t5())
+    res = verify.check_coset_enumeration()
+    assert res.name == "coset-enumeration"
+    assert not res.passed
+    assert res.detail.endswith("abelianization Z20 is finite")
+
+
+def test_verify_all_runs_no_brute_force(monkeypatch):
+    """One run_all makes no Todd-Coxeter call on Gamma_V2, and the
+    property suite no `transport` call: both proofs are direct."""
+    real_tc, real_transport = smallgrp.todd_coxeter, ff.transport
+    gamma_calls, transport_calls = [], []
+
+    def todd_coxeter(pres, *args, **kwargs):
+        if pres == smallgrp.GAMMA_V2_PRESENTATION:
+            gamma_calls.append(pres)
+        return real_tc(pres, *args, **kwargs)
+
+    def transport(q, s):
+        transport_calls.append(s)
+        return real_transport(q, s)
+
+    monkeypatch.setattr(smallgrp, "todd_coxeter", todd_coxeter)
+    monkeypatch.setattr(ff, "transport", transport)
+    assert all(r.passed for r in verify.run_all())
+    assert gamma_calls == []
+    assert transport_calls  # the census's orbits still transport
+    transport_calls.clear()
+    assert verify.check_property_suites().passed
+    assert transport_calls == []
 
 
 def test_coset_enumeration_fails_when_the_kernel_is_not_klein(monkeypatch):

@@ -348,7 +348,7 @@ def test_package_loads_submodules_on_first_use():
 VERIFY_ALL_TEXT = """\
 PASS membership-characterization [mod2-membership,arf-zero-standard]: 308 unimodular matrices checked; stabilizer [((0, 1), (1, 0)), ((1, 0), (0, 1))]
 PASS symplectic-census [sp-census]: |Sp(2,2)| = 6, |Sp(4,2)| = 720; Arf split 10/6; Arf 0: orbit 10 x stabilizer 72; Arf 1: orbit 6 x stabilizer 120
-PASS coset-enumeration [d8-presentation,gammav2-presentation]: presented group order 8; dihedral True, quaternion False; model order 16, matches D8 x Z2: True; quotient by <delta1, delta2> is Klein: True; infinite presentation hit the cap as expected
+PASS coset-enumeration [d8-presentation,gammav2-presentation]: presented group order 8; dihedral True, quaternion False; model order 16, matches D8 x Z2: True; quotient by <delta1, delta2> is Klein: True; abelianization Z4 + Z, so infinite
 PASS word-algebra [gammav2-presentation]: relations hold; roundtrip failures 0/1000; 380 normal forms of length <= 6, no collisions
 PASS ambient-matrices [omega-action,omega-hat-action,omega-prime-action]: omega p in 3..9: det +1, order 4, quarter turn; omega-hat / omega-prime p in 4..8: det +1, order 2; even actions generate order 4, exponent 2
 PASS classification-table [unknot-trivial,odd-total,even-total,dim2-image,unequal-image,adjacent-split]: 21 rows checked

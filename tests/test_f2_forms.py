@@ -263,7 +263,21 @@ def test_arf_builds_no_value_table():
     q = ff.QuadraticRefinement(ff.standard_space(20), bv)
     assert ff.arf(q) == sum(bv[2 * i] * bv[2 * i + 1] for i in range(20)) % 2
     assert "value_table" not in vars(q)
+    assert "_value_bits" not in vars(q)
     assert "_doubling" not in vars(q.space)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_bitset_readers_unpack_no_table(k):
+    """The majority vote and the stabilizer read the value bitset; neither
+    unpacks it into the public tuple."""
+    space = ff.standard_space(k)
+    for q in ff.all_refinements(space)[::5]:
+        assert ff.arf_by_majority(q) == ff.arf(q)
+        stab = ff.stabilizer(q)
+        assert "value_table" not in vars(q)
+        assert q._value_bits == sum(t << v for v, t in enumerate(q.value_table))
+        assert all(ff.transport(q, s) == q for s in stab[::7])
 
 
 def test_stabilizer_and_orbit_at_k1():

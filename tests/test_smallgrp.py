@@ -8,6 +8,7 @@ subgroup lattice.
 
 import itertools
 import math
+import random
 
 import pytest
 
@@ -424,14 +425,109 @@ def test_todd_coxeter_full_model_presentation():
         g, sg.direct_product(sg.dihedral(8), sg.cyclic(2)))[0]
 
 
+def abelianized(pres):
+    """The presentation with every pairwise commutator of generators added."""
+    n = len(pres.generators)
+    commutators = tuple(((i, 1), (j, 1), (i, -1), (j, -1))
+                        for i in range(n) for j in range(i + 1, n))
+    return sg.Presentation(pres.generators, pres.relators + commutators)
+
+
+def abelian_group(torsion):
+    """The direct product of cyclic groups of these orders, as a table."""
+    group = sg.cyclic(1)
+    for d in torsion:
+        group = sg.direct_product(group, sg.cyclic(d))
+    return group
+
+
 def test_abelianizations():
-    ab_d8 = sg.todd_coxeter(sg.abelianized(sg.D8_PRESENTATION))
+    ab_d8 = sg.todd_coxeter(abelianized(sg.D8_PRESENTATION))
     assert ab_d8.order == 4
     assert sg.is_isomorphic(ab_d8, sg.klein())[0]
-    ab_e = sg.todd_coxeter(sg.abelianized(sg.E_EVEN_PRESENTATION))
+    ab_e = sg.todd_coxeter(abelianized(sg.E_EVEN_PRESENTATION))
     assert ab_e.order == 8
     assert sg.is_isomorphic(
         ab_e, sg.direct_product(sg.klein(), sg.cyclic(2)))[0]
+
+
+# every finite presentation the tests and the golden CLI records use
+FINITE_PRESENTATIONS = [
+    "gens: a; rels: a^1",
+    "gens: a; rels: a^2",
+    "gens: a; rels: a^5",
+    "gens: a; rels: a^7",
+    "gens: a,b; rels: a^2, b^2, [a,b]",
+    "gens: a,b; rels: a^2, b^3, [a,b]",
+    "gens: a,b; rels: a^3, b^4, [a,b]",
+    "gens: s,t; rels: s^2, t^2, s t s t s t",
+    "gens: a,b; rels: a^4, a^2 b^-2, b a b^-1 a",
+    "gens: a, b; rels: a^2, b^4, a b a b",
+]
+
+
+@pytest.mark.parametrize("pres", [sg.parse_presentation(t) for t in FINITE_PRESENTATIONS]
+                         + [sg.D8_PRESENTATION, sg.E_EVEN_PRESENTATION])
+def test_abelian_invariants_match_todd_coxeter(pres):
+    """The Smith form of the relator exponent sums against the table that
+    coset enumeration builds for the abelianized presentation."""
+    free_rank, torsion = sg.abelian_invariants(pres)
+    assert free_rank == 0
+    assert all(d > 1 for d in torsion)
+    assert all(b % a == 0 for a, b in zip(torsion, torsion[1:]))
+    table = sg.todd_coxeter(abelianized(pres))
+    assert table.order == math.prod(torsion)
+    assert sg.is_isomorphic(table, abelian_group(torsion))[0]
+
+
+def _det3(m):
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+
+def test_abelian_invariants_on_seeded_relator_matrices():
+    """Random 3 x 3 exponent matrices whose determinant is at most 64: the
+    invariants describe the group that coset enumeration finds."""
+    rng = random.Random(16)
+    checked = 0
+    while checked < 12:
+        rows = [[rng.randint(-6, 6) for _ in range(3)] for _ in range(3)]
+        det = abs(_det3(rows))
+        if not 1 <= det <= 64:
+            continue
+        relators = tuple(tuple((g, 1 if e > 0 else -1) for g, e in enumerate(row)
+                               for _ in range(abs(e))) for row in rows)
+        pres = sg.Presentation(("a", "b", "c"), relators)
+        free_rank, torsion = sg.abelian_invariants(pres)
+        assert free_rank == 0 and math.prod(torsion) == det
+        assert all(b % a == 0 for a, b in zip(torsion, torsion[1:]))
+        assert sg.is_isomorphic(sg.todd_coxeter(abelianized(pres)), abelian_group(torsion))[0]
+        checked += 1
+
+
+@pytest.mark.parametrize("text,want", [
+    # rows (6, 4, 0), (4, 6, 10), (2, 0, 14): the gcd of the entries is 2,
+    # of the 2 x 2 minors 4, and the determinant 360, so 2 | 2 | 90
+    ("gens: a,b,c; rels: a^6 b^4, a^4 b^6 c^10, a^2 c^14", (0, (2, 2, 90))),
+    # diagonal (6, 4) is not in divisibility order: Z6 + Z4 = Z2 + Z12
+    ("gens: a,b; rels: a^6, b^4", (0, (2, 12))),
+    ("gens: a,b,c; rels: a^-9 b^6, b^-15", (1, (3, 45))),
+    ("gens: a,b; rels: a^2 b^-2 a^-2 b^2", (2, ())),
+    ("gens: a,b; rels: ", (2, ())),
+])
+def test_abelian_invariants_need_several_pivots(text, want):
+    assert sg.abelian_invariants(sg.parse_presentation(text)) == want
+
+
+def test_gamma_v2_abelianization():
+    """Gamma_V2 is infinite: Z4 + Z.  With T^5 added it becomes finite,
+    Z4 + Z5 = Z20 in invariant factors."""
+    assert sg.abelian_invariants(sg.GAMMA_V2_PRESENTATION) == (1, (4,))
+    with_t5 = sg.Presentation(sg.GAMMA_V2_PRESENTATION.generators,
+                              sg.GAMMA_V2_PRESENTATION.relators + (((1, 1),) * 5,))
+    assert sg.abelian_invariants(with_t5) == (0, (20,))
+    assert sg.todd_coxeter(abelianized(with_t5)).order == 20
 
 
 def test_todd_coxeter_capacity():

@@ -116,22 +116,6 @@ def test_orbit_transvections_are_not_rechecked(count_checks):
     assert count_checks == []
 
 
-def test_property_suites_catch_a_transport_that_changes_arf(monkeypatch):
-    real = ff.transport
-    target = ff.enumerate_sp(2)[500]
-
-    def flip_one(q, s):
-        t = real(q, s)
-        if s == target:
-            return ff.QuadraticRefinement(t.space, (t.basis_values[0] ^ 1,) + t.basis_values[1:])
-        return t
-
-    monkeypatch.setattr(ff, "transport", flip_one)
-    result = verify.check_property_suites()
-    assert not result.passed
-    assert "transport changes Arf at k=2" in result.detail
-
-
 def words(seed, count=200):
     """Seeded words in normal form and out of it, signs and V powers included."""
     rng = random.Random(seed)
