@@ -62,6 +62,12 @@ from .errors import UnsupportedSizeError, _Value
 _BITS = bytes.maketrans(b"01", b"\0\1")
 
 
+def _all_bits(values) -> bool:
+    """Every entry is a plain int 0 or 1: no bool, no float equal to one.
+    Both tests run in C; the second only sees ints, which hash."""
+    return {*map(type, values)} <= {int} and {*values} <= {0, 1}
+
+
 class DegenerateFormError(ValueError):
     """Gram matrix is not a nondegenerate alternating form."""
 
@@ -93,7 +99,7 @@ class SymplecticSpaceF2(_Value):
         if n == 0 or n % 2:
             raise DegenerateFormError(f"dimension {n} is not even and positive")
         for row in gram:
-            if len(row) != n or any(e not in (0, 1) for e in row):
+            if len(row) != n or not _all_bits(row):
                 raise DegenerateFormError("Gram matrix must be square over {0,1}")
         for i in range(n):
             if gram[i][i]:
@@ -219,9 +225,8 @@ class QuadraticRefinement(_Value):
     def __init__(self, space: SymplecticSpaceF2, basis_values: tuple[int, ...]):
         if len(basis_values) != space.dim:
             raise DimensionMismatchError("basis_values length != dimension")
-        for b in basis_values:
-            if b not in (0, 1):
-                raise ValueError("basis values must be 0 or 1")
+        if not _all_bits(basis_values):
+            raise ValueError("basis values must be 0 or 1")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "basis_values", basis_values)
 
@@ -315,8 +320,13 @@ class SpElement(_Value):
     _fields = ("columns",)
 
     def __init__(self, matrix: tuple[tuple[int, ...], ...]):
-        n = len(matrix)
-        if any(len(row) != n or any(e not in (0, 1) for e in row) for row in matrix):
+        # a matrix or row without a length raises TypeError here
+        try:
+            n = len(matrix)
+            square = all(len(row) == n and _all_bits(row) for row in matrix)
+        except TypeError:
+            square = False
+        if not square:
             raise ValueError("matrix must be square with 0/1 entries")
         _set_columns(self, tuple(sum(matrix[i][j] << i for i in range(n)) for j in range(n)))
         _set_form(self, None)
@@ -335,7 +345,7 @@ class SpElement(_Value):
         columns = tuple(columns)
         top = (1 << len(columns)) - 1
         for c in columns:
-            if not isinstance(c, int) or not 0 <= c <= top:
+            if type(c) is not int or not 0 <= c <= top:
                 raise DimensionMismatchError(f"column {c!r} is not a mask in 0..{top}")
         return cls._trusted(columns)
 
@@ -383,7 +393,7 @@ def _preserves_form(columns, space: SymplecticSpaceF2) -> bool:
 
 
 def is_symplectic(mat: tuple[tuple[int, ...], ...], space: SymplecticSpaceF2) -> bool:
-    """Check S^T J S = J over GF(2); False unless S is n x n with 0/1 entries."""
+    """Check S^T J S = J over GF(2); False unless S is n x n with int 0/1 entries."""
     try:
         columns = SpElement(mat).columns
     except ValueError:
@@ -439,6 +449,7 @@ def _extend_bases(space: SymplecticSpaceF2, want) -> list[SpElement]:
             cols.pop()
 
     extend(full, 0)
+    del extend  # it names itself: break the cycle that would keep `out`
     out.sort()
     form = space.row_masks
     return [SpElement._trusted(c, form) for _, c in out]

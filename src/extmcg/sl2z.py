@@ -315,6 +315,20 @@ def decompose(m: UniModMat2) -> GenWord:
     return GenWord._trusted(tuple(tokens), sign * a)
 
 
+def _grow_normal_forms(tokens: tuple[tuple[str, int], ...], budget: int, last: str | None):
+    """The token tuples of the normal forms that extend `tokens` by at most
+    `budget` letters, after a last factor `last`.  A module-level function,
+    not a closure: a nested generator that names itself is a reference
+    cycle that only the cyclic collector frees."""
+    yield tokens
+    if last != "V" and budget >= 1:
+        yield from _grow_normal_forms(tokens + (("V", 1),), budget - 1, "V")
+    if last != "T":
+        for size in range(1, budget + 1):
+            for exp in (size, -size):
+                yield from _grow_normal_forms(tokens + (("T", exp),), budget - size, "T")
+
+
 def normal_forms_up_to(bound: int, signs: bool = True):
     """Yield every normal-form word of letter length <= bound.
 
@@ -323,17 +337,7 @@ def normal_forms_up_to(bound: int, signs: bool = True):
     """
     if bound < 0 or bound > 12:
         raise ValueError("bound must be between 0 and 12")
-
-    def grow(tokens: tuple[tuple[str, int], ...], budget: int, last: str | None):
-        yield tokens
-        if last != "V" and budget >= 1:
-            yield from grow(tokens + (("V", 1),), budget - 1, "V")
-        if last != "T":
-            for size in range(1, budget + 1):
-                for exp in (size, -size):
-                    yield from grow(tokens + (("T", exp),), budget - size, "T")
-
-    for tokens in grow((), bound, None):
+    for tokens in _grow_normal_forms((), bound, None):
         yield GenWord._trusted(tokens, 1)
         if signs:
             yield GenWord._trusted(tokens, -1)

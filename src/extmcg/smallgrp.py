@@ -644,7 +644,9 @@ def is_isomorphic(g: MulTableGroup, h: MulTableGroup) -> tuple[bool, tuple[int, 
             undo(size)
         return False
 
-    if search(0):
+    found = search(0)
+    del search  # it names itself: break the cycle that would keep the tables
+    if found:
         return True, tuple(phi)
     return False, None
 

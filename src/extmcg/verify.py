@@ -109,8 +109,11 @@ def check_membership_and_stabilizer():
 
 @_check("symplectic-census", "sp-census")
 def check_symplectic_census():
-    """Sp(2,2) and Sp(4,2) orders, Arf class sizes, orbit and stabilizer
-    orders, and the orbit-stabilizer products."""
+    """Sp(2,2) and Sp(4,2) orders, no duplicate in Sp(4,2), every one of
+    its 720 elements preserving the form (one bit-sliced pass over the
+    group, `_form_preserving`, not one `is_symplectic` per element), Arf
+    class sizes, orbit and stabilizer orders, and the orbit-stabilizer
+    products."""
     sp1 = f2_forms.enumerate_sp(1)
     sp2 = f2_forms.enumerate_sp(2)
     details = []
@@ -120,7 +123,7 @@ def check_symplectic_census():
     if len({s.columns for s in sp2}) != 720:
         ok = False
         details.append("duplicates in Sp(4,2)")
-    if not all(f2_forms.is_symplectic(s.matrix, space) for s in sp2):
+    if _form_preserving(space, sp2) != (1 << len(sp2)) - 1:
         ok = False
         details.append("non-symplectic matrix in enumeration")
     refinements = f2_forms.all_refinements(space)
@@ -364,23 +367,83 @@ def _quadratic_identity_holds(space: f2_forms.SymplecticSpaceF2, value_bits) -> 
     return True
 
 
+def _images_by_basis(space: f2_forms.SymplecticSpaceF2, elements) -> list[list[int]]:
+    """One bucketing pass over `elements`: for each basis vector w of
+    space.basis_masks, in the order a_1, b_1, ..., a_k, b_k, and each
+    vector v, the bitset over `elements` whose bit i says S w = v for
+    S = elements[i].
+
+    S w is the XOR of the columns of S at the set bits of w.  An element
+    whose dimension is not the space's lands in no bucket, so every
+    bitset built from these reads 0 at its bit.
+    """
+    n = space.dim
+    supports = [[j for j in range(n) if w >> j & 1]
+                for pair in space.basis_masks for w in pair]
+    by_image = [[0] * (1 << n) for _ in supports]
+    for index, s in enumerate(elements):
+        columns = s.columns
+        if len(columns) != n:
+            continue
+        bit = 1 << index
+        for row, support in zip(by_image, supports):
+            v = 0
+            for j in support:
+                v ^= columns[j]
+            row[v] |= bit
+    return by_image
+
+
+def _form_preserving(space: f2_forms.SymplecticSpaceF2, elements) -> int:
+    """The bitset over `elements` whose bit i says that S = elements[i]
+    preserves the form, <S u, S w> = <u, w> for all u, w, every element
+    at once.
+
+    By bilinearity the pairs of basis vectors u, w of space.basis_masks
+    decide it.  From `_images_by_basis`, the coordinate bitset X_w[c]
+    holds the S with coordinate c of S w set.  <x, y> is the sum over the
+    Gram entries G_cd = 1, c < d, of x_c y_d + x_d y_c, so the S with
+    <S u, S w> = 1 are the XOR over those entries of X_u[c] & X_w[d] and
+    X_u[d] & X_w[c].  That bitset must be all ones where <u, w> = 1 and
+    zero elsewhere.  An element of another dimension has every X at 0,
+    and fails on the pair (a_1, b_1).
+    """
+    n = space.dim
+    basis = [w for pair in space.basis_masks for w in pair]
+    coords = []
+    for row in _images_by_basis(space, elements):
+        coord = []
+        for c in range(n):
+            hit = 0
+            for v in range(1 << c, 1 << n):
+                if v >> c & 1:
+                    hit |= row[v]
+            coord.append(hit)
+        coords.append(coord)
+    edges = [(c, d) for c, r in enumerate(space.row_masks)
+             for d in range(c + 1, n) if r >> d & 1]
+    good = (1 << len(elements)) - 1
+    for a, (u, xu) in enumerate(zip(basis, coords)):
+        ju = space.image(u)
+        for w, xw in zip(basis[a + 1:], coords[a + 1:]):
+            pairs = 0
+            for c, d in edges:
+                pairs ^= xu[c] & xw[d] ^ xu[d] & xw[c]
+            good &= pairs if (w & ju).bit_count() & 1 else ~pairs
+    return good
+
+
 def _transported_arfs(space: f2_forms.SymplecticSpaceF2, elements, refinements) -> list[int]:
     """For each refinement q, the bitset over `elements` whose bit i is
     arf(q o S) for S = elements[i], every element at once.
 
     arf(q o S) is the sum over the hyperbolic pairs (a_i, b_i) of
-    space.basis_masks of q(S a_i) q(S b_i).  For each basis vector w and
-    each vector v, one bitset holds the elements S with S w = v.  Q(w),
-    the bitset of the S with q(S w) = 1, is the OR of those over the set
-    bits v of q's value bitset, and the Arf bitset is the XOR over the
-    pairs of Q(a_i) & Q(b_i).
+    space.basis_masks of q(S a_i) q(S b_i).  Q(w), the bitset of the S
+    with q(S w) = 1, is the OR of the `_images_by_basis` buckets of w
+    over the set bits v of q's value bitset, and the Arf bitset is the
+    XOR over the pairs of Q(a_i) & Q(b_i).
     """
-    basis = [w for pair in space.basis_masks for w in pair]
-    by_image = [[0] * (1 << space.dim) for _ in basis]
-    for index, s in enumerate(elements):
-        bit = 1 << index
-        for row, w in zip(by_image, basis):
-            row[s.apply_mask(w)] |= bit
+    by_image = _images_by_basis(space, elements)
     out = []
     for q in refinements:
         ones = q._value_bits

@@ -4,12 +4,13 @@ Each criterion is backed by a named check in extmcg.verify; the whole
 bundle runs once per session and every test prints its own PASS/FAIL
 line (visible with pytest -v -s or in the failure report).  The tests
 after them pin how a crashed check is reported, probe the bit-parallel
-quadratic-identity and Arf-invariance kernels of the property suite
+quadratic-identity, Arf-invariance and form-preservation kernels
 directly, break each check's input to see it FAIL, and guard against
 the brute-force routes (coset enumeration of Gamma_V2, one `transport`
-per element) coming back.
+or `is_symplectic` per element) and reference cycles coming back.
 """
 
+import gc
 import random
 from itertools import product
 
@@ -307,6 +308,53 @@ def test_arf_kernel_matches_the_per_call_loop_off_the_group():
         assert arfs == want
 
 
+def _form_bits_match_is_symplectic(space, elements):
+    """Bit i of the form kernel is is_symplectic of element i; returns the
+    number of elements that preserve the form."""
+    bits = verify._form_preserving(space, elements)
+    assert bits >> len(elements) == 0
+    for i, s in enumerate(elements):
+        assert bits >> i & 1 == ff.is_symplectic(s.matrix, space), s
+    return bits.bit_count()
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_form_kernel_accepts_the_whole_group(k):
+    sp = ff.enumerate_sp(k)
+    assert _form_bits_match_is_symplectic(ff.standard_space(k), sp) == len(sp)
+
+
+def test_form_kernel_matches_is_symplectic_on_random_maps():
+    """About 1 % of the 65,536 column maps of dimension 4 are symplectic."""
+    rng = random.Random(17)
+    maps = [ff.SpElement.from_columns(tuple(rng.randrange(16) for _ in range(4)))
+            for _ in range(2000)]
+    assert 5 <= _form_bits_match_is_symplectic(ff.standard_space(2), maps) <= 50
+
+
+def test_form_kernel_on_a_congruent_space():
+    """The form of congruent_space(2) is P^T J P for P the upper triangle
+    of ones, so it is preserved by P^-1 S P for every S in Sp(4,2) and by
+    few of the S themselves; the kernel reads the Gram matrix, not the
+    standard pairs."""
+    space = congruent_space(2)
+    p = ff.SpElement.from_columns((1, 3, 7, 15))
+    p_inv = ff.SpElement.from_columns((1, 3, 6, 12))
+    assert (p * p_inv).columns == (1, 2, 4, 8)
+    sp = ff.enumerate_sp(2)
+    conjugates = [p_inv * s * p for s in sp]
+    assert _form_bits_match_is_symplectic(space, conjugates) == 720
+    assert _form_bits_match_is_symplectic(space, sp) < 720
+
+
+def test_form_kernel_flags_elements_of_another_dimension():
+    space = ff.standard_space(2)
+    sp = ff.enumerate_sp(2)
+    mixed = sp[:3] + [ff.enumerate_sp(1)[0], ff.enumerate_sp(3)[0]] + sp[3:5]
+    assert verify._form_preserving(space, mixed) == 0b1100111
+    assert _form_bits_match_is_symplectic(space, mixed) == 5
+
+
 def _gamma_v2_with_t5():
     pres = smallgrp.GAMMA_V2_PRESENTATION
     return smallgrp.Presentation(pres.generators, pres.relators + (((1, 1),) * 5,))
@@ -323,10 +371,11 @@ def test_coset_enumeration_fails_on_a_finite_abelianization(monkeypatch):
 
 
 def test_verify_all_runs_no_brute_force(monkeypatch):
-    """One run_all makes no Todd-Coxeter call on Gamma_V2, and the
-    property suite no `transport` call: both proofs are direct."""
+    """One run_all makes no Todd-Coxeter call on Gamma_V2 and no
+    `is_symplectic` call, and the property suite no `transport` call:
+    the proofs are direct."""
     real_tc, real_transport = smallgrp.todd_coxeter, ff.transport
-    gamma_calls, transport_calls = [], []
+    gamma_calls, transport_calls, symplectic_calls = [], [], []
 
     def todd_coxeter(pres, *args, **kwargs):
         if pres == smallgrp.GAMMA_V2_PRESENTATION:
@@ -337,14 +386,39 @@ def test_verify_all_runs_no_brute_force(monkeypatch):
         transport_calls.append(s)
         return real_transport(q, s)
 
+    def is_symplectic(mat, space):
+        symplectic_calls.append(mat)
+        return True
+
     monkeypatch.setattr(smallgrp, "todd_coxeter", todd_coxeter)
     monkeypatch.setattr(ff, "transport", transport)
+    monkeypatch.setattr(ff, "is_symplectic", is_symplectic)
     assert all(r.passed for r in verify.run_all())
     assert gamma_calls == []
+    assert symplectic_calls == []
     assert transport_calls  # the census's orbits still transport
     transport_calls.clear()
     assert verify.check_property_suites().passed
     assert transport_calls == []
+
+
+def test_run_all_leaves_no_reference_cycles():
+    """The recursive searches (`_extend_bases`, `is_isomorphic`,
+    `normal_forms_up_to`) hold no reference to themselves after they
+    return, so their working lists are freed at once, not by the cyclic
+    collector."""
+    z2 = smallgrp.cyclic(2)
+    z2_6 = z2
+    for _ in range(5):
+        z2_6 = smallgrp.direct_product(z2_6, z2)
+    gc.collect()
+    gc.disable()
+    try:
+        assert all(r.passed for r in verify.run_all())
+        assert smallgrp.is_isomorphic(z2_6, z2_6)[0]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_coset_enumeration_fails_when_the_kernel_is_not_klein(monkeypatch):

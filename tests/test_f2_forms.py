@@ -404,6 +404,10 @@ def test_space_validation():
     with pytest.raises(ff.DegenerateFormError):
         ff.SymplecticSpaceF2(
             ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)))
+    # entries equal to 0 or 1 that are not plain ints
+    for gram in (((0, 1.0), (1.0, 0)), ((0, True), (True, 0)), ((0.0, 1), (1, 0))):
+        with pytest.raises(ff.DegenerateFormError, match="square over"):
+            ff.SymplecticSpaceF2(gram)
 
 
 def gl_order(n):
@@ -440,6 +444,10 @@ def test_refinement_validation():
         ff.QuadraticRefinement(space, (0, 0, 0))
     with pytest.raises(ValueError):
         ff.QuadraticRefinement(space, (0, 2))
+    # a float or bool equal to 0 or 1 is not a basis value either
+    for values in ((1.0, 0), (True, False), (0, 0.0), ("1", 0), (None, 0)):
+        with pytest.raises(ValueError, match="0 or 1"):
+            ff.QuadraticRefinement(space, values)
 
 
 def test_size_limits():
@@ -473,11 +481,13 @@ def test_is_symplectic_rejects_entries_outside_0_1():
     """Entries that reduce mod 2 to a symplectic matrix are still not 0/1,
     as SpElement also requires."""
     space = ff.standard_space(1)
-    for mat in (((3, 0), (0, 1)), ((0, -1), (1, 0)), ((1, 0), (2, 1)), ((1, "0"), (0, 1))):
+    for mat in (((3, 0), (0, 1)), ((0, -1), (1, 0)), ((1, 0), (2, 1)), ((1, "0"), (0, 1)),
+                ((1.0, 0), (0, 1)), ((True, 0), (0, 1)), 5, ((1, 0), 5), None):
         assert not ff.is_symplectic(mat, space)
     assert ff.is_symplectic(((1, 0), (0, 1)), space)
-    with pytest.raises(ValueError):
-        ff.SpElement(((3, 0), (0, 1)))
+    for mat in (((3, 0), (0, 1)), ((1.0, 0), (0, 1)), ((True, 0), (0, True)), 5, ((1, 0), 5)):
+        with pytest.raises(ValueError):
+            ff.SpElement(mat)
 
 
 def test_sp_element_matrix_roundtrip():
@@ -493,7 +503,7 @@ def test_from_columns_checks_its_masks():
     """A column outside 0..2^n-1 used to be kept, and then lost in `matrix`."""
     s = ff.SpElement.from_columns([2, 1])
     assert s == ff.SpElement(((0, 1), (1, 0))) and ff.SpElement(s.matrix) == s
-    for bad in ((5, 1), (2, -1), (2, 1.0), ("2", 1), (2, None), (1, 2, 8)):
+    for bad in ((5, 1), (2, -1), (2, 1.0), ("2", 1), (2, None), (1, 2, 8), (2, True)):
         with pytest.raises(ff.DimensionMismatchError, match="not a mask"):
             ff.SpElement.from_columns(bad)
 
