@@ -95,12 +95,16 @@ class SymplecticSpaceF2(_Value):
     _fields = ("gram",)
 
     def __init__(self, gram: tuple[tuple[int, ...], ...]):
-        n = len(gram)
-        if n == 0 or n % 2:
-            raise DegenerateFormError(f"dimension {n} is not even and positive")
-        for row in gram:
-            if len(row) != n or not _all_bits(row):
-                raise DegenerateFormError("Gram matrix must be square over {0,1}")
+        # a Gram matrix or row without a length raises TypeError here
+        try:
+            n = len(gram)
+            if n == 0 or n % 2:
+                raise DegenerateFormError(f"dimension {n} is not even and positive")
+            square = all(len(row) == n and _all_bits(row) for row in gram)
+        except TypeError:
+            square = False
+        if not square:
+            raise DegenerateFormError("Gram matrix must be square over {0,1}")
         for i in range(n):
             if gram[i][i]:
                 raise DegenerateFormError(f"Gram diagonal entry ({i},{i}) is nonzero")
@@ -223,7 +227,12 @@ class QuadraticRefinement(_Value):
     _fields = ("space", "basis_values")
 
     def __init__(self, space: SymplecticSpaceF2, basis_values: tuple[int, ...]):
-        if len(basis_values) != space.dim:
+        # basis values without a length raise TypeError here
+        try:
+            fits = len(basis_values) == space.dim
+        except TypeError:
+            fits = False
+        if not fits:
             raise DimensionMismatchError("basis_values length != dimension")
         if not _all_bits(basis_values):
             raise ValueError("basis values must be 0 or 1")
@@ -342,7 +351,10 @@ class SpElement(_Value):
     @classmethod
     def from_columns(cls, columns: tuple[int, ...]) -> "SpElement":
         """The element whose column j is the mask columns[j], an int below 2^n."""
-        columns = tuple(columns)
+        try:
+            columns = tuple(columns)
+        except TypeError:
+            raise DimensionMismatchError(f"columns {columns!r} are not a mask sequence") from None
         top = (1 << len(columns)) - 1
         for c in columns:
             if type(c) is not int or not 0 <= c <= top:

@@ -146,7 +146,10 @@ class GenWord(_Value):
     def __init__(self, tokens: tuple[tuple[str, int], ...], sign: int = 1):
         if sign not in (1, -1) or isinstance(sign, bool):
             raise WordSyntaxError(f"sign must be +-1, got {sign}")
-        tokens = (tokens,) if isinstance(tokens, str) else tuple(tokens)
+        try:
+            tokens = (tokens,) if isinstance(tokens, str) else tuple(tokens)
+        except TypeError:
+            raise WordSyntaxError(f"tokens {tokens!r} are not a sequence of pairs") from None
         for token in tokens:
             if not isinstance(token, tuple) or len(token) != 2:
                 raise WordSyntaxError(f"token {token!r} is not a (generator, exponent) pair")
@@ -271,11 +274,11 @@ def normal_form(w: GenWord) -> GenWord:
 
 
 def is_normal_form(w: GenWord) -> bool:
-    for i, (gen, exp) in enumerate(w.tokens):
-        if exp == 0 or (gen == "V" and exp != 1):
+    previous = None
+    for gen, exp in w.tokens:
+        if exp == 0 or gen == previous or (gen == "V" and exp != 1):
             return False
-        if i and w.tokens[i - 1][0] == gen:
-            return False
+        previous = gen
     return True
 
 

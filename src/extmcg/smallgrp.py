@@ -488,17 +488,12 @@ def semidirect_product(n: MulTableGroup, h: MulTableGroup,
             if composed != action[h.table[x][y]]:
                 raise InvalidActionError("action is not a homomorphism into Aut(n)")
 
-    def idx(a, x):
-        return a * h.order + x
-
-    size = n.order * h.order
-    table = [[0] * size for _ in range(size)]
-    for a in range(n.order):
-        for x in range(h.order):
-            for b in range(n.order):
-                for y in range(h.order):
-                    table[idx(a, x)][idx(b, y)] = idx(n.table[a][action[x][b]], h.table[x][y])
-    return MulTableGroup(tuple(tuple(row) for row in table))
+    # pair (a, x) has index a*|h| + x; row (a, x), column (b, y) holds
+    # (a * action[x](b), x y), built one row at a time
+    m = h.order
+    table = tuple(tuple([n_row[p] * m + z for p in action[x] for z in h_row])
+                  for n_row in n.table for x, h_row in enumerate(h.table))
+    return MulTableGroup(table)
 
 
 def quotient(g: MulTableGroup, normal) -> MulTableGroup:

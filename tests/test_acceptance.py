@@ -7,7 +7,8 @@ after them pin how a crashed check is reported, probe the bit-parallel
 quadratic-identity, Arf-invariance and form-preservation kernels
 directly, break each check's input to see it FAIL, and guard against
 the brute-force routes (coset enumeration of Gamma_V2, one `transport`
-or `is_symplectic` per element) and reference cycles coming back.
+or `is_symplectic` per element), duplicate group-table builds and
+reference cycles coming back.
 """
 
 import gc
@@ -16,7 +17,7 @@ from itertools import product
 
 import pytest
 
-from extmcg import cli, f2_forms as ff, smallgrp, verify
+from extmcg import classifier, cli, f2_forms as ff, sl2z, smallgrp, verify
 
 NAMES = ["membership-characterization", "symplectic-census", "coset-enumeration",
          "word-algebra", "ambient-matrices", "classification-table",
@@ -402,6 +403,23 @@ def test_verify_all_runs_no_brute_force(monkeypatch):
     assert transport_calls == []
 
 
+def test_warm_run_all_builds_at_most_48_group_tables(monkeypatch):
+    """A warm run_all builds at most 48 group tables (100 before): no
+    descriptor is verified twice and the property suite quotients the
+    E_even it already holds.  A duplicate build coming back fails here."""
+    verify.run_all()
+    real_init = smallgrp.MulTableGroup.__init__
+    built = []
+
+    def counted(self, table):
+        built.append(len(table))
+        real_init(self, table)
+
+    monkeypatch.setattr(smallgrp.MulTableGroup, "__init__", counted)
+    assert all(r.passed for r in verify.run_all())
+    assert 0 < len(built) <= 48
+
+
 def test_run_all_leaves_no_reference_cycles():
     """The recursive searches (`_extend_bases`, `is_isomorphic`,
     `normal_forms_up_to`) hold no reference to themselves after they
@@ -439,3 +457,84 @@ def test_word_algebra_fails_when_a_relator_fails(monkeypatch):
     assert res.name == "word-algebra"
     assert not res.passed
     assert res.detail == "raised AssertionError('V^4 is not the identity')"
+
+
+def _counted_builder(monkeypatch, name):
+    """Swap the _BUILDERS entry for `name` for one that records its calls."""
+    build = classifier.GroupDescriptor._BUILDERS[name]
+    calls = []
+
+    def counted():
+        calls.append(name)
+        return build()
+
+    monkeypatch.setitem(classifier.GroupDescriptor._BUILDERS, name, counted)
+    return calls
+
+
+def test_classification_table_verifies_each_descriptor_once(monkeypatch):
+    """The five D8xZ2 rows share one descriptor value, so each call makes
+    one fresh comparison build, not five."""
+    verify.check_classification_table()  # the shared realizations are built
+    calls = _counted_builder(monkeypatch, "D8xZ2")
+    for expected in (1, 2):
+        assert verify.check_classification_table().passed
+        assert len(calls) == expected
+
+
+def test_classification_table_names_every_row_with_a_wrong_realization(monkeypatch):
+    """Two even-p rows carry a D8xZ2 descriptor realized by Z16: the check
+    fails and names both rows and no other, and that descriptor, verified
+    once, costs one more fresh build beside the canonical one."""
+    verify.check_classification_table()
+    calls = _counted_builder(monkeypatch, "D8xZ2")
+    wrong = classifier.GroupDescriptor("D8xZ2", smallgrp.cyclic(16))
+    faulty = {classifier.KnotFamily.equal_product(6), classifier.KnotFamily.equal_product(10)}
+    real_classify = classifier.classify
+
+    def classify(family):
+        r = real_classify(family)
+        if family not in faulty:
+            return r
+        return classifier.ClassificationResult(r.family, r.image, r.kernel, wrong, r.splits,
+                                               r.citations, r.notes)
+
+    monkeypatch.setattr(classifier, "classify", classify)
+    res = verify.check_classification_table()
+    assert res.name == "classification-table"
+    assert not res.passed
+    assert res.detail == ("21 rows checked; equal-product(6,): bad realization; "
+                          "equal-product(10,): bad realization")
+    assert len(calls) == 2
+
+
+def test_membership_enumeration_matches_the_brute_force_box(monkeypatch):
+    """Solving ad - bc = 1 for d lists the same 308 matrices, in the same
+    order, as filtering all 11^4 integer matrices with entries in [-5, 5]."""
+    span = range(-5, 6)
+    box = [((a, b), (c, d)) for a, b, c, d in product(span, repeat=4) if a * d - b * c == 1]
+    assert len(box) == 308
+    real_is_member, seen = sl2z.is_member, []
+
+    def is_member(m):
+        seen.append(m.rows)
+        return real_is_member(m)
+
+    monkeypatch.setattr(sl2z, "is_member", is_member)
+    res = verify.check_membership_and_stabilizer()
+    assert res.passed
+    assert res.detail.startswith("308 unimodular matrices checked;")
+    assert seen == box
+
+
+def test_membership_fails_when_is_member_is_wrong_on_one_member(monkeypatch):
+    real_is_member = sl2z.is_member
+
+    def is_member(m):
+        return False if m.rows == ((1, 2), (0, 1)) else real_is_member(m)
+
+    monkeypatch.setattr(sl2z, "is_member", is_member)
+    res = verify.check_membership_and_stabilizer()
+    assert res.name == "membership-characterization"
+    assert not res.passed
+    assert res.detail == "mismatch at ((1, 2), (0, 1))"

@@ -404,8 +404,10 @@ def test_space_validation():
     with pytest.raises(ff.DegenerateFormError):
         ff.SymplecticSpaceF2(
             ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)))
-    # entries equal to 0 or 1 that are not plain ints
-    for gram in (((0, 1.0), (1.0, 0)), ((0, True), (True, 0)), ((0.0, 1), (1, 0))):
+    # entries equal to 0 or 1 that are not plain ints, and a matrix or row
+    # without a length
+    for gram in (((0, 1.0), (1.0, 0)), ((0, True), (True, 0)), ((0.0, 1), (1, 0)),
+                 5, ((0, 1), 5)):
         with pytest.raises(ff.DegenerateFormError, match="square over"):
             ff.SymplecticSpaceF2(gram)
 
@@ -440,8 +442,9 @@ def test_every_alternating_gram(n, count):
 
 def test_refinement_validation():
     space = ff.standard_space(1)
-    with pytest.raises(ff.DimensionMismatchError):
-        ff.QuadraticRefinement(space, (0, 0, 0))
+    for values in ((0, 0, 0), 5):
+        with pytest.raises(ff.DimensionMismatchError):
+            ff.QuadraticRefinement(space, values)
     with pytest.raises(ValueError):
         ff.QuadraticRefinement(space, (0, 2))
     # a float or bool equal to 0 or 1 is not a basis value either
@@ -503,7 +506,7 @@ def test_from_columns_checks_its_masks():
     """A column outside 0..2^n-1 used to be kept, and then lost in `matrix`."""
     s = ff.SpElement.from_columns([2, 1])
     assert s == ff.SpElement(((0, 1), (1, 0))) and ff.SpElement(s.matrix) == s
-    for bad in ((5, 1), (2, -1), (2, 1.0), ("2", 1), (2, None), (1, 2, 8), (2, True)):
+    for bad in ((5, 1), (2, -1), (2, 1.0), ("2", 1), (2, None), (1, 2, 8), (2, True), 5):
         with pytest.raises(ff.DimensionMismatchError, match="not a mask"):
             ff.SpElement.from_columns(bad)
 

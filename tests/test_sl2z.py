@@ -247,7 +247,7 @@ def test_word_tokens_are_stored_as_pairs():
 
 
 @pytest.mark.parametrize("tokens", [(("V", 1, 2),), (("V",),), ("V", 1), ["V1"], "VT", "",
-                                    [["V", 1]]])
+                                    [["V", 1]], 5])
 def test_word_rejects_tokens_that_are_not_pairs(tokens):
     with pytest.raises(sl2z.WordSyntaxError, match="not a"):
         sl2z.GenWord(tokens)

@@ -554,6 +554,40 @@ def test_semidirect_product():
     assert sg.is_isomorphic(s3, sg.dihedral(6))[0]
 
 
+def reference_semidirect_table(n, h, action):
+    """The product table filled one entry at a time through an index
+    function: pair (a, x) has index a*|h| + x."""
+    def idx(a, x):
+        return a * h.order + x
+
+    size = n.order * h.order
+    table = [[0] * size for _ in range(size)]
+    for a in range(n.order):
+        for x in range(h.order):
+            for b in range(n.order):
+                for y in range(h.order):
+                    table[idx(a, x)][idx(b, y)] = idx(n.table[a][action[x][b]], h.table[x][y])
+    return tuple(tuple(row) for row in table)
+
+
+def test_semidirect_rows_match_the_entrywise_table(monkeypatch):
+    """Every product builder_groups makes, and one direct product of order
+    64, has the table the entry-by-entry construction gives."""
+    real, made = sg.semidirect_product, []
+
+    def recorded(n, h, action):
+        g = real(n, h, action)
+        made.append((n, h, action, g))
+        return g
+
+    monkeypatch.setattr(sg, "semidirect_product", recorded)
+    builder_groups(32)
+    sg.direct_product(sg.dihedral(8), sg.quaternion(8))
+    assert len(made) > 100 and made[-1][3].order == 64
+    for n, h, action, g in made:
+        assert g.table == reference_semidirect_table(n, h, action), (n.order, h.order)
+
+
 def test_semidirect_rejects_bad_actions():
     c3, c2 = sg.cyclic(3), sg.cyclic(2)
     with pytest.raises(sg.InvalidActionError):
