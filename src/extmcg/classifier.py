@@ -5,14 +5,15 @@ Every result cites tags from STATEMENTS, a registry of the mathematical
 facts this library encodes; fields the encoded statements do not
 determine are explicit Unknown values carrying a reason, never guesses.
 Groups of homotopy spheres (Theta_n) stay symbolic: nothing here computes
-or looks up their orders.
+or looks up their orders.  Only `smallgrp` loads with this module; the
+other algebra modules load in the functions that use them.
 """
 
 from __future__ import annotations
 
 import functools
 
-from . import ambient_geom, f2_forms, homotopy_tables, sl2z, smallgrp
+from . import smallgrp
 from .errors import _Value
 
 
@@ -224,6 +225,8 @@ class GroupDescriptor(_Value):
         for the infinite one, the library's presentation, whose relators
         hold on the actual matrices."""
         if self.name == "GammaV2":
+            from . import sl2z
+
             pres = self.realization
             if pres != smallgrp.GAMMA_V2_PRESENTATION:
                 return False
@@ -372,6 +375,8 @@ def classify(family: KnotFamily) -> ClassificationResult:
             citations=("unequal-image",))
 
     if family.kind == "adjacent-product":
+        from . import homotopy_tables
+
         p = family.params[0]
         kernel_group = homotopy_tables.pi_p_so_p_residue5(p - 1)
         assert kernel_group == homotopy_tables.Z2
@@ -416,6 +421,8 @@ def cross_validate(family: KnotFamily) -> list[CrossCheck]:
     only the benchmark's `groups` workload calls this; it and `CrossCheck`
     go when that workload's op list next changes (ROADMAP item 1).
     """
+    from . import ambient_geom, f2_forms, sl2z
+
     if family.kind != "equal-product":
         raise UnsupportedFamilyError("cross validation covers equal products only")
     p = family.params[0]

@@ -12,13 +12,14 @@ a wrong determinant, an out-of-range value, a repeat or mismatched sizes
 exit 1.  Every malformed-input error is an errors.ParseError.  Each
 handler imports the one module it runs, so a call loads only what it
 needs: `json` only when it reads a JSON argument or prints --json
-output, and of the parser only the subcommand it names.
+output.  A well-formed call is read straight from _SUBCOMMANDS, and
+`argparse` loads only to print help or a usage error.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from .errors import ParseError
 
@@ -322,7 +323,7 @@ def _arg(*flags, **kwargs) -> tuple:
 _VARIANTS = ("plain", "hat", "prime")
 
 # subcommand -> (help text, its arguments besides --json); the handler is
-# cmd_<name with "_" for "-">, looked up when the parser is built
+# cmd_<name with "_" for "-">, looked up when a call is read
 _SUBCOMMANDS = {
     "arf": ("Arf invariant of a quadratic refinement",
             [_arg("refinement", help='{"basis_values": [...], "gram": optional}')]),
@@ -358,22 +359,17 @@ _SUBCOMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The full parser, or with a subcommand name only that subparser.
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser: it prints help and usage errors, and it is the
+    reference _read_argv follows."""
+    import argparse
 
-    The usage text lists every subcommand either way: the full parser
-    derives it from its choices, the partial one is given it.  Errors that
-    name the subcommand argument itself come only from the full parser.
-    """
     parser = argparse.ArgumentParser(
         prog="extmcg",
         description="exact algebra for extendable mapping class groups of "
                     "sphere products")
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        metavar="{" + ",".join(_SUBCOMMANDS) + "}" if command else None)
-    for name in (command,) if command else _SUBCOMMANDS:
-        help_text, arguments = _SUBCOMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, arguments) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="emit JSON")
         for flags, kwargs in arguments:
@@ -382,10 +378,68 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace build_parser() would return for a well-formed call,
+    read straight from _SUBCOMMANDS, or None for anything else: help, an
+    abbreviated or unknown option, `--opt=value`, `--`, a repeated option,
+    a value that starts with "-" or fails int() or choices, a missing
+    required option or a wrong number of positionals."""
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    name = argv[0]
+    options = {"--json": ("json", {"action": "store_true"})}
+    positionals = []
+    for (flag,), kwargs in _SUBCOMMANDS[name][1]:
+        if flag.startswith("-"):
+            options[flag] = (flag[2:].replace("-", "_"), kwargs)
+        else:
+            positionals.append((flag, kwargs))
+    args, given = {}, []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        # argparse reads a "-" token as an argument when its name (before any
+        # "=") holds a space, unless it is "-h" joined to a value; "-", "--"
+        # and negative numbers are left to argparse
+        if token[:1] != "-" or " " in token.split("=", 1)[0] and token[:2] != "-h":
+            given.append(token)
+            continue
+        if token not in options or options[token][0] in args:
+            return None
+        dest, spec = options[token]
+        if spec.get("action") == "store_true":
+            args[dest] = True
+            continue
+        value = next(tokens, "-")  # a missing value is refused like "-x"
+        if value.startswith("-"):
+            return None
+        if "type" in spec:
+            try:
+                value = spec["type"](value)
+            except ValueError:
+                return None
+        if value not in spec.get("choices", (value,)):
+            return None
+        args[dest] = value
+    for dest, spec in options.values():
+        if dest not in args:
+            if spec.get("required"):
+                return None
+            args[dest] = False if spec.get("action") == "store_true" else spec.get("default")
+    if len(given) > len(positionals):
+        return None
+    for i, (dest, spec) in enumerate(positionals):
+        if i >= len(given) and spec.get("nargs") != "?":
+            return None
+        args[dest] = given[i] if i < len(given) else spec.get("default")
+    return SimpleNamespace(command=name, fn=globals()["cmd_" + name.replace("-", "_")],
+                           **args)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
-    args = parser.parse_args(argv)
+    args = _read_argv(argv)
+    if args is None:  # help, a usage error, or a form only argparse reads
+        args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except ParseError as exc:

@@ -2,9 +2,10 @@
 
 A ParseError means the input could not be read (bad syntax, a malformed
 document); the command line maps it to exit status 2.  This module
-imports only `operator`, which `argparse` loads anyway, so the command
-line can catch these errors without loading the modules that raise them,
-and the value classes share one base without loading `dataclasses`.
+imports only `operator`, which the interpreter's `site` start-up has
+already loaded, so the command line can catch these errors without
+loading the modules that raise them, and the value classes share one base
+without loading `dataclasses`.
 """
 
 from operator import attrgetter

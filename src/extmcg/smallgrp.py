@@ -66,7 +66,13 @@ class Presentation(_Value):
         object.__setattr__(self, "relators", relators)
 
 
-def _parse_factor(tok: str, index: dict[str, int]) -> list[tuple[int, int]]:
+# the relators of one presentation expand to at most this many letters in
+# all, so an exponent such as a^99999999999 is refused before it is expanded
+MAX_RELATOR_LETTERS = 10_000
+
+
+def _parse_factor(tok: str, index: dict[str, int], room: int) -> list[tuple[int, int]]:
+    """The letters of one factor; more than `room` of them is refused."""
     if tok.startswith("[") and tok.endswith("]"):
         inner = tok[1:-1].split(",")
         if len(inner) != 2:
@@ -75,18 +81,22 @@ def _parse_factor(tok: str, index: dict[str, int]) -> list[tuple[int, int]]:
         if x not in index or y not in index:
             raise PresentationError(f"unknown generator in {tok!r}")
         a, b = index[x], index[y]
-        return [(a, 1), (b, 1), (a, -1), (b, -1)]
-    name, caret, tail = tok.partition("^")
-    if name not in index:
-        raise PresentationError(f"unknown generator {name!r}")
-    exp = 1
-    if caret:
-        try:
-            exp = int(tail)
-        except ValueError:
-            raise PresentationError(f"bad exponent in {tok!r}") from None
-    g = index[name]
-    return [(g, 1 if exp > 0 else -1)] * abs(exp)
+        letters, count = [(a, 1), (b, 1), (a, -1), (b, -1)], 1
+    else:
+        name, caret, tail = tok.partition("^")
+        if name not in index:
+            raise PresentationError(f"unknown generator {name!r}")
+        exp = 1
+        if caret:
+            try:
+                exp = int(tail)
+            except ValueError:
+                raise PresentationError(f"bad exponent in {tok!r}") from None
+        letters, count = [(index[name], 1 if exp > 0 else -1)], abs(exp)
+    if len(letters) * count > room:
+        raise UnsupportedSizeError(
+            f"relators expand past the cap of {MAX_RELATOR_LETTERS} letters at {tok!r}")
+    return letters * count
 
 
 def parse_presentation(text: str) -> Presentation:
@@ -117,10 +127,12 @@ def parse_presentation(text: str) -> Presentation:
             else:
                 cur += ch
         pieces.append(cur)
+        room = MAX_RELATOR_LETTERS
         for piece in pieces:
             word: list[tuple[int, int]] = []
             for tok in piece.split():
-                word.extend(_parse_factor(tok, index))
+                word.extend(_parse_factor(tok, index, room - len(word)))
+            room -= len(word)
             if word:
                 relators.append(tuple(word))
     return Presentation(gens, tuple(relators))

@@ -126,6 +126,15 @@ def test_coset_enum_rejects_non_positive_cap(capsys, cap):
     assert err.startswith("error: ") and err.count("\n") == 1 and cap in err
 
 
+@pytest.mark.parametrize("exponent", ["99999999999", "10001"])
+def test_coset_enum_refuses_relators_past_the_letter_cap(capsys, exponent):
+    """Refused before the relator is expanded, so a^99999999999 allocates
+    nothing."""
+    code, out, err = run(capsys, "coset-enum", f"gens: a; rels: a^{exponent}")
+    assert (code, out) == (1, "")
+    assert err == f"error: relators expand past the cap of 10000 letters at 'a^{exponent}'\n"
+
+
 def test_non_object_or_non_list_json_exits_2(capsys):
     for argv in (["member", "[1,2]"],
                  ["arf", '{"basis_values":5}'],
@@ -308,6 +317,21 @@ def test_cold_ambient_calls_do_not_load_sl2z(argv, out):
                      "extmcg.smallgrp"]
 
 
+@pytest.mark.parametrize("flags, out, extra", [
+    (["unknot-sphere", "--n", "5"], "S^5 in S^7", []),
+    (["equal-product", "--p", "1"], "S^1 x S^1 in S^4", []),
+    (["equal-product", "--p", "4"], "S^4 x S^4 in S^10", []),
+    (["unequal-product", "--p", "2", "--q", "5"], "S^2 x S^5 in S^9", []),
+    (["adjacent-product", "--p", "14"], "S^12 x S^13 in S^27", ["extmcg.homotopy_tables"]),
+], ids=["unknot-sphere", "equal-product-odd", "equal-product-even", "unequal-product",
+        "adjacent-product"])
+def test_cold_classify_loads_only_smallgrp(flags, out, extra):
+    first, code, after = cold_extmcg_modules(["classify", "--family", *flags])
+    assert (first, code) == (out, 0)
+    assert after == sorted(["extmcg", "extmcg.classifier", "extmcg.cli", "extmcg.errors",
+                            "extmcg.smallgrp", *extra])
+
+
 @pytest.mark.parametrize("argv", [["eval-word", "V^x"], ["coset-enum", "gens a"]])
 def test_cold_parse_errors_exit_2(argv):
     proc = cold("-m", "extmcg.cli", *argv)
@@ -393,7 +417,8 @@ def test_cold_calls_import_no_dataclasses_and_json_only_when_used():
             if after_eval_word is None:
                 after_eval_word = "json" in sys.modules
         print("REPORT", codes, after_eval_word,
-              sorted(m for m in ("dataclasses", "inspect") if m in sys.modules))
+              sorted(m for m in ("dataclasses", "inspect", "argparse", "gettext", "locale")
+                     if m in sys.modules))
     """)
     assert proc.returncode == 0, proc.stderr
     report = proc.stdout.splitlines()[-1]
@@ -435,3 +460,91 @@ def test_cold_parser_edge_cases_are_golden(monkeypatch, argv, code, out, err):
     monkeypatch.setenv("COLUMNS", "80")
     proc = cold("-m", "extmcg.cli", *argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
+def argparse_vars(argv):
+    """vars() of the namespace argparse reads from argv, or None where it
+    prints help or a usage error and exits."""
+    try:
+        return vars(cli.build_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+MAT = '{"size": 5, "entries": [[0, 0, -1], [1, 3, 1], [2, 4, 1], [3, 1, -1], [4, 2, 1]]}'
+
+# well-formed calls the reader reads itself: options before, between and
+# after positionals, and "-" tokens that argparse takes as positionals
+READ_BY_READER = [
+    ["coset-enum", "--max-cosets", "50", "gens: a; rels: a^2"],
+    ["coset-enum", "gens: a; rels: a^2", "--max-cosets", "50", "--json"],
+    ["coset-enum", "--json", "gens: a; rels: a^2", "--max-cosets", "50"],
+    ["isomorphic", "klein", "--json", "cyclic:4"],
+    ["isomorphic", "--json", "klein", "cyclic:4"],
+    ["induced-action", "--p", "1", MAT],
+    ["induced-action", MAT, "--json", "--p", "1", "--q", "2"],
+    ["induced-action", "--json", "--variant", "hat", "--p", "4"],
+    ["classify", "--p", "4", "--family", "equal-product", "--json"],
+    ["enumerate-sp", "--count", "--k", " 2"],
+    ["build-omega", "--variant", "prime", "--q", "+5", "--p", "2"],
+    ["eval-word", "- V T"],
+    ["eval-word", "-- V"],
+    ["eval-word", "--help V"],
+    ["eval-word", "-x y=z"],
+    ["eval-word", ""],
+    ["verify-all", "--json"],
+]
+
+# calls the reader leaves to argparse: help, usage errors, and forms it
+# does not read although argparse accepts some of them
+LEFT_TO_ARGPARSE = [
+    [], ["--json", "arf", "{}"], ["eval"], ["enumerate-sp", "--cou", "--k", "1"],
+    ["enumerate-sp", "--k=2"], ["eval-word", "--", "V"], ["arf", "-h"],
+    ["eval-word", "V", "--help"], ["eval-word", "-h V"], ["build-omega", "--p", "3", "--p", "5"],
+    ["member", "{}", "--json", "--json"], ["build-omega", "--p", "-3"], ["eval-word", "-"],
+    ["eval-word", "-3"], ["eval-word", "--json=1 2"], ["enumerate-sp", "--k", "x"],
+    ["enumerate-sp", "--k"], ["enumerate-sp", "--k", "--count"],
+    ["build-omega", "--p", "3", "--variant", "bogus"], ["classify", "--p", "4"],
+    ["isomorphic", "klein", "klein", "klein"], ["isomorphic", "klein"],
+    ["verify-all", "extra"], ["induced-action", MAT, MAT],
+]
+
+
+def test_reader_agrees_with_argparse():
+    golden = [r["argv"] for r in json.loads(
+        (Path(__file__).parent / "golden" / "cli.json").read_text())]
+    read = 0
+    for argv in golden:
+        got = cli._read_argv(argv)
+        if got is not None:
+            assert vars(got) == argparse_vars(argv), argv
+            read += 1
+    # the other 32 are help, usage errors and three negative option values
+    assert (read, len(golden)) == (243, 275)
+    for argv in READ_BY_READER:
+        got = cli._read_argv(argv)
+        assert got is not None and vars(got) == argparse_vars(argv), argv
+    for argv in LEFT_TO_ARGPARSE:
+        assert cli._read_argv(argv) is None, argv
+
+
+def test_subcommand_table_uses_only_what_the_reader_reads():
+    """A keyword or form the reader does not know (nargs="+", a short flag,
+    a second flag name) must fail here instead of reading differently."""
+    for name, (_, arguments) in cli._SUBCOMMANDS.items():
+        optional_seen = False
+        for flags, kwargs in arguments:
+            assert len(flags) == 1, (name, flags)
+            flag = flags[0]
+            if flag.startswith("-"):
+                assert flag.startswith("--") and flag != "--json", (name, flag)
+                assert set(kwargs) <= {"help", "type", "required", "choices", "default",
+                                       "action"}, (name, flag)
+                assert kwargs.get("type", int) is int
+                assert kwargs.get("action", "store_true") == "store_true"
+            else:
+                assert set(kwargs) <= {"help", "nargs"}, (name, flag)
+                assert kwargs.get("nargs", "?") == "?"
+                # the reader fills positionals left to right
+                assert "nargs" in kwargs or not optional_seen, (name, flag)
+                optional_seen = "nargs" in kwargs

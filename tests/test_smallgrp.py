@@ -386,6 +386,19 @@ def test_parse_presentation():
         sg.parse_presentation("gens: a; rels: a^")
 
 
+def test_parse_presentation_caps_the_expanded_relators():
+    """An exponent is refused before it is expanded: a^99999999999 would
+    otherwise need a list of that many letters."""
+    cap = sg.MAX_RELATOR_LETTERS
+    pres = sg.parse_presentation(f"gens: a,b; rels: a^{cap - 4}, [a,b]")
+    assert sum(map(len, pres.relators)) == cap
+    for text in ("gens: a; rels: a^99999999999", f"gens: a; rels: a^-{cap + 1}",
+                 f"gens: a,b; rels: a^{cap - 3}, [a,b]",
+                 f"gens: a; rels: a^{cap // 2} a^{cap // 2 + 1}"):
+        with pytest.raises(sg.UnsupportedSizeError, match=f"cap of {cap} letters"):
+            sg.parse_presentation(text)
+
+
 @pytest.mark.parametrize("text,order", [
     ("gens: a; rels: a^5", 5),
     ("gens: a; rels: a^1", 1),
