@@ -1,8 +1,9 @@
 """Acceptance suite: one check per gating criterion, runnable from the
 test suite (tests/test_acceptance.py) and from the command line
-(`extmcg verify-all`).  Each check is self-contained, deterministic
-(seeded randomness only) and reports a pass/fail line with the statement
-tags it exercises.
+(`extmcg verify-all`).  Each check is deterministic (seeded randomness
+only), builds everything it uses when called alone, and reports a
+pass/fail line with the statement tags it exercises; `run_all` builds
+what two checks read once per run.
 """
 
 from __future__ import annotations
@@ -26,19 +27,33 @@ class CheckResult(_Value):
 
 
 def _check(name: str, *citations: str):
-    """Decorate a check body that returns (passed, detail): the check
-    reports under `name` with these statement tags, and a body that raises
-    is reported under the same name as a failed result."""
+    """Decorate a check body that takes an inputs dict (see `_built`) and
+    returns (passed, detail): the check reports under `name` with these
+    statement tags, and a body that raises is reported under the same name
+    as a failed result.  Called with no argument, the check hands its body
+    a fresh dict, so it builds everything it uses."""
     def decorate(body):
         @functools.wraps(body)
-        def check() -> CheckResult:
+        def check(inputs: dict | None = None) -> CheckResult:
             try:
-                passed, detail = body()
+                passed, detail = body({} if inputs is None else inputs)
             except Exception as exc:  # report, never hide, a crashed check
                 return CheckResult(name, False, f"raised {exc!r}", ())
             return CheckResult(name, bool(passed), detail, citations)
         return check
     return decorate
+
+
+def _built(inputs: dict, build, *args):
+    """build(*args), made once per `inputs`: the dict that `run_all` hands
+    every check for one run, or a check's own when it is called alone.
+    The key is the builder and its arguments, so two checks that read the
+    same Sp(2k,2) listing or group table share one build."""
+    key = (build, *args)
+    value = inputs.get(key)
+    if value is None:
+        value = inputs[key] = build(*args)
+    return value
 
 
 _T_TOKENS = tuple(("T", e) for e in range(-9, 10) if e)
@@ -82,7 +97,7 @@ def random_normal_word(rng: random.Random, max_tokens: int = 20) -> sl2z.GenWord
 
 
 @_check("membership-characterization", "mod2-membership", "arf-zero-standard")
-def check_membership_and_stabilizer():
+def check_membership_and_stabilizer(inputs):
     """Parity membership test == mod-2 characterization, exhaustively on
     entries in [-5, 5]; stabilizer of the vanishing refinement in Sp(2,2)
     is exactly the two mod-2 classes.
@@ -116,14 +131,14 @@ def check_membership_and_stabilizer():
 
 
 @_check("symplectic-census", "sp-census")
-def check_symplectic_census():
+def check_symplectic_census(inputs):
     """Sp(2,2) and Sp(4,2) orders, no duplicate in Sp(4,2), every one of
     its 720 elements preserving the form (one bit-sliced pass over the
     group, `_form_preserving`, not one `is_symplectic` per element), Arf
     class sizes, orbit and stabilizer orders, and the orbit-stabilizer
     products."""
-    sp1 = f2_forms.enumerate_sp(1)
-    sp2 = f2_forms.enumerate_sp(2)
+    sp1 = _built(inputs, f2_forms.enumerate_sp, 1)
+    sp2 = _built(inputs, f2_forms.enumerate_sp, 2)
     details = []
     ok = len(sp1) == 6 and len(sp2) == 720
     details.append(f"|Sp(2,2)| = {len(sp1)}, |Sp(4,2)| = {len(sp2)}")
@@ -155,7 +170,7 @@ def check_symplectic_census():
 
 
 @_check("coset-enumeration", "d8-presentation", "gammav2-presentation")
-def check_coset_enumeration():
+def check_coset_enumeration(inputs):
     """The three-involution presentation closes at order 8 and is dihedral
     (not quaternion); the order-16 model matches D8 x Z2, and its
     homology-trivial subgroup <delta1, delta2> has order 4 with Klein
@@ -163,20 +178,21 @@ def check_coset_enumeration():
     normal form of its relator exponent sums, has a free summand.  No
     coset enumeration runs on Gamma_V2: reaching a coset cap proves
     nothing."""
-    g = smallgrp.todd_coxeter(smallgrp.D8_PRESENTATION, max_cosets=10_000)
+    g = _built(inputs, smallgrp.todd_coxeter, smallgrp.D8_PRESENTATION)
     details = [f"presented group order {g.order}"]
     ok = g.order == 8 and not g.is_abelian()
-    iso_d8, _ = smallgrp.is_isomorphic(g, smallgrp.dihedral(8))
-    iso_q8, _ = smallgrp.is_isomorphic(g, smallgrp.quaternion(8))
+    d8 = _built(inputs, smallgrp.dihedral, 8)
+    iso_d8, _ = smallgrp.is_isomorphic(g, d8)
+    iso_q8, _ = smallgrp.is_isomorphic(g, _built(inputs, smallgrp.quaternion, 8))
     ok = ok and iso_d8 and not iso_q8
     details.append(f"dihedral {iso_d8}, quaternion {iso_q8}")
-    model = smallgrp.build_E_even()
-    target = smallgrp.direct_product(smallgrp.dihedral(8), smallgrp.cyclic(2))
+    model = _built(inputs, smallgrp.build_E_even)
+    target = _built(inputs, smallgrp.direct_product, d8, _built(inputs, smallgrp.cyclic, 2))
     iso_model, _ = smallgrp.is_isomorphic(model, target)
     gens = smallgrp.E_EVEN_GENS
     kernel = model.closure({gens["delta1"], gens["delta2"]})
     klein_quotient = len(kernel) == 4 and smallgrp.is_isomorphic(
-        smallgrp.quotient(model, kernel), smallgrp.klein())[0]
+        smallgrp.quotient(model, kernel), _built(inputs, smallgrp.klein))[0]
     ok = ok and model.order == 16 and iso_model and klein_quotient
     details.append(f"model order {model.order}, matches D8 x Z2: {iso_model}; "
                    f"quotient by <delta1, delta2> is Klein: {klein_quotient}")
@@ -189,26 +205,27 @@ def check_coset_enumeration():
 
 
 @_check("word-algebra", "gammav2-presentation")
-def check_word_algebra():
+def check_word_algebra(inputs):
     """Defining relations hold on actual matrices and normal forms of
     letter length <= 6 evaluate injectively (`sl2z.verify_presentation`,
     which raises otherwise); decompose is a left inverse of eval_word on
-    1000 seeded random normal forms and returns normal forms."""
+    1000 seeded random normal forms: decompose(eval_word(w)) is w itself,
+    tokens and sign.  Normal forms are unique, so this also says that
+    decompose returns a normal form, and a word of the same matrix that
+    is not w (w V^4, say) fails."""
     count = sl2z.verify_presentation(6)
     rng = random.Random(20260813)
     failures = 0
     for _ in range(1000):
         w = random_normal_word(rng, max_tokens=20)
-        m = sl2z.eval_word(w)
-        again = sl2z.decompose(m)
-        if sl2z.eval_word(again) != m or not sl2z.is_normal_form(again):
+        if sl2z.decompose(sl2z.eval_word(w)) != w:
             failures += 1
     return failures == 0, (f"relations hold; roundtrip failures {failures}/1000; "
                            f"{count} normal forms of length <= 6, no collisions")
 
 
 @_check("ambient-matrices", "omega-action", "omega-hat-action", "omega-prime-action")
-def check_ambient_matrices():
+def check_ambient_matrices(inputs):
     """Rotation builders: determinants, orders and induced homology
     actions for odd p in 3..9 and even p in 4..8; the two even actions
     generate a Klein four-group."""
@@ -270,7 +287,7 @@ def _expected_rows():
 
 @_check("classification-table", "unknot-trivial", "odd-total", "even-total",
         "dim2-image", "unequal-image", "adjacent-split")
-def check_classification_table():
+def check_classification_table(inputs):
     """classify() reproduces the hand-written expectation table; each
     distinct descriptor (name and realization) is verified once, and every
     row that carries a bad one is named."""
@@ -293,7 +310,7 @@ def check_classification_table():
 
 
 @_check("homotopy-tables", "so-tables")
-def check_homotopy_tables():
+def check_homotopy_tables(inputs):
     """Both lookup tables on every residue, the p = 6 exception, and
     out-of-domain rejections."""
     t = homotopy_tables
@@ -336,16 +353,24 @@ def _quadratic_identity_holds(space: f2_forms.SymplecticSpaceF2, value_bits) -> 
     and every q in `value_bits`, given by its value bitset (bit y holds
     q(y)), all of them at once.
 
-    The bitsets are read one at a time and packed into one int T: bitset
-    r fills block r (bits r * 2^dim up to (r + 1) * 2^dim).  x runs
-    through all vectors in Gray-code order, so T_x, with bit y of each
-    block holding q(x ^ y), follows from the previous T_x by one butterfly
-    swap: the two halves of every 2^(i+1)-bit sub-block trade places for
-    the bit i of x that changed.  The row {y : <x, y> = 1}, replicated
-    over the blocks, is kept beside it: <x, y> is linear in x, so the same
-    step XORs in the replicated row of e_i, built once per i from
-    space.image(e_i) by doubling.  q(x) is spread over its block, and one
-    comparison per x covers every y of every refinement.
+    The bitsets are read one at a time and packed into one int P: bitset
+    r fills block r (bits r * 2^dim up to (r + 1) * 2^dim).  With T_x
+    holding q(x ^ y) at bit y of each block and R_x holding <x, y>, the
+    kernel carries F_x = T_x ^ R_x ^ P, whose bit y is q(x ^ y) ^ <x, y>
+    ^ q(y) and whose bit 0 is q(x) ^ q(0).  x = y = 0 forces q(0) = 0, so
+    after one test of bit 0 of every block the identity holds at x exactly
+    when F_x is constant on each block: (F ^ F >> 1) & inner is 0, for
+    `inner` every bit but the top one of each block.
+
+    x runs through all vectors in Gray-code order, from F_0 = 0.  Flipping
+    bit i of x trades the two halves of every 2^(i+1)-bit sub-block of T
+    (the butterfly B_i) and XORs the replicated row R_{e_i} into R, and
+    B_i(R_x) = R_x ^ <x, e_i> ALL.  So B_i(F_x) ^ K_i, with K_i = B_i(P)
+    ^ P ^ R_{e_i}, is F_(x ^ e_i) or its complement.  Both are constant on
+    the same blocks, so the kernel carries F only up to complement and
+    never needs <x, e_i>.  The dim constants K_i are built once, R_{e_i}
+    from space.image(e_i) by doubling, and a step is nine full-width
+    operations and one zero test.
     """
     dim = space.dim
     size = 1 << dim
@@ -355,27 +380,24 @@ def _quadratic_identity_holds(space: f2_forms.SymplecticSpaceF2, value_bits) -> 
         count += 1
     width = count * size
     starts = int(("0" * (size - 1) + "1") * count, 2)  # bit 0 of each block
-    lows = [int(("0" * (1 << i) + "1" * (1 << i)) * (width >> i + 1), 2)
-            for i in range(dim)]
-    rows = []
-    for e in range(dim):
+    if packed & starts:
+        return False
+    inner = (1 << width) - 1 ^ starts << size - 1
+    steps = []
+    for i in range(dim):
+        half = 1 << i
+        low = int(("0" * half + "1" * half) * (width >> i + 1), 2)
+        je = space.image(half)
         row = 0
-        je = space.image(1 << e)
-        for i in range(dim):
-            half = 1 << i
-            row |= (row ^ ((1 << half) - 1 if je >> i & 1 else 0)) << half
-        rows.append(row * starts)
-    moved = packed
-    row = x = 0
-    for g in range(size):
-        if g:
-            i = (g & -g).bit_length() - 1
-            half, low = 1 << i, lows[i]
-            moved = (moved >> half) & low | (moved & low) << half
-            row ^= rows[i]
-            x ^= half
-        qx = packed >> x & starts
-        if moved ^ packed ^ ((qx << size) - qx) != row:
+        for j in range(dim):
+            row |= (row ^ ((1 << (1 << j)) - 1 if je >> j & 1 else 0)) << (1 << j)
+        kernel = ((packed >> half) & low | (packed & low) << half) ^ packed ^ row * starts
+        steps.append((half, low, kernel))
+    f = 0
+    for g in range(1, size):
+        half, low, kernel = steps[(g & -g).bit_length() - 1]
+        f = ((f >> half) & low | (f & low) << half) ^ kernel
+        if (f ^ f >> 1) & inner:
             return False
     return True
 
@@ -475,13 +497,15 @@ def _transported_arfs(space: f2_forms.SymplecticSpaceF2, elements, refinements) 
 
 
 @_check("property-suites", "arf-census", "mod2-membership", "gammav2-presentation")
-def check_property_suites():
+def check_property_suites(inputs):
     """Quadratic-identity exhaustion through dimension 8 (every pair of
     vectors of every refinement, bit-parallel), membership closure (1000
     random pairs), Arf invariance under all of Sp(2,2) and Sp(4,2)
     (every element of every refinement, bit-sliced over the elements),
     the majority oracle at k <= 2, and re-validation of the 23 group
-    tables it builds.  The word round trip is check_word_algebra's alone;
+    tables it builds: each is validated by MulTableGroup.__init__ once
+    per run, here or, for the seven that check_coset_enumeration also
+    reads, there.  The word round trip is check_word_algebra's alone;
     the per-call route, `transport` then `arf`, runs under `orbit` in
     check_symplectic_census."""
     rng = random.Random(987654321)
@@ -496,12 +520,13 @@ def check_property_suites():
             ok = False
             details.append(f"quadratic identity fails at k={k}")
     details.append("quadratic identity exhausted on dims 2..8")
-    e = smallgrp.build_E_even()
-    tables = [smallgrp.cyclic(n) for n in range(1, 13)]
-    tables += [smallgrp.klein(), smallgrp.quaternion(8), e]
-    tables += [smallgrp.dihedral(n) for n in (6, 8, 10, 12, 16)]
-    tables.append(smallgrp.direct_product(smallgrp.dihedral(8), smallgrp.cyclic(2)))
-    tables.append(smallgrp.todd_coxeter(smallgrp.D8_PRESENTATION))
+    e = _built(inputs, smallgrp.build_E_even)
+    tables = [_built(inputs, smallgrp.cyclic, n) for n in range(1, 13)]
+    tables += [_built(inputs, smallgrp.klein), _built(inputs, smallgrp.quaternion, 8), e]
+    tables += [_built(inputs, smallgrp.dihedral, n) for n in (6, 8, 10, 12, 16)]
+    tables.append(_built(inputs, smallgrp.direct_product,
+                         _built(inputs, smallgrp.dihedral, 8), _built(inputs, smallgrp.cyclic, 2)))
+    tables.append(_built(inputs, smallgrp.todd_coxeter, smallgrp.D8_PRESENTATION))
     tables.append(smallgrp.quotient(e, e.closure([smallgrp.E_EVEN_GENS["r"]])))
     # construction re-runs the Latin-square / identity / associativity
     # validation in MulTableGroup.__init__ (inverses follow from the Latin
@@ -516,7 +541,7 @@ def check_property_suites():
     details.append(f"closure failures {bad}/1000")
     for k in (1, 2):
         space = f2_forms.standard_space(k)
-        sp = f2_forms.enumerate_sp(k)
+        sp = _built(inputs, f2_forms.enumerate_sp, k)
         everywhere = (1 << len(sp)) - 1
         refinements = f2_forms.all_refinements(space)
         for q, arfs in zip(refinements, _transported_arfs(space, sp, refinements)):
@@ -547,7 +572,13 @@ ALL_CHECKS = (
 
 
 def run_all() -> list[CheckResult]:
-    return [check() for check in ALL_CHECKS]
+    """Every check, in order, handed one inputs dict for this run: the
+    Sp(2,2) and Sp(4,2) listings and the seven group tables that
+    check_coset_enumeration and check_property_suites both read are built
+    once per run.  The dict is dropped on return, so each run builds
+    afresh and nothing outlives it."""
+    inputs = {}
+    return [check(inputs) for check in ALL_CHECKS]
 
 
 def format_report(results: list[CheckResult]) -> str:

@@ -7,12 +7,13 @@ after them pin how a crashed check is reported, probe the bit-parallel
 quadratic-identity, Arf-invariance and form-preservation kernels
 directly, break each check's input to see it FAIL, and guard against
 the brute-force routes (coset enumeration of Gamma_V2, one `transport`
-or `is_symplectic` per element), duplicate group-table builds and
-reference cycles coming back.
+or `is_symplectic` per element), duplicate group-table builds, inputs
+kept past the run that built them and reference cycles coming back.
 """
 
 import gc
 import random
+import weakref
 from itertools import product
 
 import pytest
@@ -84,7 +85,9 @@ def test_criterion_8_property_suites(results):
 
 def test_random_normal_word_draws_unchanged():
     """The hoisted exponent tuple draws the same words as the list the
-    generator used to build on every T factor."""
+    generator used to build on every T factor, and every word is a normal
+    form: check_word_algebra compares decompose(eval_word(w)) with w
+    itself, which only a normal form can pass."""
     def old_word(rng, max_tokens):
         n = rng.randint(0, max_tokens)
         tokens = []
@@ -101,6 +104,7 @@ def test_random_normal_word_draws_unchanged():
     for _ in range(50):
         w = verify.random_normal_word(new_rng, 20)
         assert (list(w.tokens), w.sign) == old_word(old_rng, 20)
+        assert sl2z.is_normal_form(w)
 
 
 def test_crashed_check_keeps_its_result_name(monkeypatch, capsys):
@@ -210,6 +214,16 @@ def test_identity_kernel_rejects_sampled_flips_at_dim_8():
         r, y = rng.randrange(256), rng.randrange(256)
         bundle = tables[:r] + [flipped(tables[r], y)] + tables[r + 1:]
         assert not holds(space, bundle)
+    # the block edges: y = 0 sets q(0), which the kernel tests once up
+    # front, and y = 255 is the top bit of a block, which `inner` leaves
+    # out of the constancy test; in the first and the last block.  The
+    # complement of a refinement passes the constancy test at every x,
+    # so only the q(0) test rejects it.
+    for r in (0, 255):
+        complement = tuple(t ^ 1 for t in tables[r])
+        for bad in (flipped(tables[r], 0), flipped(tables[r], 255), complement):
+            assert not holds(space, [bad])
+            assert not holds(space, tables[:r] + [bad] + tables[r + 1:])
 
 
 def test_property_suites_fail_on_a_corrupted_value_table(monkeypatch):
@@ -403,21 +417,81 @@ def test_verify_all_runs_no_brute_force(monkeypatch):
     assert transport_calls == []
 
 
-def test_warm_run_all_builds_at_most_48_group_tables(monkeypatch):
-    """A warm run_all builds at most 48 group tables (100 before): no
-    descriptor is verified twice and the property suite quotients the
-    E_even it already holds.  A duplicate build coming back fails here."""
-    verify.run_all()
-    real_init = smallgrp.MulTableGroup.__init__
-    built = []
+def _count_builds(monkeypatch):
+    """Record the order of every group table built from here on, and the
+    k of every Sp(2k,2) listing."""
+    real_init, real_enumerate = smallgrp.MulTableGroup.__init__, ff.enumerate_sp
+    built, listed = [], []
 
     def counted(self, table):
         built.append(len(table))
         real_init(self, table)
 
+    def enumerate_sp(k):
+        listed.append(k)
+        return real_enumerate(k)
+
     monkeypatch.setattr(smallgrp.MulTableGroup, "__init__", counted)
+    monkeypatch.setattr(ff, "enumerate_sp", enumerate_sp)
+    return built, listed
+
+
+def test_warm_run_all_builds_at_most_34_group_tables(monkeypatch):
+    """A warm run_all builds at most 34 group tables (48 before, 100
+    before that): no descriptor is verified twice, the property suite
+    quotients the E_even it already holds, and the tables and Sp(2k,2)
+    listings two checks read are built once per run.  A duplicate build
+    coming back fails here; so does a run that reuses an earlier run's."""
+    verify.run_all()
+    built, listed = _count_builds(monkeypatch)
+    per_run = []
+    for _ in range(2):
+        assert all(r.passed for r in verify.run_all())
+        per_run.append((len(built), list(listed)))
+        built.clear()
+        listed.clear()
+    assert per_run[0] == per_run[1]
+    tables, listings = per_run[0]
+    assert 0 < tables <= 34
+    assert listings == [1, 2]
+
+
+def test_run_all_keeps_no_shared_inputs(monkeypatch):
+    """The inputs run_all shares between checks live in a dict it drops
+    on return: verify's globals are the same objects afterwards, and the
+    Sp(2k,2) listings of the run are freed at once."""
+    real_enumerate = ff.enumerate_sp
+    refs = []
+
+    class Listing(list):
+        pass
+
+    def enumerate_sp(k):
+        listing = Listing(real_enumerate(k))
+        refs.append(weakref.ref(listing))
+        return listing
+
+    monkeypatch.setattr(ff, "enumerate_sp", enumerate_sp)
+    before = dict(vars(verify))
     assert all(r.passed for r in verify.run_all())
-    assert 0 < len(built) <= 48
+    assert vars(verify).keys() == before.keys()
+    assert all(vars(verify)[name] is value for name, value in before.items())
+    assert len(refs) == 2
+    assert all(ref() is None for ref in refs)
+
+
+def test_property_suites_alone_build_their_own_inputs(monkeypatch):
+    """Called alone, the property suite builds and validates its 23 tables
+    (plus the four factors build_E_even makes on the way) and lists
+    Sp(2,2) and Sp(4,2) itself."""
+    built, listed = _count_builds(monkeypatch)
+    res = verify.check_property_suites()
+    assert res.passed
+    assert "23 group tables validated" in res.detail
+    assert listed == [1, 2]
+    factors = [4, 2, 8, 2]  # klein, cyclic(2), their semidirect product, cyclic(2)
+    orders = list(range(1, 13)) + [4, 8] + factors + [16, 6, 8, 10, 12, 16, 16, 8, 8]
+    assert sorted(built) == sorted(orders)
 
 
 def test_run_all_leaves_no_reference_cycles():
@@ -447,6 +521,28 @@ def test_coset_enumeration_fails_when_the_kernel_is_not_klein(monkeypatch):
     assert res.name == "coset-enumeration"
     assert not res.passed
     assert "quotient by <delta1, delta2> is Klein: False" in res.detail
+
+
+@pytest.mark.parametrize("corrupt, sign", [
+    (lambda w: sl2z.GenWord._trusted(w.tokens + (("V", 4),), w.sign), 1),
+    (lambda w: sl2z.GenWord._trusted(w.tokens, -w.sign), -1),
+], ids=["same-matrix-other-word", "sign-flipped"])
+def test_word_algebra_fails_when_decompose_is_not_a_left_inverse(monkeypatch, corrupt, sign):
+    """decompose(eval_word(w)) must be w itself: a word of the same matrix
+    that is not w (w V^4) fails, and so does the opposite sign."""
+    real_decompose = sl2z.decompose
+
+    def decompose(m):
+        return corrupt(real_decompose(m))
+
+    w = sl2z.GenWord((("T", 3), ("V", 1)), -1)
+    m = sl2z.eval_word(w)
+    assert sl2z.eval_word(corrupt(w)) == (m if sign == 1 else -m)
+    monkeypatch.setattr(sl2z, "decompose", decompose)
+    res = verify.check_word_algebra()
+    assert res.name == "word-algebra"
+    assert not res.passed
+    assert "roundtrip failures 1000/1000" in res.detail
 
 
 def test_word_algebra_fails_when_a_relator_fails(monkeypatch):
