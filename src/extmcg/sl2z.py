@@ -10,8 +10,8 @@ element has a unique alternating normal form with an overall sign.
 Words multiply left to right: eval_word([V, T]) is the matrix V * T.
 
 The public constructors check what they are given.  Products, inverses,
-evaluated words, normal forms and decompositions are built from checked
-values by `_trusted` and are not checked again.
+evaluated words and decompositions are built from checked values by
+`_trusted` and are not checked again.
 """
 
 from __future__ import annotations
@@ -247,39 +247,6 @@ def eval_word(w: GenWord) -> UniModMat2:
     if w.sign == 1:
         return UniModMat2._trusted(a, b, c, d)
     return UniModMat2._trusted(-a, -b, -c, -d)
-
-
-def normal_form(w: GenWord) -> GenWord:
-    """Collapse to the alternating form: V factors with exponent exactly 1,
-    nonzero T exponents, central sign pulled out via V^2 = -Id.
-
-    One pass over the tokens with a stack: a factor merges into the top
-    of the stack when both are powers of the same generator.  A power V^e
-    keeps e mod 2 and flips the sign when e mod 4 is 2 or 3, so V^-1
-    becomes -V; a factor whose exponent ends at 0 is dropped.
-    """
-    sign = w.sign
-    stack: list[tuple[str, int]] = []
-    for gen, exp in w.tokens:
-        if stack and stack[-1][0] == gen:
-            exp += stack.pop()[1]
-        if gen == "V":
-            exp %= 4
-            if exp >= 2:
-                sign = -sign
-            exp &= 1
-        if exp:
-            stack.append((gen, exp))
-    return GenWord._trusted(tuple(stack), sign)
-
-
-def is_normal_form(w: GenWord) -> bool:
-    previous = None
-    for gen, exp in w.tokens:
-        if exp == 0 or gen == previous or (gen == "V" and exp != 1):
-            return False
-        previous = gen
-    return True
 
 
 def decompose(m: UniModMat2) -> GenWord:

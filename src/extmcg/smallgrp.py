@@ -4,12 +4,14 @@ Groups of order at most 64 are stored as explicit multiplication tables
 (table[i][j] = index of element_i * element_j).  Presentations feed a
 deterministic HLT-style Todd-Coxeter enumeration of the trivial-subgroup
 cosets; for a finite presented group the cosets are the elements, which
-yields the table.  On a presentation of an infinite group the coset count
-passes any cap, reported as CosetCapacityError, which shows nothing about
-finiteness; `abelian_invariants` proves a group infinite instead, when
-its abelianization has positive free rank, from the Smith normal form of
-the relator exponent sums.  It returns a plain (free rank, torsion) pair,
-so this module imports no other group layer.
+yields the table.  An order above 64 is refused right after the
+enumeration, before any table is built.  On a presentation of an
+infinite group the coset count passes any cap, reported as
+CosetCapacityError, which shows nothing about finiteness;
+`abelian_invariants` proves a group infinite instead, when its
+abelianization has positive free rank, from the Smith normal form of the
+relator exponent sums.  It returns a plain (free rank, torsion) pair, so
+this module imports no other group layer.
 """
 
 from __future__ import annotations
@@ -279,36 +281,39 @@ def _coset_table(pres: Presentation, max_cosets: int) -> list[list[int]]:
 def todd_coxeter(pres: Presentation, max_cosets: int = 100_000) -> "MulTableGroup":
     """Multiplication table of the presented group, if it closes under the cap.
 
-    Coset 0 of the trivial subgroup is the identity; every coset is one
-    group element, reached from the identity by a unique first-seen word.
+    Coset 0 of the trivial subgroup is the identity and every coset is one
+    group element, so more than 64 cosets is refused before any table is
+    built.  If element d is first reached from c by letter x in a
+    breadth-first search from the identity, then i * d = (i * c) * x.
     """
     table = _coset_table(pres, max_cosets)
     n = len(table)
-    width = 2 * len(pres.generators)
-    # representative word (as letters) for each element, via BFS from 0
-    words: list[list[int] | None] = [None] * n
-    words[0] = []
-    order = [0]
+    _require_order(n)
+    tree, order, seen = [], [0], {0}  # tree holds (c, x, d) for d = c * x
     for c in order:
-        for x in range(width):
-            d = table[c][x]
-            if words[d] is None:
-                words[d] = words[c] + [x]
+        for x, d in enumerate(table[c]):
+            if d not in seen:
+                seen.add(d)
                 order.append(d)
-    if any(w is None for w in words):
+                tree.append((c, x, d))
+    if len(order) != n:
         raise PresentationError("coset graph is not connected")
-
-    def follow(c: int, word: list[int]) -> int:
-        for x in word:
-            c = table[c][x]
-        return c
-
-    mul = tuple(tuple(follow(i, words[j]) for j in range(n)) for i in range(n))
-    return MulTableGroup(mul)
+    mul = []
+    for i in range(n):
+        row = [i] * n  # entry 0 is i * identity; the tree fills the rest
+        for c, x, d in tree:
+            row[d] = table[row[c]][x]
+        mul.append(tuple(row))
+    return MulTableGroup(tuple(mul))
 
 
 # ---------------------------------------------------------------------------
 # table groups
+
+
+def _require_order(n: int) -> None:
+    if n < 1 or n > 64:
+        raise UnsupportedSizeError(f"order {n} outside supported range 1..64")
 
 
 def generate(seed, mul, identity) -> frozenset:
@@ -341,8 +346,7 @@ class MulTableGroup(_Value):
         # range; a table or row without a length raises TypeError here
         try:
             n = len(table)
-            if n == 0 or n > 64:
-                raise UnsupportedSizeError(f"order {n} outside supported range 1..64")
+            _require_order(n)
             rng = range(n)
             indices = set(rng)
             for row in table:
@@ -379,24 +383,9 @@ class MulTableGroup(_Value):
     def inverse(self, a: int) -> int:
         return next(b for b in range(self.order) if self.table[a][b] == self.identity)
 
-    def element_order(self, a: int) -> int:
-        n, x = 1, a
-        while x != self.identity:
-            x = self.table[x][a]
-            n += 1
-        return n
-
-    def order_profile(self) -> tuple[int, ...]:
-        return tuple(sorted(_element_orders(self)))
-
     def is_abelian(self) -> bool:
         t = self.table
         return all(t[a][b] == t[b][a] for a in range(self.order) for b in range(self.order))
-
-    def center(self) -> frozenset[int]:
-        t = self.table
-        return frozenset(a for a in range(self.order)
-                         if all(t[a][b] == t[b][a] for b in range(self.order)))
 
     def closure(self, seed) -> frozenset[int]:
         return generate(seed, self.mul, self.identity)
@@ -420,8 +409,7 @@ class MulTableGroup(_Value):
 
 
 def cyclic(n: int) -> MulTableGroup:
-    if n < 1 or n > 64:
-        raise UnsupportedSizeError(f"order {n} outside supported range 1..64")
+    _require_order(n)
     return MulTableGroup(tuple(tuple((i + j) % n for j in range(n)) for i in range(n)))
 
 
@@ -533,15 +521,17 @@ def quotient(g: MulTableGroup, normal) -> MulTableGroup:
 # isomorphism
 
 
-def _generating_set(g: MulTableGroup) -> list[int]:
+def _generating_set(g: MulTableGroup, base=()) -> list[int]:
+    """Elements that generate g together with `base`: in index order, each
+    element not yet in the span, until the span is all of g."""
     gens: list[int] = []
-    span = g.closure(gens)
+    span = g.closure(base)
     for a in range(g.order):
+        if len(span) == g.order:
+            break
         if a not in span:
             gens.append(a)
-            span = g.closure(gens)
-            if len(span) == g.order:
-                break
+            span = g.closure((*base, *gens))
     return gens
 
 
@@ -693,14 +683,7 @@ def has_complement(g: MulTableGroup, normal) -> bool:
     if not g.is_normal(nset):
         raise InvalidSubgroupError("subset is not a normal subgroup")
     want = g.order // len(nset)
-    reps: list[int] = []
-    span = nset
-    for a in range(g.order):
-        if len(span) == g.order:
-            break
-        if a not in span:
-            reps.append(a)
-            span = g.closure(nset.union(reps))
+    reps = _generating_set(g, nset)
     cosets = [[g.table[r][x] for x in nset] for r in reps]
     return any(len(g.closure(lifts)) == want for lifts in product(*cosets))
 

@@ -135,6 +135,14 @@ def test_coset_enum_refuses_relators_past_the_letter_cap(capsys, exponent):
     assert err == f"error: relators expand past the cap of 10000 letters at 'a^{exponent}'\n"
 
 
+@pytest.mark.slow
+def test_coset_enum_refuses_an_order_above_64_after_enumerating(capsys):
+    """a^2000 closes at 2000 cosets and is refused before any table is built."""
+    code, out, err = run(capsys, "coset-enum", "gens: a; rels: a^2000")
+    assert (code, out) == (1, "")
+    assert err == "error: order 2000 outside supported range 1..64\n"
+
+
 def test_non_object_or_non_list_json_exits_2(capsys):
     for argv in (["member", "[1,2]"],
                  ["arf", '{"basis_values":5}'],

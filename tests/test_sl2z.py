@@ -2,7 +2,8 @@
 
 The membership characterization is checked exhaustively over a box of
 integer matrices; decomposition is checked by roundtrip against random
-normal-form words, which also certifies canonicality.
+normal-form words, which also certifies canonicality, and against the
+normal form and normal-form test of `test_word_kernel`.
 """
 
 import itertools
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from extmcg import sl2z
+from test_word_kernel import ref_is_normal_form, ref_normal_form
 
 
 def test_matrix_validation():
@@ -147,20 +149,25 @@ def test_eval_word_matches_generator_powers():
     for w in words:
         m = sl2z.eval_word(w)
         assert m == reference_eval(w), str(w)
-        assert sl2z.decompose(m) == sl2z.normal_form(w), str(w)
+        assert sl2z.decompose(m) == ref_normal_form(w), str(w)
     assert sl2z.eval_word(sl2z.parse_word("- V^4")) == -sl2z.IDENTITY
     assert sl2z.eval_word(sl2z.parse_word("V^-3")) == sl2z.V
 
 
 def test_normal_form_examples():
-    nf = lambda s: sl2z.normal_form(sl2z.parse_word(s))
-    assert nf("T T^-1") == sl2z.GenWord((), 1)
-    assert nf("V V") == sl2z.GenWord((), -1)
-    assert nf("V V V") == sl2z.GenWord((("V", 1),), -1)
-    assert nf("V^4") == sl2z.GenWord((), 1)
-    assert nf("T^2 T^3") == sl2z.GenWord((("T", 5),), 1)
-    assert nf("V T^0 V") == sl2z.GenWord((), -1)
-    assert nf("V^-1") == sl2z.GenWord((("V", 1),), -1)
+    """decompose(eval_word(w)) is the normal form of w, and so is the
+    reference."""
+    for text, want in [
+        ("T T^-1", sl2z.GenWord((), 1)),
+        ("V V", sl2z.GenWord((), -1)),
+        ("V V V", sl2z.GenWord((("V", 1),), -1)),
+        ("V^4", sl2z.GenWord((), 1)),
+        ("T^2 T^3", sl2z.GenWord((("T", 5),), 1)),
+        ("V T^0 V", sl2z.GenWord((), -1)),
+        ("V^-1", sl2z.GenWord((("V", 1),), -1)),
+    ]:
+        w = sl2z.parse_word(text)
+        assert sl2z.decompose(sl2z.eval_word(w)) == want == ref_normal_form(w), text
 
 
 @given(st.integers(0, 2 ** 64))
@@ -170,10 +177,12 @@ def test_normal_form_idempotent_and_invariant(seed):
     tokens = tuple((rng.choice(["V", "T"]), rng.randrange(-4, 5))
                    for _ in range(rng.randrange(9)))
     w = sl2z.GenWord(tokens, rng.choice([1, -1]))
-    n = sl2z.normal_form(w)
-    assert sl2z.is_normal_form(n)
-    assert sl2z.normal_form(n) == n
+    n = sl2z.decompose(sl2z.eval_word(w))
+    assert n == ref_normal_form(w)
+    assert ref_is_normal_form(n)
+    assert sl2z.decompose(sl2z.eval_word(n)) == ref_normal_form(n) == n
     assert sl2z.eval_word(n) == sl2z.eval_word(w)
+    assert ref_is_normal_form(w) == (ref_normal_form(w) == w)
 
 
 @given(st.integers(0, 2 ** 64))
@@ -183,10 +192,10 @@ def test_decompose_roundtrip_and_canonical(seed):
     w = random_normal_word(rng, 20)
     m = sl2z.eval_word(w)
     d = sl2z.decompose(m)
-    assert sl2z.is_normal_form(d)
+    assert ref_is_normal_form(d)
     assert sl2z.eval_word(d) == m
     # same matrix, same word: decomposition canonicalizes
-    assert d == sl2z.normal_form(w)
+    assert d == ref_normal_form(w)
 
 
 @given(st.integers(0, 2 ** 64))
@@ -215,7 +224,7 @@ def test_normal_forms_up_to_counts():
     assert all(a < b for a, b in zip(lengths, lengths[1:]))
     words = list(sl2z.normal_forms_up_to(4))
     assert len(set(words)) == len(words)
-    assert all(sl2z.is_normal_form(w) for w in words)
+    assert all(ref_is_normal_form(w) for w in words)
     with pytest.raises(ValueError):
         list(sl2z.normal_forms_up_to(13))
 

@@ -3,7 +3,9 @@
 Oracles: subgroup lattices are recomputed by filtering every subset,
 isomorphism for tiny orders by trying every bijection and otherwise by an
 exhaustive backtracking search, complements by an independent scan of the
-subgroup lattice.
+subgroup lattice, element orders by walking the powers, the centre by
+testing every pair, and Todd-Coxeter tables by following one word per
+element from every coset.
 """
 
 import itertools
@@ -15,18 +17,37 @@ import pytest
 from extmcg import smallgrp as sg
 
 
+def ref_element_order(g, a):
+    """The least n >= 1 with a^n the identity, by walking the powers of a."""
+    n, x = 1, a
+    while x != g.identity:
+        x = g.mul(x, a)
+        n += 1
+    return n
+
+
+def ref_order_profile(g):
+    return tuple(sorted(ref_element_order(g, a) for a in range(g.order)))
+
+
+def ref_center(g):
+    """The elements that commute with every element."""
+    return frozenset(a for a in range(g.order)
+                     if all(g.mul(a, b) == g.mul(b, a) for b in range(g.order)))
+
+
 def test_standard_groups():
     assert sg.cyclic(1).order == 1
-    assert sg.cyclic(12).element_order(1) == 12
-    assert sg.klein().order_profile() == (1, 2, 2, 2)
-    assert sg.dihedral(8).order_profile() == (1, 2, 2, 2, 2, 2, 4, 4)
-    assert sg.quaternion(8).order_profile() == (1, 2, 4, 4, 4, 4, 4, 4)
-    assert sg.dihedral(8).order_profile().count(2) == 5  # five involutions
-    assert sg.quaternion(8).order_profile().count(2) == 1  # only -1
+    assert ref_element_order(sg.cyclic(12), 1) == 12
+    assert ref_order_profile(sg.klein()) == (1, 2, 2, 2)
+    assert ref_order_profile(sg.dihedral(8)) == (1, 2, 2, 2, 2, 2, 4, 4)
+    assert ref_order_profile(sg.quaternion(8)) == (1, 2, 4, 4, 4, 4, 4, 4)
+    assert ref_order_profile(sg.dihedral(8)).count(2) == 5  # five involutions
+    assert ref_order_profile(sg.quaternion(8)).count(2) == 1  # only -1
     assert not sg.dihedral(8).is_abelian()
     assert sg.klein().is_abelian()
-    assert sg.dihedral(8).center() == frozenset({0, 4})
-    assert len(sg.quaternion(8).center()) == 2
+    assert ref_center(sg.dihedral(8)) == frozenset({0, 4})
+    assert len(ref_center(sg.quaternion(8))) == 2
 
 
 def test_size_limits():
@@ -142,7 +163,7 @@ def test_all_subgroups_up_to_order_64(build, count):
     subs = sg.all_subgroups(g)
     assert len(subs) == count
     assert all(g.is_subgroup(s) for s in subs)
-    assert all(len(g.closure([a])) == g.element_order(a) for a in range(g.order))
+    assert all(len(g.closure([a])) == ref_element_order(g, a) for a in range(g.order))
 
 
 def brute_force_isomorphic(g, h):
@@ -247,8 +268,8 @@ def reference_is_isomorphic(g, h):
     Returns the first isomorphism in index order, as is_isomorphic must."""
     if g.order != h.order:
         return False, None
-    g_orders = [g.element_order(a) for a in range(g.order)]
-    h_orders = [h.element_order(a) for a in range(h.order)]
+    g_orders = [ref_element_order(g, a) for a in range(g.order)]
+    h_orders = [ref_element_order(h, a) for a in range(h.order)]
     if sorted(g_orders) != sorted(h_orders):
         return False, None
     gens = reference_generating_set(g)
@@ -315,7 +336,7 @@ def test_z4xz4_is_not_z4_semidirect_z4():
     abelian = sg.direct_product(z4, z4)
     split = sg.semidirect_product(z4, z4, cyclic_action(4, 4, 3))
     # same element-order counts (1, 3 involutions, 12 of order 4)
-    assert abelian.order_profile() == split.order_profile()
+    assert ref_order_profile(abelian) == ref_order_profile(split)
     assert sg.is_isomorphic(abelian, split) == (False, None)
     assert sg.is_isomorphic(split, abelian) == (False, None)
 
@@ -399,14 +420,17 @@ def test_parse_presentation_caps_the_expanded_relators():
             sg.parse_presentation(text)
 
 
-@pytest.mark.parametrize("text,order", [
+KNOWN_ORDERS = [
     ("gens: a; rels: a^5", 5),
     ("gens: a; rels: a^1", 1),
     ("gens: a,b; rels: a^2, b^2, [a,b]", 4),
     ("gens: s,t; rels: s^2, t^2, s t s t s t", 6),
     ("gens: a,b; rels: a^4, a^2 b^-2, b a b^-1 a", 8),
     ("gens: a,b; rels: a^3, b^4, [a,b]", 12),
-])
+]
+
+
+@pytest.mark.parametrize("text,order", KNOWN_ORDERS)
 def test_todd_coxeter_known_orders(text, order):
     assert sg.todd_coxeter(sg.parse_presentation(text)).order == order
 
@@ -499,24 +523,30 @@ def _det3(m):
             + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
 
 
-def test_abelian_invariants_on_seeded_relator_matrices():
-    """Random 3 x 3 exponent matrices whose determinant is at most 64: the
-    invariants describe the group that coset enumeration finds."""
+def seeded_relator_matrices():
+    """12 random 3 x 3 exponent matrices whose determinant is 1..64, each
+    as (presentation, |determinant|)."""
     rng = random.Random(16)
-    checked = 0
-    while checked < 12:
+    out = []
+    while len(out) < 12:
         rows = [[rng.randint(-6, 6) for _ in range(3)] for _ in range(3)]
         det = abs(_det3(rows))
         if not 1 <= det <= 64:
             continue
         relators = tuple(tuple((g, 1 if e > 0 else -1) for g, e in enumerate(row)
                                for _ in range(abs(e))) for row in rows)
-        pres = sg.Presentation(("a", "b", "c"), relators)
+        out.append((sg.Presentation(("a", "b", "c"), relators), det))
+    return out
+
+
+def test_abelian_invariants_on_seeded_relator_matrices():
+    """Random 3 x 3 exponent matrices whose determinant is at most 64: the
+    invariants describe the group that coset enumeration finds."""
+    for pres, det in seeded_relator_matrices():
         free_rank, torsion = sg.abelian_invariants(pres)
         assert free_rank == 0 and math.prod(torsion) == det
         assert all(b % a == 0 for a, b in zip(torsion, torsion[1:]))
         assert sg.is_isomorphic(sg.todd_coxeter(abelianized(pres)), abelian_group(torsion))[0]
-        checked += 1
 
 
 @pytest.mark.parametrize("text,want", [
@@ -533,20 +563,72 @@ def test_abelian_invariants_need_several_pivots(text, want):
     assert sg.abelian_invariants(sg.parse_presentation(text)) == want
 
 
+GAMMA_V2_WITH_T5 = sg.Presentation(sg.GAMMA_V2_PRESENTATION.generators,
+                                   sg.GAMMA_V2_PRESENTATION.relators + (((1, 1),) * 5,))
+
+
 def test_gamma_v2_abelianization():
     """Gamma_V2 is infinite: Z4 + Z.  With T^5 added it becomes finite,
     Z4 + Z5 = Z20 in invariant factors."""
     assert sg.abelian_invariants(sg.GAMMA_V2_PRESENTATION) == (1, (4,))
-    with_t5 = sg.Presentation(sg.GAMMA_V2_PRESENTATION.generators,
-                              sg.GAMMA_V2_PRESENTATION.relators + (((1, 1),) * 5,))
-    assert sg.abelian_invariants(with_t5) == (0, (20,))
-    assert sg.todd_coxeter(abelianized(with_t5)).order == 20
+    assert sg.abelian_invariants(GAMMA_V2_WITH_T5) == (0, (20,))
+    assert sg.todd_coxeter(abelianized(GAMMA_V2_WITH_T5)).order == 20
 
 
 def test_todd_coxeter_capacity():
     infinite = sg.parse_presentation("gens: V,T; rels: V^4, V^2 T V^-2 T^-1")
     with pytest.raises(sg.CosetCapacityError):
         sg.todd_coxeter(infinite, max_cosets=2000)
+
+
+def ref_todd_coxeter_table(pres, max_cosets=100_000):
+    """The table of the presented group, one word walk per entry: each
+    element gets the word of its first visit in a breadth-first search of
+    the coset table from the identity, and entry (i, j) follows word j
+    from coset i."""
+    table = sg._coset_table(pres, max_cosets)
+    words, order = {0: []}, [0]
+    for c in order:
+        for x, d in enumerate(table[c]):
+            if d not in words:
+                words[d] = words[c] + [x]
+                order.append(d)
+
+    def follow(c, word):
+        for x in word:
+            c = table[c][x]
+        return c
+
+    n = len(table)
+    return tuple(tuple(follow(i, words[j]) for j in range(n)) for i in range(n))
+
+
+# every presentation this file hands to todd_coxeter, the finite ones of
+# the golden records, and the largest order a table may have
+TODD_COXETER_PRESENTATIONS = (
+    [sg.parse_presentation(text) for text, _ in KNOWN_ORDERS]
+    + [sg.parse_presentation(t) for t in FINITE_PRESENTATIONS + ["gens: a; rels: a^64"]]
+    + [sg.D8_PRESENTATION, sg.E_EVEN_PRESENTATION]
+    + [abelianized(pres) for pres in
+       [sg.parse_presentation(t) for t in FINITE_PRESENTATIONS]
+       + [sg.D8_PRESENTATION, sg.E_EVEN_PRESENTATION, GAMMA_V2_WITH_T5]
+       + [pres for pres, _ in seeded_relator_matrices()]])
+
+
+@pytest.mark.parametrize("pres", TODD_COXETER_PRESENTATIONS)
+def test_todd_coxeter_table_matches_the_word_walk(pres):
+    assert sg.todd_coxeter(pres).table == ref_todd_coxeter_table(pres)
+
+
+@pytest.mark.parametrize("n", [65, 200])
+def test_todd_coxeter_refuses_an_order_above_64_without_a_table(monkeypatch, n):
+    def no_table(table):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(sg, "MulTableGroup", no_table)
+    with pytest.raises(sg.UnsupportedSizeError) as refused:
+        sg.todd_coxeter(sg.parse_presentation(f"gens: a; rels: a^{n}"))
+    assert str(refused.value) == f"order {n} outside supported range 1..64"
 
 
 def test_direct_product_structure():
@@ -617,7 +699,7 @@ def test_semidirect_rejects_bad_actions():
 
 def test_quotients():
     d8 = sg.dihedral(8)
-    q = sg.quotient(d8, d8.center())
+    q = sg.quotient(d8, ref_center(d8))
     assert sg.is_isomorphic(q, sg.klein())[0]
     with pytest.raises(sg.InvalidSubgroupError):
         sg.quotient(d8, {0, 1})  # reflection subgroup is not normal
@@ -640,8 +722,8 @@ def test_has_complement_against_lattice_scan():
     c12 = sg.cyclic(12)
     cases = [
         (e, kernel),
-        (d8, d8.center()),
-        (q8, q8.center()),
+        (d8, ref_center(d8)),
+        (q8, ref_center(q8)),
         (c12, c12.closure([3])),   # C4 normal, complement C3
         (c12, c12.closure([6])),   # C2 inside C4: no complement
         (sg.klein(), frozenset({0, 1})),
@@ -649,8 +731,8 @@ def test_has_complement_against_lattice_scan():
     for g, n in cases:
         assert sg.has_complement(g, n) == brute_force_has_complement(g, n)
     assert sg.has_complement(e, kernel) is True
-    assert sg.has_complement(d8, d8.center()) is False
-    assert sg.has_complement(q8, q8.center()) is False
+    assert sg.has_complement(d8, ref_center(d8)) is False
+    assert sg.has_complement(q8, ref_center(q8)) is False
 
 
 def test_has_complement_on_every_normal_subgroup():
@@ -659,6 +741,24 @@ def test_has_complement_on_every_normal_subgroup():
             if g.is_normal(n):
                 assert sg.has_complement(g, n) == brute_force_has_complement(g, n), \
                     (name, sorted(n))
+
+
+def test_generating_set_picks_the_greedy_representatives():
+    """From the identity, and from a normal subgroup N as has_complement
+    uses it: in index order, each element outside the span of the base
+    and the elements picked before it, until the span is everything."""
+    for name, g in builder_groups(16).items():
+        assert sg._generating_set(g) == reference_generating_set(g), name
+        for n in sg.all_subgroups(g):
+            if g.is_normal(n):
+                reps, span = [], n
+                for a in range(g.order):
+                    if len(span) == g.order:
+                        break
+                    if a not in span:
+                        reps.append(a)
+                        span = g.closure(n.union(reps))
+                assert sg._generating_set(g, n) == reps, (name, sorted(n))
 
 
 @pytest.mark.slow
@@ -686,7 +786,7 @@ def test_build_E_even_structure():
     d2 = sg.E_EVEN_GENS["delta2"]
     u = sg.E_EVEN_GENS["u"]
     r = sg.E_EVEN_GENS["r"]
-    assert all(e.element_order(x) == 2 for x in (d1, d2, u, r))
+    assert all(ref_element_order(e, x) == 2 for x in (d1, d2, u, r))
     # the swap conjugates one factor generator to the other
     assert e.mul(e.mul(u, d1), u) == d2
     # r is central

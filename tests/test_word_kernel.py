@@ -1,10 +1,11 @@
 """Differential test of the word kernel in `sl2z`.
 
-`eval_word`, `UniModMat2.__mul__`, `normal_form` and `decompose` run on
-closed-form plain-int steps.  They are compared here against references
-written in this file on plain 4-tuples (a, b, c, d): a matrix product,
-a word multiplied out one letter at a time, and a normal form reached
-by cancelling single letters on a stack.
+`eval_word`, `UniModMat2.__mul__` and `decompose` run on closed-form
+plain-int steps.  They are compared here against references written in
+this file: on plain 4-tuples (a, b, c, d), a matrix product and a word
+multiplied out one letter at a time; on words, a normal form reached by
+cancelling factors on a stack, and a test of the normal-form shape.  The
+other word tests import the two word references from here.
 """
 
 import random
@@ -41,31 +42,31 @@ def ref_eval(tokens, sign):
     return tuple(sign * e for e in acc)
 
 
-def ref_normal_form(tokens, sign):
-    """V^-1 = -V and V V = -Id are central sign flips; T t cancels."""
-    stack = []
-    for letter in letters(tokens):
-        if letter in "Vv":
-            if letter == "v":
-                sign = -sign
-            if stack and stack[-1] == "V":
-                stack.pop()
-                sign = -sign
-            else:
-                stack.append("V")
-        elif stack and stack[-1] == letter.swapcase():
-            stack.pop()
-        else:
-            stack.append(letter)
-    out = []
-    for letter in stack:
-        step = {"V": 1, "T": 1, "t": -1}[letter]
-        gen = letter.upper()
-        if out and out[-1][0] == gen == "T":
-            out[-1] = ("T", out[-1][1] + step)
-        else:
-            out.append((gen, step))
-    return tuple(out), sign
+def ref_normal_form(w):
+    """The normal form of a word, from the relations alone: V^4 = Id, so
+    V^e is V^(e mod 4), spelled out letter by letter; V V = -Id is a
+    central sign flip; powers of T add, and T^0 is dropped."""
+    sign, stack = w.sign, []  # stack entries: "V" or a nonzero T exponent
+    for gen, exp in w.tokens:
+        if gen == "V":
+            for _ in range(exp % 4):
+                if stack and stack[-1] == "V":
+                    stack.pop()
+                    sign = -sign
+                else:
+                    stack.append("V")
+        elif exp:
+            if stack and stack[-1] != "V":
+                exp += stack.pop()
+            if exp:
+                stack.append(exp)
+    return sl2z.GenWord(tuple(("V", 1) if f == "V" else ("T", f) for f in stack), sign)
+
+
+def ref_is_normal_form(w):
+    """V and T alternate, every V has exponent 1 and no T exponent is 0."""
+    return all(exp == 1 if gen == "V" else exp != 0 for gen, exp in w.tokens) and \
+        all(x[0] != y[0] for x, y in zip(w.tokens, w.tokens[1:]))
 
 
 def entries(m):
@@ -84,10 +85,7 @@ def check_word(tokens, sign):
     w = sl2z.GenWord(tokens, sign)
     got = sl2z.eval_word(w)
     assert entries(got) == ref_eval(tokens, sign), str(w)
-    nf = sl2z.normal_form(w)
-    assert (nf.tokens, nf.sign) == ref_normal_form(tokens, sign), str(w)
-    d = sl2z.decompose(got)
-    assert (d.tokens, d.sign) == ref_normal_form(tokens, sign), str(w)
+    assert sl2z.decompose(got) == ref_normal_form(w), str(w)
 
 
 @pytest.mark.parametrize("exp", range(-9, 10))
