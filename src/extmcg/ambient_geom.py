@@ -20,7 +20,7 @@ import operator
 from math import lcm
 
 from . import smallgrp
-from .errors import InvalidMatrixError, ParseError, _Value
+from .errors import InvalidMatrixError, ParseError, UnsupportedSizeError, _Value
 
 
 class NotBlockStructuredError(ValueError):
@@ -120,6 +120,16 @@ def identity(size: int) -> SignedPermMatrix:
     return SignedPermMatrix(size, tuple((i, 1) for i in range(size)))
 
 
+# the builders make one entry per coordinate, 2p + 3 or p + q + 3 of them,
+# so a larger block dimension is refused before anything is built
+MAX_BLOCK_DIM = 10_000
+
+
+def _require_block_dim(d: int) -> None:
+    if d > MAX_BLOCK_DIM:
+        raise UnsupportedSizeError(f"block dimension {d} exceeds the cap of {MAX_BLOCK_DIM}")
+
+
 def build_omega(p: int) -> SignedPermMatrix:
     """Order-4 rotation of the (2p+2)-sphere restricting to (a, b) -> (R(b), a).
 
@@ -129,6 +139,7 @@ def build_omega(p: int) -> SignedPermMatrix:
     """
     if p < 1:
         raise BlockSizeError(f"p = {p} must be at least 1")
+    _require_block_dim(p)
     size = 2 * p + 3
     image = [(0, (-1) ** p)]
     for i in range(1, p + 2):
@@ -146,6 +157,7 @@ def build_omega_hat(p: int) -> SignedPermMatrix:
     """
     if p < 2 or p % 2:
         raise BlockSizeError(f"p = {p} must be even and at least 2")
+    _require_block_dim(p)
     size = 2 * p + 3
     image = [(0, -1)]
     for i in range(1, p + 2):
@@ -163,6 +175,7 @@ def build_omega_prime(p: int, q: int) -> SignedPermMatrix:
     """
     if p < 2 or q < p:
         raise BlockSizeError(f"need 2 <= p <= q, got p = {p}, q = {q}")
+    _require_block_dim(q)
     size = p + q + 3
     image = [(i, -1 if i in (1, p + 2) else 1) for i in range(size)]
     return SignedPermMatrix(size, tuple(image))

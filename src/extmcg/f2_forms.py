@@ -209,10 +209,17 @@ class SymplecticSpaceF2(_Value):
         return tuple(term(a) + term(b) for a, b in self.basis_masks)
 
 
+# `standard_space` builds a 2k x 2k Gram matrix, so a larger k is refused
+# before anything is built
+MAX_STANDARD_K = 64
+
+
 def standard_space(k: int) -> SymplecticSpaceF2:
     """Hyperbolic space of dimension 2k: Gram is 2x2 antidiagonal blocks."""
     if k < 1:
         raise UnsupportedSizeError(f"k = {k} must be positive")
+    if k > MAX_STANDARD_K:
+        raise UnsupportedSizeError(f"k = {k} exceeds the cap of {MAX_STANDARD_K}")
     n = 2 * k
     gram = [[0] * n for _ in range(n)]
     for i in range(k):

@@ -2,16 +2,17 @@
 
 Groups of order at most 64 are stored as explicit multiplication tables
 (table[i][j] = index of element_i * element_j).  Presentations feed a
-deterministic HLT-style Todd-Coxeter enumeration of the trivial-subgroup
-cosets; for a finite presented group the cosets are the elements, which
-yields the table.  An order above 64 is refused right after the
-enumeration, before any table is built.  On a presentation of an
-infinite group the coset count passes any cap, reported as
-CosetCapacityError, which shows nothing about finiteness;
-`abelian_invariants` proves a group infinite instead, when its
-abelianization has positive free rank, from the Smith normal form of the
-relator exponent sums.  It returns a plain (free rank, torsion) pair, so
-this module imports no other group layer.
+deterministic HLT Todd-Coxeter enumeration of the trivial-subgroup
+cosets in one pass: a coincidence maps the coset graph onto a quotient,
+which keeps every closed relator cycle closed, so nothing is rescanned.
+For a finite presented group the cosets are the elements, which yields
+the table.  An order above 64 is refused right after the enumeration,
+before any table is built.  On a presentation of an infinite group the
+coset count passes any cap, reported as CosetCapacityError, which shows
+nothing about finiteness; `abelian_invariants` proves a group infinite
+instead, when its abelianization has positive free rank, from the Smith
+normal form of the relator exponent sums.  It returns a plain (free
+rank, torsion) pair, so this module imports no other group layer.
 """
 
 from __future__ import annotations
@@ -147,18 +148,24 @@ def parse_presentation(text: str) -> Presentation:
 def _coset_table(pres: Presentation, max_cosets: int) -> list[list[int]]:
     """HLT enumeration of the cosets of the trivial subgroup.
 
-    Letters 2g and 2g+1 stand for generator g and its inverse.  Entries
-    may go stale when cosets merge; reads resolve through union-find.
+    Letters 2g and 2g+1 stand for generator g and its inverse.  Each live
+    coset in turn has every relator scanned from it, defining cosets to
+    fill the gap, then gets every missing image defined.  `link` writes an
+    entry and its inverse entry and queues a coincidence where one already
+    holds another coset; `coincide` merges each into the smaller coset.
+    Stale entries resolve through union-find.
+
+    One pass suffices: a coincidence maps the coset graph onto a quotient,
+    which keeps every closed relator cycle closed, so no relator needs a
+    second scan (Holt, Eick and O'Brien, Handbook of Computational Group
+    Theory, 5.1; Sims, Computation with Finitely Presented Groups, ch. 5).
     Deterministic: cosets are processed in increasing order, relators in
     presentation order, missing images defined in letter order.
     """
-    ngens = len(pres.generators)
-    width = 2 * ngens
+    width = 2 * len(pres.generators)
     rels = [tuple(2 * g + (0 if s == 1 else 1) for g, s in rel) for rel in pres.relators]
-
     table: list[list[int | None]] = [[None] * width]
-    parent = [0]
-    merge_count = 0
+    parent, queue = [0], []  # union-find parents; coincidences not yet merged
 
     def find(c: int) -> int:
         while parent[c] != c:
@@ -166,8 +173,30 @@ def _coset_table(pres: Presentation, max_cosets: int) -> list[list[int]]:
             c = parent[c]
         return c
 
-    def inv(x: int) -> int:
-        return x ^ 1
+    def link(c: int, x: int, d: int):
+        """Record c * x = d and d * x^-1 = c, for live cosets c and d."""
+        e = table[c][x]
+        if e is None:
+            table[c][x] = d
+        elif find(e) != d:
+            queue.append((e, d))
+        e = table[d][x ^ 1]
+        if e is None:
+            table[d][x ^ 1] = c
+        elif find(e) != c:
+            queue.append((e, c))
+
+    def coincide():
+        while queue:
+            c, d = queue.pop()
+            a, b = find(c), find(d)
+            if a > b:
+                a, b = b, a
+            if a != b:
+                parent[b] = a
+                for x, e in enumerate(table[b]):
+                    if e is not None:
+                        link(a, x, find(e))
 
     def define(c: int, x: int) -> int:
         if len(table) >= max_cosets:
@@ -176,106 +205,42 @@ def _coset_table(pres: Presentation, max_cosets: int) -> list[list[int]]:
         d = len(table)
         table.append([None] * width)
         parent.append(d)
-        table[c][x] = d
-        table[d][inv(x)] = c
+        link(c, x, d)
         return d
 
-    def set_entry(c: int, x: int, d: int):
-        merges = []
-        if table[c][x] is None:
-            table[c][x] = d
-        elif find(table[c][x]) != find(d):
-            merges.append((find(table[c][x]), find(d)))
-        if table[d][inv(x)] is None:
-            table[d][inv(x)] = c
-        elif find(table[d][inv(x)]) != find(c):
-            merges.append((find(table[d][inv(x)]), find(c)))
-        for pair in merges:
-            merge(*pair)
-
-    def merge(a: int, b: int):
-        nonlocal merge_count
-        queue = [(a, b)]
-        while queue:
-            a, b = queue.pop()
-            a, b = find(a), find(b)
-            if a == b:
-                continue
-            if a > b:
-                a, b = b, a
-            parent[b] = a
-            merge_count += 1
-            for x in range(width):
-                e = table[b][x]
-                if e is None:
-                    continue
-                e = find(e)
-                cur = table[a][x]
-                if cur is None:
-                    table[a][x] = e
-                    if table[e][inv(x)] is None:
-                        table[e][inv(x)] = a
-                    elif find(table[e][inv(x)]) != a:
-                        queue.append((find(table[e][inv(x)]), a))
-                elif find(cur) != e:
-                    queue.append((find(cur), e))
-
-    def scan(c: int, rel: tuple[int, ...], fill: bool) -> bool:
-        """Trace rel from c, filling gaps if asked; returns True if it closed."""
+    def scan_and_fill(c: int, rel: tuple[int, ...]):
+        """Trace rel from c from both ends, defining cosets until they meet."""
         i, j = 0, len(rel) - 1
         f = b = c
         while True:
             while i <= j and table[f][rel[i]] is not None:
                 f = find(table[f][rel[i]])
                 i += 1
-            if i > j:
-                if f != b:
-                    merge(f, b)
-                return True
-            while j >= i and table[b][inv(rel[j])] is not None:
-                b = find(table[b][inv(rel[j])])
+            while j >= i and table[b][rel[j] ^ 1] is not None:
+                b = find(table[b][rel[j] ^ 1])
                 j -= 1
-            if j < i:
-                merge(f, b)
-                return True
-            if j == i:
-                set_entry(f, rel[i], b)
-                return True
-            if not fill:
-                return False
+            if j <= i:
+                break
             f = define(f, rel[i])
             i += 1
+        if j == i:
+            link(f, rel[i], b)
+        elif f != b:
+            queue.append((f, b))
+        coincide()
 
-    alpha = 0
-    while alpha < len(table):
-        if find(alpha) != alpha:
-            alpha += 1
-            continue
+    for alpha, row in enumerate(table):  # the table grows while it is walked
         for rel in rels:
-            if find(alpha) != alpha:
-                break
-            scan(alpha, rel, fill=True)
+            if find(alpha) == alpha:
+                scan_and_fill(alpha, rel)
         if find(alpha) == alpha:
             for x in range(width):
-                if table[alpha][x] is None:
+                if row[x] is None:
                     define(alpha, x)
-        alpha += 1
 
-    # the table is now complete; coincidences during the main sweep can
-    # invalidate scans done earlier, so re-verify until a clean pass
-    while True:
-        before = merge_count
-        for c in range(len(table)):
-            if find(c) != c:
-                continue
-            for rel in rels:
-                scan(c, rel, fill=False)
-        if merge_count == before:
-            break
-
-    live = sorted(c for c in range(len(table)) if find(c) == c)
+    live = [c for c in range(len(table)) if find(c) == c]
     renum = {c: i for i, c in enumerate(live)}
-    return [[renum[find(table[c][x])] for x in range(width)] for c in live]
+    return [[renum[find(e)] for e in table[c]] for c in live]
 
 
 def todd_coxeter(pres: Presentation, max_cosets: int = 100_000) -> "MulTableGroup":
@@ -392,7 +357,7 @@ class MulTableGroup(_Value):
 
     def is_subgroup(self, elems) -> bool:
         s = set(elems)
-        if self.identity not in s:
+        if self.identity not in s or not s.issubset(range(self.order)):
             return False
         return all(self.table[a][b] in s for a in s for b in s)
 

@@ -173,6 +173,19 @@ def test_build_omega_prime():
         ag.build_omega_prime(5, 4)
 
 
+def test_builders_refuse_a_block_dimension_past_the_cap():
+    cap = ag.MAX_BLOCK_DIM
+    assert ag.build_omega(cap).size == 2 * cap + 3
+    assert ag.build_omega_prime(2, cap).size == cap + 5
+    for build in (lambda: ag.build_omega(cap + 1), lambda: ag.build_omega_hat(cap + 2),
+                  lambda: ag.build_omega_prime(2, cap + 1)):
+        with pytest.raises(ag.UnsupportedSizeError, match=f"exceeds the cap of {cap}$"):
+            build()
+    # the block-shape rules still come first
+    with pytest.raises(ag.BlockSizeError):
+        ag.build_omega_hat(cap + 1)
+
+
 def test_restrict_to_product_rejections():
     m = ag.build_omega(2)
     with pytest.raises(ag.BlockSizeError):

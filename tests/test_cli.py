@@ -10,11 +10,12 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from extmcg import cli
+from extmcg import ambient_geom, cli, f2_forms
 
 
 def run(capsys, *argv):
@@ -141,6 +142,46 @@ def test_coset_enum_refuses_an_order_above_64_after_enumerating(capsys):
     code, out, err = run(capsys, "coset-enum", "gens: a; rels: a^2000")
     assert (code, out) == (1, "")
     assert err == "error: order 2000 outside supported range 1..64\n"
+
+
+def traced_run(capsys, *argv):
+    """run() under tracemalloc, with the peak bytes it allocated."""
+    tracemalloc.start()
+    try:
+        result = run(capsys, *argv)
+        return (*result, tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+
+
+BLOCK_CAP = ambient_geom.MAX_BLOCK_DIM
+ABOVE_BLOCK_CAP = str(BLOCK_CAP + 2)  # even, so the hat variant reaches the cap check
+
+
+@pytest.mark.parametrize("argv", [
+    ["build-omega", "--p", ABOVE_BLOCK_CAP],
+    ["build-omega", "--variant", "hat", "--p", ABOVE_BLOCK_CAP],
+    ["build-omega", "--variant", "prime", "--p", "2", "--q", ABOVE_BLOCK_CAP],
+    ["induced-action", "--variant", "plain", "--p", ABOVE_BLOCK_CAP],
+])
+def test_ambient_builders_refuse_a_block_dimension_past_the_cap(capsys, argv):
+    """Refused before a matrix entry is built: the call allocates next to
+    nothing, where 2p + 3 entries would take megabytes."""
+    code, out, err, peak = traced_run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: block dimension {ABOVE_BLOCK_CAP} exceeds the cap of {BLOCK_CAP}\n"
+    assert peak < 100_000
+
+
+@pytest.mark.parametrize("command", ["arf", "orbit", "stabilizer"])
+def test_refinement_commands_refuse_a_standard_space_past_the_cap(capsys, command):
+    """Without a gram the space is the standard one of half the basis
+    values' length; past the cap no Gram matrix is built."""
+    k = f2_forms.MAX_STANDARD_K + 1
+    code, out, err, peak = traced_run(capsys, command, json.dumps({"basis_values": [0] * 2 * k}))
+    assert (code, out) == (1, "")
+    assert err == f"error: k = {k} exceeds the cap of {f2_forms.MAX_STANDARD_K}\n"
+    assert peak < 100_000
 
 
 def test_non_object_or_non_list_json_exits_2(capsys):

@@ -6,6 +6,7 @@ counting value tables, the stabilizers by definition-level filtering.
 """
 
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -251,6 +252,19 @@ def test_value_table_matches_entrywise_doubling(k, congruent):
                        for _ in range(64)]
     for q in refinements:
         assert q.value_table == entrywise_table(q)
+
+
+def test_standard_space_refuses_k_past_the_cap_before_building():
+    cap = ff.MAX_STANDARD_K
+    assert ff.standard_space(cap).dim == 2 * cap
+    tracemalloc.start()
+    try:
+        with pytest.raises(ff.UnsupportedSizeError, match=f"^k = {cap + 1} exceeds the cap of {cap}$"):
+            ff.standard_space(cap + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50_000  # a Gram matrix of this size takes more than 250 kB
 
 
 def test_arf_builds_no_value_table():

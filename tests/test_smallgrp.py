@@ -4,10 +4,14 @@ Oracles: subgroup lattices are recomputed by filtering every subset,
 isomorphism for tiny orders by trying every bijection and otherwise by an
 exhaustive backtracking search, complements by an independent scan of the
 subgroup lattice, element orders by walking the powers, the centre by
-testing every pair, and Todd-Coxeter tables by following one word per
-element from every coset.
+testing every pair, Todd-Coxeter tables by following one word per
+element from every coset, and coset tables by the definition (complete,
+inverse entries agree, every relator closes at every coset) and by a
+digest of the tables that the earlier two-pass enumeration returned.
 """
 
+import functools
+import hashlib
 import itertools
 import math
 import random
@@ -631,6 +635,79 @@ def test_todd_coxeter_refuses_an_order_above_64_without_a_table(monkeypatch, n):
     assert str(refused.value) == f"order {n} outside supported range 1..64"
 
 
+def seeded_presentations(count=600):
+    """Presentations on one to three generators: a power relator a^2..a^6
+    for some generators, then one to three relators of 2 to 10 random
+    letters."""
+    rng = random.Random(22)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 3)
+        rels = [((g, 1),) * rng.randint(2, 6) for g in range(n) if rng.random() < 0.6]
+        rels += [tuple((rng.randrange(n), rng.choice((1, -1))) for _ in range(rng.randint(2, 10)))
+                 for _ in range(rng.randint(1, 3))]
+        out.append(sg.Presentation(("a", "b", "c")[:n], tuple(rels)))
+    return out
+
+
+# (presentation, coset cap): every presentation this file hands to
+# todd_coxeter, with the cap it gets there, and 600 seeded ones under a cap
+# of 200, which about a quarter of them reach
+ENUMERATION_CORPUS = (
+    [(pres, 100_000) for pres in TODD_COXETER_PRESENTATIONS]
+    + [(sg.GAMMA_V2_PRESENTATION, 2000)]
+    + [(sg.parse_presentation(f"gens: a; rels: a^{n}"), 100_000) for n in (65, 200)]
+    + [(pres, 200) for pres in seeded_presentations()])
+
+
+@functools.cache
+def enumeration_outcomes():
+    """Each corpus entry's coset table, or the text of its CosetCapacityError."""
+    out = []
+    for pres, cap in ENUMERATION_CORPUS:
+        try:
+            out.append(sg._coset_table(pres, cap))
+        except sg.CosetCapacityError as exc:
+            out.append(str(exc))
+    return out
+
+
+# sha256 of the outcomes, one repr a line, as recorded from the enumeration
+# that still rescanned every relator at every coset after its main loop:
+# every table, its coset numbering and every refusal must stay the same
+ENUMERATION_DIGEST = "2e1aded529570928b3bb5ef462064f235cdc1c203a123c91f3033cd513c7271f"
+
+
+def test_coset_enumeration_matches_the_recorded_digest():
+    text = "\n".join(map(repr, enumeration_outcomes()))
+    assert hashlib.sha256(text.encode()).hexdigest() == ENUMERATION_DIGEST
+
+
+def test_coset_tables_close_every_relator_at_every_coset():
+    """From the definition: letter 2g is generator g and 2g+1 its inverse;
+    every entry is a coset, the inverse letter leads back, and each relator
+    read from any coset returns to it."""
+    closed = 0
+    for (pres, _), table in zip(ENUMERATION_CORPUS, enumeration_outcomes()):
+        if isinstance(table, str):
+            assert table.startswith("exceeded ")
+            continue
+        closed += 1
+        n = len(table)
+        for c, row in enumerate(table):
+            assert len(row) == 2 * len(pres.generators)
+            for x, d in enumerate(row):
+                assert 0 <= d < n and table[d][x ^ 1] == c, (pres, c, x)
+        for rel in pres.relators:
+            letters = [2 * g + (s < 0) for g, s in rel]
+            for c in range(n):
+                d = c
+                for x in letters:
+                    d = table[d][x]
+                assert d == c, (pres, rel, c)
+    assert closed > len(ENUMERATION_CORPUS) // 2
+
+
 def test_direct_product_structure():
     g = sg.direct_product(sg.cyclic(3), sg.cyclic(4))
     assert g.order == 12
@@ -800,6 +877,19 @@ def test_build_E_even_structure():
     assert not sg.is_isomorphic(
         e, sg.direct_product(sg.quaternion(8), sg.cyclic(2)))[0]
     assert not sg.is_isomorphic(e, sg.cyclic(16))[0]
+
+
+@pytest.mark.parametrize("elems", [{0, 2, -2}, {0, 4}, {0, 2, 6}])
+def test_indices_outside_the_group_make_no_subgroup(elems):
+    """-2 would pick row 2 through negative indexing and 4 or 6 would run
+    past the table."""
+    c4 = sg.cyclic(4)
+    assert not c4.is_subgroup(elems)
+    assert not c4.is_normal(elems)
+    with pytest.raises(sg.InvalidSubgroupError):
+        sg.quotient(c4, elems)
+    with pytest.raises(sg.InvalidSubgroupError):
+        sg.has_complement(c4, elems)
 
 
 def test_closure_and_subgroup_predicates():
