@@ -373,14 +373,16 @@ class MulTableGroup(_Value):
         return True
 
 
+# the builders make rows and tables from lists: tuple() over a generator
+# grows by repeated resizes, which fragments the heap over many builds
 def cyclic(n: int) -> MulTableGroup:
     _require_order(n)
-    return MulTableGroup(tuple(tuple((i + j) % n for j in range(n)) for i in range(n)))
+    return MulTableGroup(tuple([tuple([(i + j) % n for j in range(n)]) for i in range(n)]))
 
 
 def klein() -> MulTableGroup:
     """Z2 x Z2 with elements as bit pairs 0..3 under XOR."""
-    return MulTableGroup(tuple(tuple(i ^ j for j in range(4)) for i in range(4)))
+    return MulTableGroup(tuple([tuple([i ^ j for j in range(4)]) for i in range(4)]))
 
 
 def dihedral(order: int) -> MulTableGroup:
@@ -397,7 +399,7 @@ def dihedral(order: int) -> MulTableGroup:
             return 2 * ((i + j) % n) + fy
         return 2 * ((i - j) % n) + (fy ^ 1)
 
-    return MulTableGroup(tuple(tuple(mul(x, y) for y in range(order)) for x in range(order)))
+    return MulTableGroup(tuple([tuple([mul(x, y) for y in range(order)]) for x in range(order)]))
 
 
 def quaternion(order: int) -> MulTableGroup:
@@ -421,7 +423,7 @@ def quaternion(order: int) -> MulTableGroup:
         sign = sx * sy * s
         return u + (0 if sign == 1 else 4)
 
-    return MulTableGroup(tuple(tuple(mul(x, y) for y in range(8)) for x in range(8)))
+    return MulTableGroup(tuple([tuple([mul(x, y) for y in range(8)]) for x in range(8)]))
 
 
 def direct_product(g: MulTableGroup, h: MulTableGroup) -> MulTableGroup:
@@ -449,15 +451,15 @@ def semidirect_product(n: MulTableGroup, h: MulTableGroup,
                     raise InvalidActionError(f"image of element {x} is not an automorphism")
     for x in range(h.order):
         for y in range(h.order):
-            composed = tuple(action[x][action[y][a]] for a in range(n.order))
+            composed = tuple([action[x][action[y][a]] for a in range(n.order)])
             if composed != action[h.table[x][y]]:
                 raise InvalidActionError("action is not a homomorphism into Aut(n)")
 
     # pair (a, x) has index a*|h| + x; row (a, x), column (b, y) holds
     # (a * action[x](b), x y), built one row at a time
     m = h.order
-    table = tuple(tuple([n_row[p] * m + z for p in action[x] for z in h_row])
-                  for n_row in n.table for x, h_row in enumerate(h.table))
+    table = tuple([tuple([n_row[p] * m + z for p in action[x] for z in h_row])
+                   for n_row in n.table for x, h_row in enumerate(h.table)])
     return MulTableGroup(table)
 
 
@@ -477,8 +479,8 @@ def quotient(g: MulTableGroup, normal) -> MulTableGroup:
         for m in members:
             coset_of[m] = rep
     k = len(reps)
-    table = tuple(tuple(coset_of[g.table[reps[i]][reps[j]]] for j in range(k))
-                  for i in range(k))
+    table = tuple([tuple([coset_of[g.table[reps[i]][reps[j]]] for j in range(k)])
+                   for i in range(k)])
     return MulTableGroup(table)
 
 

@@ -170,9 +170,9 @@ def test_identity_kernel_rejects_every_single_flip(k):
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_identity_kernel_on_a_congruent_space(k):
-    """The rows XORed in at each Gray step come from space.image(e_i); on a
-    non-standard Gram every refinement passes and a standard-space table
-    of another form fails."""
+    """The row XORed into each basis vector's constant comes from
+    space.image(e_i); on a non-standard Gram every refinement passes and a
+    standard-space table of another form fails."""
     space = congruent_space(k)
     assert space.gram != ff.standard_space(k).gram
     tables = value_tables(k, space)
@@ -191,8 +191,9 @@ def test_identity_kernel_rejects_every_single_flip_on_a_congruent_space():
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_identity_kernel_rejects_tables_of_another_form(k):
     """q + x_a x_b refines the form plus E_ab + E_ba: it breaks the identity
-    only on pairs with x_a or x_b set, late in the walk over x when a and
-    b are the top coordinates."""
+    only on pairs with x_a or x_b set, so only the tests at e_a and e_b can
+    catch it, the last two basis vectors when a and b are the top
+    coordinates."""
     space = ff.standard_space(k)
     n = space.dim
     tables = value_tables(k)[:3]
@@ -225,6 +226,58 @@ def test_identity_kernel_rejects_sampled_flips_at_dim_8():
         for bad in (flipped(tables[r], 0), flipped(tables[r], 255), complement):
             assert not holds(space, [bad])
             assert not holds(space, tables[:r] + [bad] + tables[r + 1:])
+
+
+def ref_pairing(space):
+    """<x, y> for every pair of vectors, summed from the Gram matrix entry
+    by entry."""
+    n, gram = space.dim, space.gram
+    return [[sum(gram[i][j] for i in range(n) if x >> i & 1
+                 for j in range(n) if y >> j & 1) & 1 for y in range(1 << n)]
+            for x in range(1 << n)]
+
+
+def ref_identity_holds(pairing, table):
+    """q(x ^ y) == q(x) ^ q(y) ^ <x, y> at every pair (x, y)."""
+    size = len(table)
+    return all(table[x ^ y] == table[x] ^ table[y] ^ pairing[x][y]
+               for x in range(size) for y in range(size))
+
+
+@pytest.mark.parametrize("congruent", [False, True])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_identity_kernel_matches_the_all_pairs_oracle(k, congruent):
+    """Seeded tables against the identity tested at every pair: valid
+    tables with 1-3 flips (two flips can make another refinement at k =
+    1), sums of two refinements (linear, so they fail wherever <x, y> =
+    1) and q + x_a x_b, each alone and in place of one table of the full
+    bundle."""
+    space = congruent_space(k) if congruent else ff.standard_space(k)
+    rng = random.Random(100 * k + congruent)
+    tables = value_tables(k, space)
+    size = len(tables[0])
+    cases = rng.sample(tables, 4)
+    for _ in range(24):
+        table = rng.choice(tables)
+        for y in rng.sample(range(size), rng.randint(1, 3)):
+            table = flipped(table, y)
+        cases.append(table)
+    for _ in range(8):
+        p, q = rng.sample(tables, 2)
+        cases.append(tuple(a ^ b for a, b in zip(p, q)))
+    for a in range(space.dim):
+        for b in range(a + 1, space.dim):
+            table = rng.choice(tables)
+            cases.append(tuple(t ^ (v >> a & v >> b & 1) for v, t in enumerate(table)))
+    pairing = ref_pairing(space)
+    verdicts = set()
+    for table in cases:
+        want = ref_identity_holds(pairing, table)
+        verdicts.add(want)
+        assert holds(space, [table]) == want
+        r = rng.randrange(len(tables))
+        assert holds(space, tables[:r] + [table] + tables[r + 1:]) == want
+    assert verdicts == {False, True}
 
 
 def test_property_suites_fail_on_a_corrupted_value_table(monkeypatch):

@@ -5,9 +5,11 @@ isomorphism for tiny orders by trying every bijection and otherwise by an
 exhaustive backtracking search, complements by an independent scan of the
 subgroup lattice, element orders by walking the powers, the centre by
 testing every pair, Todd-Coxeter tables by following one word per
-element from every coset, and coset tables by the definition (complete,
+element from every coset, coset tables by the definition (complete,
 inverse entries agree, every relator closes at every coset) and by a
-digest of the tables that the earlier two-pass enumeration returned.
+digest of the tables that the earlier two-pass enumeration returned, and
+table validation by a triple loop over every reduced Latin square of
+order 4, 5 and 6.
 """
 
 import functools
@@ -82,6 +84,60 @@ def test_table_validation():
             (4, 3, 1, 2, 0))
     with pytest.raises(sg.InvalidTableError):
         sg.MulTableGroup(loop)
+
+
+def reduced_latin_squares(n):
+    """Every n x n Latin square whose first row and column are 0..n-1, so
+    that 0 is a two-sided identity, by backtracking over the other cells
+    in row order."""
+    rows = [list(range(n))] + [[i] + [0] * (n - 1) for i in range(1, n)]
+    in_col = [{j} for j in range(n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(c):
+        if c == len(cells):
+            yield tuple(map(tuple, rows))
+            return
+        i, j = cells[c]
+        row = rows[i]
+        for v in range(n):
+            if v not in in_col[j] and v not in row[:j]:
+                row[j] = v
+                in_col[j].add(v)
+                yield from fill(c + 1)
+                in_col[j].discard(v)
+
+    return list(fill(0))
+
+
+def first_non_associative_triple(table):
+    n = len(table)
+    for a, b, c in itertools.product(range(n), repeat=3):
+        if table[table[a][b]][c] != table[a][table[b][c]]:
+            return a, b, c
+    return None
+
+
+@pytest.mark.parametrize("n,squares,groups", [(4, 4, 4), (5, 56, 6), (6, 9408, 80)])
+def test_table_validation_on_every_reduced_latin_square(n, squares, groups):
+    """A reduced Latin square is a group table exactly when it is
+    associative.  The group tables with identity 0 number the sum of
+    (n - 1)! / |Aut G| over the groups of order n: 3 + 1 at order 4 (Z4,
+    Z2^2), 6 at order 5, 60 + 20 at order 6 (Z6, S3).  Each rejection names
+    the first failing triple in (a, b, c) order."""
+    latin = reduced_latin_squares(n)
+    assert len(latin) == squares
+    accepted = 0
+    for table in latin:
+        triple = first_non_associative_triple(table)
+        if triple is None:
+            assert sg.MulTableGroup(table).identity == 0
+            accepted += 1
+        else:
+            with pytest.raises(sg.InvalidTableError) as err:
+                sg.MulTableGroup(table)
+            assert str(err.value) == "not associative at ({},{},{})".format(*triple)
+    assert accepted == groups
 
 
 @pytest.mark.parametrize("table", [
