@@ -48,7 +48,7 @@ def _built(inputs: dict, build, *args):
     """build(*args), made once per `inputs`: the dict that `run_all` hands
     every check for one run, or a check's own when it is called alone.
     The key is the builder and its arguments, so two checks that read the
-    same Sp(2k,2) listing or group table share one build."""
+    same Sp(2k,2) listing, group table or `_word_sample` share one build."""
     key = (build, *args)
     value = inputs.get(key)
     if value is None:
@@ -204,22 +204,26 @@ def check_coset_enumeration(inputs):
     return ok, "; ".join(details)
 
 
+def _word_sample() -> list[tuple[sl2z.GenWord, sl2z.UniModMat2]]:
+    """1000 seeded random normal forms of up to 20 factors, each with its
+    matrix: check_word_algebra round-trips the words and
+    check_property_suites closes over the matrices."""
+    rng = random.Random(20260813)
+    words = [random_normal_word(rng, 20) for _ in range(1000)]
+    return [(w, sl2z.eval_word(w)) for w in words]
+
+
 @_check("word-algebra", "gammav2-presentation")
 def check_word_algebra(inputs):
     """Defining relations hold on actual matrices and normal forms of
     letter length <= 6 evaluate injectively (`sl2z.verify_presentation`,
     which raises otherwise); decompose is a left inverse of eval_word on
-    1000 seeded random normal forms: decompose(eval_word(w)) is w itself,
+    the 1000 words of `_word_sample`: decompose(eval_word(w)) is w itself,
     tokens and sign.  Normal forms are unique, so this also says that
     decompose returns a normal form, and a word of the same matrix that
     is not w (w V^4, say) fails."""
     count = sl2z.verify_presentation(6)
-    rng = random.Random(20260813)
-    failures = 0
-    for _ in range(1000):
-        w = random_normal_word(rng, max_tokens=20)
-        if sl2z.decompose(sl2z.eval_word(w)) != w:
-            failures += 1
+    failures = sum(sl2z.decompose(m) != w for w, m in _built(inputs, _word_sample))
     return failures == 0, (f"relations hold; roundtrip failures {failures}/1000; "
                            f"{count} normal forms of length <= 6, no collisions")
 
@@ -497,7 +501,8 @@ def check_property_suites(inputs):
     """Quadratic identity through dimension 8 on every pair of vectors of
     every refinement (each basis vector against every vector, bit-parallel,
     which proves it at every pair; see `_quadratic_identity_holds`),
-    membership closure (1000 random pairs), Arf invariance under all of
+    membership closure (m_i m_(i+1 mod 1000) and m_i^-1 for the 1000
+    matrices of `_word_sample`), Arf invariance under all of
     Sp(2,2) and Sp(4,2) (every element of every refinement, bit-sliced
     over the elements), the majority oracle at k <= 2, and re-validation
     of the 23 group tables it builds: each is validated by
@@ -505,10 +510,8 @@ def check_property_suites(inputs):
     check_coset_enumeration also reads, there.  The word round trip is
     check_word_algebra's alone; the per-call route, `transport` then
     `arf`, runs under `orbit` in check_symplectic_census."""
-    rng = random.Random(987654321)
     ok = True
     details = []
-    bad = 0
     for k in (1, 2, 3, 4):
         space = f2_forms.standard_space(k)
         value_bits = (f2_forms.QuadraticRefinement(space, bits)._value_bits
@@ -529,11 +532,9 @@ def check_property_suites(inputs):
     # validation in MulTableGroup.__init__ (inverses follow from the Latin
     # rows and the identity, so there is no separate inverse check)
     details.append(f"{len(tables)} group tables validated")
-    for _ in range(1000):
-        m1 = sl2z.eval_word(random_normal_word(rng, 12))
-        m2 = sl2z.eval_word(random_normal_word(rng, 12))
-        if not (sl2z.is_member(m1 * m2) and sl2z.is_member(m1.inverse())):
-            bad += 1
+    sample = [m for _, m in _built(inputs, _word_sample)]
+    bad = sum(not (sl2z.is_member(m1 * m2) and sl2z.is_member(m1.inverse()))
+              for m1, m2 in zip(sample, sample[1:] + sample[:1]))
     ok = ok and bad == 0
     details.append(f"closure failures {bad}/1000")
     for k in (1, 2):
@@ -569,11 +570,10 @@ ALL_CHECKS = (
 
 
 def run_all() -> list[CheckResult]:
-    """Every check, in order, handed one inputs dict for this run: the
-    Sp(2,2) and Sp(4,2) listings and the seven group tables that
-    check_coset_enumeration and check_property_suites both read are built
-    once per run.  The dict is dropped on return, so each run builds
-    afresh and nothing outlives it."""
+    """Every check, in order, handed one inputs dict for this run: each
+    Sp(2k,2) listing, group table and `_word_sample` that two checks read
+    is built once per run.  The dict is dropped on return, so each run
+    builds afresh and nothing outlives it."""
     inputs = {}
     return [check(inputs) for check in ALL_CHECKS]
 

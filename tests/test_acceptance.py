@@ -5,10 +5,12 @@ bundle runs once per session and every test prints its own PASS/FAIL
 line (visible with pytest -v -s or in the failure report).  The tests
 after them pin how a crashed check is reported, probe the bit-parallel
 quadratic-identity, Arf-invariance and form-preservation kernels
-directly, break each check's input to see it FAIL, and guard against
-the brute-force routes (coset enumeration of Gamma_V2, one `transport`
-or `is_symplectic` per element), duplicate group-table builds, inputs
-kept past the run that built them and reference cycles coming back.
+directly, break each check's input to see it FAIL, pin the closure pairs
+to the word sample the round trip reads, and guard against the
+brute-force routes (coset enumeration of Gamma_V2, one `transport` or
+`is_symplectic` per element), duplicate group-table builds or word
+draws, inputs kept past the run that built them and reference cycles
+coming back.
 """
 
 import gc
@@ -513,8 +515,8 @@ def test_warm_run_all_builds_at_most_34_group_tables(monkeypatch):
 def test_run_all_keeps_no_shared_inputs(monkeypatch):
     """The inputs run_all shares between checks live in a dict it drops
     on return: verify's globals are the same objects afterwards, and the
-    Sp(2k,2) listings of the run are freed at once."""
-    real_enumerate = ff.enumerate_sp
+    Sp(2k,2) listings and the word sample of the run are freed at once."""
+    real_enumerate, real_sample = ff.enumerate_sp, verify._word_sample
     refs = []
 
     class Listing(list):
@@ -522,16 +524,86 @@ def test_run_all_keeps_no_shared_inputs(monkeypatch):
 
     def enumerate_sp(k):
         listing = Listing(real_enumerate(k))
-        refs.append(weakref.ref(listing))
+        refs.append(("sp", weakref.ref(listing)))
         return listing
 
+    def word_sample():
+        sample = Listing(real_sample())
+        refs.append(("words", weakref.ref(sample)))
+        return sample
+
     monkeypatch.setattr(ff, "enumerate_sp", enumerate_sp)
+    monkeypatch.setattr(verify, "_word_sample", word_sample)
     before = dict(vars(verify))
     assert all(r.passed for r in verify.run_all())
     assert vars(verify).keys() == before.keys()
     assert all(vars(verify)[name] is value for name, value in before.items())
-    assert len(refs) == 2
-    assert all(ref() is None for ref in refs)
+    assert [kind for kind, _ in refs] == ["sp", "sp", "words"]
+    assert all(ref() is None for _, ref in refs)
+
+
+def _count_draws(monkeypatch):
+    """Record the max_tokens of every word verify draws from here on."""
+    real, draws = verify.random_normal_word, []
+
+    def random_normal_word(rng, max_tokens=20):
+        draws.append(max_tokens)
+        return real(rng, max_tokens)
+
+    monkeypatch.setattr(verify, "random_normal_word", random_normal_word)
+    return draws
+
+
+def test_warm_run_all_draws_one_word_sample(monkeypatch):
+    """A warm run_all draws the 1000 words of one word sample (3000
+    before, when the closure pairs drew 2000 of their own), and each of
+    the two checks that read it, called alone, draws its own and passes."""
+    verify.run_all()
+    draws = _count_draws(monkeypatch)
+    assert all(r.passed for r in verify.run_all())
+    assert draws == [20] * 1000
+    for check in (verify.check_word_algebra, verify.check_property_suites):
+        draws.clear()
+        assert check().passed
+        assert draws == [20] * 1000
+
+
+def test_closure_reads_the_cyclic_pairs_of_the_word_sample(monkeypatch):
+    """The round trip's words are the seeded stream, and the closure test
+    asks is_member about m_i * m_(i+1 mod 1000), then m_i^-1, for the
+    matrices m_i of those same words, in order, and about nothing else."""
+    rng = random.Random(20260813)
+    words = [verify.random_normal_word(rng, 20) for _ in range(1000)]
+    matrices = [sl2z.eval_word(w) for w in words]
+    assert verify._word_sample() == list(zip(words, matrices))
+    real_is_member, seen = sl2z.is_member, []
+
+    def is_member(m):
+        seen.append(m.rows)
+        return real_is_member(m)
+
+    monkeypatch.setattr(sl2z, "is_member", is_member)
+    assert verify.check_property_suites().passed
+    assert seen == [x.rows for i, m in enumerate(matrices)
+                    for x in (m * matrices[(i + 1) % 1000], m.inverse())]
+
+
+def test_property_suites_fail_when_inverse_leaves_the_group(monkeypatch):
+    """inverse() left-multiplied by (1 1 / 0 1) adds the bottom row to the
+    top, which makes the top row product odd for every member (both
+    entries of the new top row are odd mod 2 in the Id and V classes):
+    every closure pair fails."""
+    real_inverse = sl2z.UniModMat2.inverse
+    shear = sl2z.UniModMat2(1, 1, 0, 1)
+
+    def inverse(self):
+        return shear * real_inverse(self)
+
+    monkeypatch.setattr(sl2z.UniModMat2, "inverse", inverse)
+    res = verify.check_property_suites()
+    assert res.name == "property-suites"
+    assert not res.passed
+    assert "closure failures 1000/1000" in res.detail
 
 
 def test_property_suites_alone_build_their_own_inputs(monkeypatch):
