@@ -128,6 +128,13 @@ STATEMENTS: dict[str, str] = {
 # families
 
 
+def _dimensions(**params: int) -> None:
+    """Refuse a dimension that is not a plain int (no bool, float or str)."""
+    for name, value in params.items():
+        if type(value) is not int:
+            raise FamilyParameterError(f"{name} = {value!r} must be an integer")
+
+
 class KnotFamily(_Value):
     """A supported family of standardly embedded sphere (products)."""
 
@@ -139,24 +146,28 @@ class KnotFamily(_Value):
 
     @classmethod
     def unknot_sphere(cls, n: int) -> "KnotFamily":
+        _dimensions(n=n)
         if n < 5:
             raise FamilyParameterError(f"n = {n} must be at least 5")
         return cls("unknot-sphere", (n,))
 
     @classmethod
     def equal_product(cls, p: int) -> "KnotFamily":
+        _dimensions(p=p)
         if p < 1:
             raise FamilyParameterError(f"p = {p} must be at least 1")
         return cls("equal-product", (p,))
 
     @classmethod
     def unequal_product(cls, p: int, q: int) -> "KnotFamily":
+        _dimensions(p=p, q=q)
         if not 2 <= p < q:
             raise FamilyParameterError(f"need 2 <= p < q, got p = {p}, q = {q}")
         return cls("unequal-product", (p, q))
 
     @classmethod
     def adjacent_product(cls, p: int) -> "KnotFamily":
+        _dimensions(p=p)
         if p < 9 or p % 8 != 6:
             raise FamilyParameterError(
                 f"p = {p} must be at least 9 and congruent to 6 mod 8")

@@ -319,11 +319,14 @@ class MulTableGroup(_Value):
                     raise InvalidTableError("table is not square over element indices")
         except TypeError:
             raise InvalidTableError("table is not square over element indices") from None
+        # stored frozen: list input equals and hashes as the same group, and
+        # a later change to the caller's lists cannot reach it
+        table = tuple(map(tuple, table))
         for row in table:
             if len(set(row)) != n:
                 raise InvalidTableError("a row repeats an element (not a bijection)")
-        for j in rng:
-            if len({table[i][j] for i in rng}) != n:
+        for col in zip(*table):
+            if len(set(col)) != n:
                 raise InvalidTableError("a column repeats an element (not a bijection)")
         ident = next((e for e in rng
                       if all(table[e][x] == x and table[x][e] == x for x in rng)),
@@ -331,9 +334,11 @@ class MulTableGroup(_Value):
         if ident is None:
             raise InvalidTableError("no two-sided identity element")
         for a in rng:
+            row_a = table[a]
             for b in rng:
+                row_ab, row_b = table[row_a[b]], table[b]
                 for c in rng:
-                    if table[table[a][b]][c] != table[a][table[b][c]]:
+                    if row_ab[c] != row_a[row_b[c]]:
                         raise InvalidTableError(f"not associative at ({a},{b},{c})")
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "identity", ident)
@@ -356,8 +361,10 @@ class MulTableGroup(_Value):
         return generate(seed, self.mul, self.identity)
 
     def is_subgroup(self, elems) -> bool:
+        # members follow the table rule: plain ints (no bool, no float) in range
         s = set(elems)
-        if self.identity not in s or not s.issubset(range(self.order)):
+        if self.identity not in s or set(map(type, s)) != {int} \
+                or not s.issubset(range(self.order)):
             return False
         return all(self.table[a][b] in s for a in s for b in s)
 
@@ -440,10 +447,16 @@ def semidirect_product(n: MulTableGroup, h: MulTableGroup,
     """
     if n.order * h.order > 64:
         raise UnsupportedSizeError("product order exceeds 64")
-    if set(action) != set(range(h.order)):
+    if set(map(type, action)) != {int} or set(action) != set(range(h.order)):
         raise InvalidActionError("action must cover every element of the acting group")
+    indices = list(range(n.order))
     for x, perm in action.items():
-        if sorted(perm) != list(range(n.order)):
+        # each image lists plain ints (no bool, no float), as a table row does
+        try:
+            ok = set(map(type, perm)) == {int} and sorted(perm) == indices
+        except TypeError:
+            ok = False
+        if not ok:
             raise InvalidActionError(f"image of element {x} is not a permutation")
         for a in range(n.order):
             for b in range(n.order):

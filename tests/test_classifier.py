@@ -29,6 +29,23 @@ def test_family_validation():
         cf.KnotFamily.adjacent_product(6)  # right residue, too small
 
 
+@pytest.mark.parametrize("factory,args", [
+    ("unknot_sphere", (7.5,)),
+    ("unknot_sphere", (7.0,)),
+    ("equal_product", (True,)),
+    ("equal_product", ("4",)),
+    ("unequal_product", (2, 5.0)),
+    ("unequal_product", ("2", 5)),
+    ("adjacent_product", ("6",)),
+    ("adjacent_product", (14.0,)),
+])
+def test_family_dimensions_must_be_plain_ints(factory, args):
+    """A float or bool would compare like an int and classify silently; a
+    str would raise TypeError."""
+    with pytest.raises(cf.FamilyParameterError, match="must be an integer"):
+        getattr(cf.KnotFamily, factory)(*args)
+
+
 def test_describe():
     assert cf.KnotFamily.unknot_sphere(7).describe() == "S^7 in S^9"
     assert cf.KnotFamily.equal_product(4).describe() == "S^4 x S^4 in S^10"

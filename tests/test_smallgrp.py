@@ -9,7 +9,8 @@ element from every coset, coset tables by the definition (complete,
 inverse entries agree, every relator closes at every coset) and by a
 digest of the tables that the earlier two-pass enumeration returned, and
 table validation by a triple loop over every reduced Latin square of
-order 4, 5 and 6.
+order 4, 5 and 6 and over one order-64 Latin square that only
+associativity rejects.
 """
 
 import functools
@@ -157,9 +158,33 @@ def test_table_entries_must_be_plain_indices(table):
 
 
 def test_list_tables_are_accepted():
-    g = sg.MulTableGroup([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+    """List input is stored as a tuple of tuples: the group equals and
+    hashes as the builder's, and a later change to the input misses it."""
+    rows = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+    g = sg.MulTableGroup(rows)
     assert g.order == 3 and g.identity == 0
     assert sg.is_isomorphic(g, sg.cyclic(3)) == (True, (0, 1, 2))
+    assert g == sg.cyclic(3) and hash(g) == hash(sg.cyclic(3))
+    rows[1][1], rows[1][2] = 0, 2
+    rows.append([0, 0, 0])
+    assert g.table == ((0, 1, 2), (1, 2, 0), (2, 0, 1)) and g == sg.cyclic(3)
+
+
+def test_first_failing_triple_at_order_64():
+    """Z64 with 2 and 34 swapped in the cells (1,1), (1,33), (33,1) and
+    (33,33) is still a Latin square with identity 0, so only associativity
+    rejects it, and the message names the first failing triple."""
+    rows = [list(row) for row in sg.cyclic(64).table]
+    for a, b in [(1, 1), (1, 33), (33, 1), (33, 33)]:
+        rows[a][b] = {2: 34, 34: 2}[rows[a][b]]
+    table = tuple(map(tuple, rows))
+    assert all(sorted(row) == list(range(64)) for row in table)
+    assert all(sorted(col) == list(range(64)) for col in zip(*table))
+    assert table[0] == tuple(range(64)) and all(row[0] == i for i, row in enumerate(table))
+    triple = first_non_associative_triple(table)
+    assert triple == (1, 1, 2)
+    with pytest.raises(sg.InvalidTableError, match=r"^not associative at \(1,1,2\)$"):
+        sg.MulTableGroup(table)
 
 
 def brute_force_subgroups(g):
@@ -830,6 +855,20 @@ def test_semidirect_rejects_bad_actions():
         sg.semidirect_product(c3, c2, {1: (0, 2, 1)})  # missing key
 
 
+@pytest.mark.parametrize("action", [
+    {0: (0, 1), 1: (0, 1.0)},     # a float equal to an index
+    {0: (0, 1), 1: (0, True)},    # bool is not an element index
+    {0: (0, 1), 1: (0, "1")},
+    {0: (0, 1), 1: 5},            # an image without entries
+    {0: (0, 1), 1: None},
+    {0: (0, 1), 1.0: (0, 1)},     # keys follow the same rule
+    {0: (0, 1), True: (0, 1)},
+])
+def test_semidirect_rejects_non_index_actions(action):
+    with pytest.raises(sg.InvalidActionError):
+        sg.semidirect_product(sg.cyclic(2), sg.cyclic(2), action)
+
+
 def test_quotients():
     d8 = sg.dihedral(8)
     q = sg.quotient(d8, ref_center(d8))
@@ -935,10 +974,14 @@ def test_build_E_even_structure():
     assert not sg.is_isomorphic(e, sg.cyclic(16))[0]
 
 
-@pytest.mark.parametrize("elems", [{0, 2, -2}, {0, 4}, {0, 2, 6}])
+@pytest.mark.parametrize("elems", [
+    {0, 2, -2}, {0, 4}, {0, 2, 6},
+    [0, 2.0], [0, True, 2, 3], [False, 2], [0, "2"], [0, None],
+])
 def test_indices_outside_the_group_make_no_subgroup(elems):
     """-2 would pick row 2 through negative indexing and 4 or 6 would run
-    past the table."""
+    past the table.  Members follow the table rule, a plain int (no bool,
+    no float): 2.0 raised TypeError, and True or False stood for 1 or 0."""
     c4 = sg.cyclic(4)
     assert not c4.is_subgroup(elems)
     assert not c4.is_normal(elems)
