@@ -27,13 +27,6 @@ class WordSyntaxError(ParseError):
     pass
 
 
-def _mul(x: tuple, y: tuple) -> tuple:
-    """Product of two 2x2 matrices given as entry tuples (a, b, c, d)."""
-    a, b, c, d = x
-    e, f, g, h = y
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-
-
 class UniModMat2(_Value):
     """2x2 integer matrix (a b / c d) with determinant +1."""
 
@@ -74,7 +67,7 @@ class UniModMat2(_Value):
     def __pow__(self, n: int) -> "UniModMat2":
         base = self if n >= 0 else self.inverse()
         n = abs(n)
-        acc = IDENTITY
+        acc = UniModMat2._trusted(1, 0, 0, 1)
         while n:
             if n & 1:
                 acc = acc * base
@@ -220,8 +213,9 @@ def eval_word(w: GenWord) -> UniModMat2:
     checked word gives integer entries with determinant +1, so the result
     is built unchecked.  Each factor is a right product in closed form:
     T^k gives (a, b + 2ka, c, d + 2kc), V gives (b, -a, d, -c) and V^-1
-    gives (-b, a, -d, c).  A power V^e with |e| >= 2 is computed by
-    square-and-multiply, so V^4 = Id is a product, never a rule.  The
+    gives (-b, a, -d, c).  A power V^e with |e| >= 2 comes from
+    `UniModMat2.__pow__`, square-and-multiply, so V^4 = Id is a product,
+    never a rule; it is folded in as a closed-form right product.  The
     word's sign is applied once, at the end.
     """
     a, b, c, d = 1, 0, 0, 1
@@ -234,16 +228,9 @@ def eval_word(w: GenWord) -> UniModMat2:
         elif exp == -1:
             a, b, c, d = -b, a, -d, c
         elif exp:
-            acc = (a, b, c, d)
-            m = (0, -1, 1, 0) if exp > 0 else (0, 1, -1, 0)  # V or V^-1
-            exp = abs(exp)
-            while exp:
-                if exp & 1:
-                    acc = _mul(acc, m)
-                exp >>= 1
-                if exp:
-                    m = _mul(m, m)
-            a, b, c, d = acc
+            p = V ** exp
+            a, b, c, d = (a * p.a + b * p.c, a * p.b + b * p.d,
+                          c * p.a + d * p.c, c * p.b + d * p.d)
     if w.sign == 1:
         return UniModMat2._trusted(a, b, c, d)
     return UniModMat2._trusted(-a, -b, -c, -d)
@@ -299,18 +286,17 @@ def _grow_normal_forms(tokens: tuple[tuple[str, int], ...], budget: int, last: s
                 yield from _grow_normal_forms(tokens + (("T", exp),), budget - size, "T")
 
 
-def normal_forms_up_to(bound: int, signs: bool = True):
-    """Yield every normal-form word of letter length <= bound.
+def normal_forms_up_to(bound: int):
+    """Yield every normal-form word of letter length <= bound, each sign.
 
     Letter length counts V as one letter and T^k as |k| letters; with the
-    sign doubled in (if requested) the list is finite and exhaustive.
+    sign doubled in the list is finite and exhaustive.
     """
     if bound < 0 or bound > 12:
         raise ValueError("bound must be between 0 and 12")
     for tokens in _grow_normal_forms((), bound, None):
         yield GenWord._trusted(tokens, 1)
-        if signs:
-            yield GenWord._trusted(tokens, -1)
+        yield GenWord._trusted(tokens, -1)
 
 
 def verify_presentation(bound: int) -> int:

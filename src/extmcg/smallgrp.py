@@ -18,7 +18,7 @@ rank, torsion) pair, so this module imports no other group layer.
 from __future__ import annotations
 
 from itertools import product
-from math import gcd
+from math import gcd, prod
 from operator import eq
 
 from .errors import ParseError, UnsupportedSizeError, _Value
@@ -248,9 +248,15 @@ def todd_coxeter(pres: Presentation, max_cosets: int = 100_000) -> "MulTableGrou
 
     Coset 0 of the trivial subgroup is the identity and every coset is one
     group element, so more than 64 cosets is refused before any table is
-    built.  If element d is first reached from c by letter x in a
-    breadth-first search from the identity, then i * d = (i * c) * x.
+    built.  A group with one generator is cyclic, so a finite
+    abelianization gives its order, and one above 64 is refused before
+    any enumeration.  If element d is first reached from c by letter x in
+    a breadth-first search from the identity, then i * d = (i * c) * x.
     """
+    if len(pres.generators) == 1:
+        free_rank, torsion = abelian_invariants(pres)
+        if free_rank == 0:
+            _require_order(prod(torsion))
     table = _coset_table(pres, max_cosets)
     n = len(table)
     _require_order(n)
@@ -325,19 +331,25 @@ class MulTableGroup(_Value):
         for row in table:
             if len(set(row)) != n:
                 raise InvalidTableError("a row repeats an element (not a bijection)")
-        for col in zip(*table):
+        commutative = True  # column i equals row i for every i
+        for row, col in zip(table, zip(*table)):
             if len(set(col)) != n:
                 raise InvalidTableError("a column repeats an element (not a bijection)")
+            commutative = commutative and row == col
         ident = next((e for e in rng
                       if all(table[e][x] == x and table[x][e] == x for x in rng)),
                      None)
         if ident is None:
             raise InvalidTableError("no two-sided identity element")
-        for a in rng:
-            row_a = table[a]
-            for b in rng:
+        # a triple through the identity holds; in a commutative table
+        # (ab)c = c(ba) and a(bc) = (cb)a, so (a,b,c) holds iff (c,b,a) does
+        # and c runs from a up: each triple is decided, the first failure named
+        others = [x for x in rng if x != ident]
+        for i, a in enumerate(others):
+            row_a, cs = table[a], others[i:] if commutative else others
+            for b in others:
                 row_ab, row_b = table[row_a[b]], table[b]
-                for c in rng:
+                for c in cs:
                     if row_ab[c] != row_a[row_b[c]]:
                         raise InvalidTableError(f"not associative at ({a},{b},{c})")
         object.__setattr__(self, "table", table)
@@ -450,6 +462,7 @@ def semidirect_product(n: MulTableGroup, h: MulTableGroup,
     if set(map(type, action)) != {int} or set(action) != set(range(h.order)):
         raise InvalidActionError("action must cover every element of the acting group")
     indices = list(range(n.order))
+    images = {}  # stored as tuples, so list images compare equal below
     for x, perm in action.items():
         # each image lists plain ints (no bool, no float), as a table row does
         try:
@@ -458,20 +471,21 @@ def semidirect_product(n: MulTableGroup, h: MulTableGroup,
             ok = False
         if not ok:
             raise InvalidActionError(f"image of element {x} is not a permutation")
+        images[x] = perm = tuple(perm)
         for a in range(n.order):
             for b in range(n.order):
                 if perm[n.table[a][b]] != n.table[perm[a]][perm[b]]:
                     raise InvalidActionError(f"image of element {x} is not an automorphism")
     for x in range(h.order):
         for y in range(h.order):
-            composed = tuple([action[x][action[y][a]] for a in range(n.order)])
-            if composed != action[h.table[x][y]]:
+            composed = tuple([images[x][images[y][a]] for a in range(n.order)])
+            if composed != images[h.table[x][y]]:
                 raise InvalidActionError("action is not a homomorphism into Aut(n)")
 
     # pair (a, x) has index a*|h| + x; row (a, x), column (b, y) holds
     # (a * action[x](b), x y), built one row at a time
     m = h.order
-    table = tuple([tuple([n_row[p] * m + z for p in action[x] for z in h_row])
+    table = tuple([tuple([n_row[p] * m + z for p in images[x] for z in h_row])
                    for n_row in n.table for x, h_row in enumerate(h.table)])
     return MulTableGroup(table)
 

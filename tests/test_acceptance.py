@@ -421,7 +421,8 @@ def test_form_kernel_on_a_congruent_space():
 def test_form_kernel_flags_elements_of_another_dimension():
     space = ff.standard_space(2)
     sp = ff.enumerate_sp(2)
-    mixed = sp[:3] + [ff.enumerate_sp(1)[0], ff.enumerate_sp(3)[0]] + sp[3:5]
+    six = ff.SpElement.from_columns((1, 2, 4, 8, 16, 32))
+    mixed = sp[:3] + [ff.enumerate_sp(1)[0], six] + sp[3:5]
     assert verify._form_preserving(space, mixed) == 0b1100111
     assert _form_bits_match_is_symplectic(space, mixed) == 5
 

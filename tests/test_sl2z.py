@@ -154,6 +154,18 @@ def test_eval_word_matches_generator_powers():
     assert sl2z.eval_word(sl2z.parse_word("V^-3")) == sl2z.V
 
 
+@pytest.mark.parametrize("e", range(-9, 10))
+def test_eval_word_of_a_v_power_is_the_repeated_product(e):
+    """V^e against |e| factors V, or V^-1 for negative e, multiplied one at
+    a time, alone and after T^3."""
+    step = sl2z.V if e > 0 else sl2z.V.inverse()
+    want = sl2z.IDENTITY
+    for _ in range(abs(e)):
+        want = want * step
+    assert sl2z.eval_word(sl2z.GenWord((("V", e),))) == want
+    assert sl2z.eval_word(sl2z.GenWord((("T", 3), ("V", e)))) == sl2z.T * sl2z.T * sl2z.T * want
+
+
 def test_normal_form_examples():
     """decompose(eval_word(w)) is the normal form of w, and so is the
     reference."""

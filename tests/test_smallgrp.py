@@ -9,8 +9,9 @@ element from every coset, coset tables by the definition (complete,
 inverse entries agree, every relator closes at every coset) and by a
 digest of the tables that the earlier two-pass enumeration returned, and
 table validation by a triple loop over every reduced Latin square of
-order 4, 5 and 6 and over one order-64 Latin square that only
-associativity rejects.
+order 4, 5 and 6, as given and renamed so that the identity is the last
+element, and over one order-64 Latin square that only associativity
+rejects.
 """
 
 import functools
@@ -139,6 +140,42 @@ def test_table_validation_on_every_reduced_latin_square(n, squares, groups):
                 sg.MulTableGroup(table)
             assert str(err.value) == "not associative at ({},{},{})".format(*triple)
     assert accepted == groups
+
+
+def relabelled(table, sigma):
+    """The same operation with each element x renamed sigma[x]."""
+    n = len(table)
+    out = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            out[sigma[a]][sigma[b]] = sigma[table[a][b]]
+    return tuple(map(tuple, out))
+
+
+@pytest.mark.parametrize("n,groups,commutative,rejected", [
+    (4, 4, 4, 0), (5, 6, 6, 0), (6, 80, 456, 396)])
+def test_table_validation_with_the_identity_last(n, groups, commutative, rejected):
+    """Every reduced Latin square renamed by x -> n - 1 - x, so that the
+    identity is element n - 1 and the order of the other elements is
+    reversed.  The verdict and the first failing triple are those of the
+    triple loop over the renamed table, for the commutative squares (456
+    at order 6, 396 of them not associative) as for the others."""
+    sigma = list(range(n - 1, -1, -1))
+    accepted = seen_commutative = seen_rejected = 0
+    for square in reduced_latin_squares(n):
+        table = relabelled(square, sigma)
+        is_commutative = table == tuple(zip(*table))
+        seen_commutative += is_commutative
+        triple = first_non_associative_triple(table)
+        if triple is None:
+            assert sg.MulTableGroup(table).identity == n - 1
+            accepted += 1
+        else:
+            seen_rejected += is_commutative
+            with pytest.raises(sg.InvalidTableError) as err:
+                sg.MulTableGroup(table)
+            assert str(err.value) == "not associative at ({},{},{})".format(*triple)
+    assert (accepted, seen_commutative, seen_rejected) == (groups, commutative, rejected)
 
 
 @pytest.mark.parametrize("table", [
@@ -716,6 +753,33 @@ def test_todd_coxeter_refuses_an_order_above_64_without_a_table(monkeypatch, n):
     assert str(refused.value) == f"order {n} outside supported range 1..64"
 
 
+def test_one_generator_orders_come_from_the_abelianization(monkeypatch):
+    """A group with one generator is cyclic, so a finite abelianization
+    gives its order: a^65, a^4000 and a^10000 are refused with no coset
+    enumeration, and a^64 still enumerates.  Two generators, or a free
+    abelianization, still enumerate."""
+    calls = []
+
+    def counted(pres, max_cosets):
+        calls.append(pres)
+        return real(pres, max_cosets)
+
+    real = sg._coset_table
+    monkeypatch.setattr(sg, "_coset_table", counted)
+    for n in (65, 4000, 10000):
+        with pytest.raises(sg.UnsupportedSizeError) as refused:
+            sg.todd_coxeter(sg.parse_presentation(f"gens: a; rels: a^{n}"))
+        assert str(refused.value) == f"order {n} outside supported range 1..64"
+    assert calls == []
+    assert sg.todd_coxeter(sg.parse_presentation("gens: a; rels: a^64")).order == 64
+    assert len(calls) == 1
+    with pytest.raises(sg.UnsupportedSizeError, match="^order 65 outside"):
+        sg.todd_coxeter(sg.parse_presentation("gens: a,b; rels: a^65, b"))
+    with pytest.raises(sg.CosetCapacityError):
+        sg.todd_coxeter(sg.parse_presentation("gens: a; rels: a^3 a^-3"), max_cosets=50)
+    assert len(calls) == 3
+
+
 def seeded_presentations(count=600):
     """Presentations on one to three generators: a power relator a^2..a^6
     for some generators, then one to three relators of 2 to 10 random
@@ -839,6 +903,16 @@ def test_semidirect_rows_match_the_entrywise_table(monkeypatch):
     assert len(made) > 100 and made[-1][3].order == 64
     for n, h, action, g in made:
         assert g.table == reference_semidirect_table(n, h, action), (n.order, h.order)
+
+
+def test_semidirect_accepts_list_images():
+    """An action whose images are lists builds the group its tuple images
+    build."""
+    c3, c4 = sg.cyclic(3), sg.cyclic(4)
+    for n, h, action in [(c3, sg.cyclic(2), {0: (0, 1, 2), 1: (0, 2, 1)}),
+                         (c4, c4, cyclic_action(4, 4, 3))]:
+        as_lists = {x: list(perm) for x, perm in action.items()}
+        assert sg.semidirect_product(n, h, as_lists) == sg.semidirect_product(n, h, action)
 
 
 def test_semidirect_rejects_bad_actions():
