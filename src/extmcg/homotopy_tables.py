@@ -10,34 +10,11 @@ rather than extrapolate.
 
 from __future__ import annotations
 
-from math import gcd
-
-from .errors import _Value
+from .smallgrp import FinAbGroup
 
 
 class OutOfDomainError(ValueError):
     pass
-
-
-class FinAbGroup(_Value):
-    """Finitely generated abelian group in invariant-factor form.
-
-    torsion is a divisibility chain d_1 | d_2 | ... with every d_i >= 2;
-    free_rank counts the infinite cyclic summands.
-    """
-
-    __slots__ = _fields = ("free_rank", "torsion")
-
-    def __init__(self, free_rank: int, torsion: tuple[int, ...]):
-        if free_rank < 0:
-            raise ValueError("free rank must be nonnegative")
-        for i, d in enumerate(torsion):
-            if d < 2:
-                raise ValueError(f"torsion order {d} must be at least 2")
-            if i and torsion[i - 1] != gcd(torsion[i - 1], d):
-                raise ValueError("torsion orders must form a divisibility chain")
-        object.__setattr__(self, "free_rank", free_rank)
-        object.__setattr__(self, "torsion", torsion)
 
 
 TRIVIAL = FinAbGroup(0, ())

@@ -11,8 +11,9 @@ before any table is built.  On a presentation of an infinite group the
 coset count passes any cap, reported as CosetCapacityError, which shows
 nothing about finiteness; `abelian_invariants` proves a group infinite
 instead, when its abelianization has positive free rank, from the Smith
-normal form of the relator exponent sums.  It returns a plain (free
-rank, torsion) pair, so this module imports no other group layer.
+normal form of the relator exponent sums, as a `FinAbGroup`.  A group
+is at least as large as its abelianization, so a finite one of order
+above 64 is refused before any enumeration.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ class InvalidSubgroupError(ValueError):
 class Presentation(_Value):
     """Finite presentation: generator names and relator words.
 
-    A relator is a tuple of (generator_index, exponent_sign) letters; the
-    relator multiplies out to the identity.
+    A relator is a tuple of (generator_index, exponent_sign) letters, each
+    two plain ints (no bool, no float); it multiplies out to the identity.
     """
 
     __slots__ = _fields = ("generators", "relators")
@@ -63,7 +64,7 @@ class Presentation(_Value):
             raise PresentationError("duplicate generator names")
         for rel in relators:
             for g, s in rel:
-                if not 0 <= g < len(generators) or s not in (1, -1):
+                if not (type(g) is type(s) is int and 0 <= g < len(generators) and s in (1, -1)):
                     raise PresentationError(f"bad letter ({g}, {s})")
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "relators", relators)
@@ -248,15 +249,17 @@ def todd_coxeter(pres: Presentation, max_cosets: int = 100_000) -> "MulTableGrou
 
     Coset 0 of the trivial subgroup is the identity and every coset is one
     group element, so more than 64 cosets is refused before any table is
-    built.  A group with one generator is cyclic, so a finite
-    abelianization gives its order, and one above 64 is refused before
-    any enumeration.  If element d is first reached from c by letter x in
-    a breadth-first search from the identity, then i * d = (i * c) * x.
+    built.  The group maps onto its abelianization, so a finite one of
+    order N > 64 is refused before any enumeration (exactly N with one
+    generator, where the group is cyclic); a free summand is left to the
+    cap.  If element d is first reached from c by letter x in a
+    breadth-first search from the identity, then i * d = (i * c) * x.
     """
-    if len(pres.generators) == 1:
-        free_rank, torsion = abelian_invariants(pres)
-        if free_rank == 0:
-            _require_order(prod(torsion))
+    ab = abelian_invariants(pres)
+    n = prod(ab.torsion)
+    if not ab.free_rank and n > 64:
+        bound = "" if len(pres.generators) == 1 else "at least "
+        raise UnsupportedSizeError(f"order {bound}{n} outside supported range 1..64")
     table = _coset_table(pres, max_cosets)
     n = len(table)
     _require_order(n)
@@ -692,10 +695,6 @@ D8_PRESENTATION = parse_presentation(
 # the even-row-product subgroup of SL(2,Z); infinite, so Todd-Coxeter hits any cap
 GAMMA_V2_PRESENTATION = parse_presentation("gens: V,T; rels: V^4, V^2 T V^-2 T^-1")
 
-E_EVEN_PRESENTATION = parse_presentation(
-    "gens: a,b,u,r; rels: a^2, b^2, u^2, r^2, [a,b], [a,r], [b,r], [u,r], "
-    "a u b^-1 u^-1")
-
 # element indices inside build_E_even(), fixed by the product conventions:
 # ((klein ⋊ swap) x reversal): inner pair (k, u) has index k*2+u, outer
 # pair (inner, r) has index inner*2+r
@@ -715,8 +714,32 @@ def build_E_even() -> MulTableGroup:
     return direct_product(inner, cyclic(2))
 
 
-def abelian_invariants(pres: Presentation) -> tuple[int, tuple[int, ...]]:
-    """The abelianization of the presented group as (free rank, torsion).
+class FinAbGroup(_Value):
+    """Finitely generated abelian group in invariant-factor form.
+
+    torsion is a divisibility chain d_1 | d_2 | ... with every d_i >= 2;
+    free_rank counts the infinite cyclic summands.
+    """
+
+    __slots__ = _fields = ("free_rank", "torsion")
+
+    def __init__(self, free_rank: int, torsion: tuple[int, ...]):
+        if free_rank < 0:
+            raise ValueError("free rank must be nonnegative")
+        for i, d in enumerate(torsion):
+            if d < 2:
+                raise ValueError(f"torsion order {d} must be at least 2")
+            if i and torsion[i - 1] != gcd(torsion[i - 1], d):
+                raise ValueError("torsion orders must form a divisibility chain")
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", torsion)
+
+    def __str__(self):  # Z4 + Z, Z2 + Z12, or trivial
+        return " + ".join([f"Z{d}" for d in self.torsion] + ["Z"] * self.free_rank) or "trivial"
+
+
+def abelian_invariants(pres: Presentation) -> FinAbGroup:
+    """The abelianization of the presented group.
 
     Row r of the relator matrix holds the exponent sum of each generator
     in relator r; the abelianization is Z^n modulo its rows.  Integer row
@@ -763,4 +786,4 @@ def abelian_invariants(pres: Presentation) -> tuple[int, tuple[int, ...]]:
         for j in range(i + 1, len(diagonal)):
             g = gcd(diagonal[i], diagonal[j])
             diagonal[i], diagonal[j] = g, diagonal[i] * diagonal[j] // g
-    return n - len(diagonal), tuple(d for d in diagonal if d > 1)
+    return FinAbGroup._trusted(n - len(diagonal), tuple(d for d in diagonal if d > 1))

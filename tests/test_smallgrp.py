@@ -529,6 +529,15 @@ def test_parse_presentation():
         sg.parse_presentation("gens: a; rels: a^")
 
 
+@pytest.mark.parametrize("letter", [
+    (0.0, 1), (0, 1.0), (True, 1), (0, True), (1, -1.0), (2, 1), (-1, 1), (0, 2), (0, 0)])
+def test_presentation_refuses_a_letter_that_is_not_two_plain_ints(letter):
+    """A float index once built and then failed inside the coset table; a
+    float sign gave the torsion (3.0,)."""
+    with pytest.raises(sg.PresentationError, match="^bad letter"):
+        sg.Presentation(("a", "b"), ((letter,) * 2, ((0, 1),) * 3))
+
+
 def test_parse_presentation_caps_the_expanded_relators():
     """An exponent is refused before it is expanded: a^99999999999 would
     otherwise need a list of that many letters."""
@@ -541,6 +550,10 @@ def test_parse_presentation_caps_the_expanded_relators():
         with pytest.raises(sg.UnsupportedSizeError, match=f"cap of {cap} letters"):
             sg.parse_presentation(text)
 
+
+# the order-16 model ((Z2 x Z2) ⋊ Z2) x Z2 of `build_E_even`
+E_EVEN_PRESENTATION = sg.parse_presentation(
+    "gens: a,b,u,r; rels: a^2, b^2, u^2, r^2, [a,b], [a,r], [b,r], [u,r], a u b^-1 u^-1")
 
 KNOWN_ORDERS = [
     ("gens: a; rels: a^5", 5),
@@ -577,7 +590,7 @@ def test_todd_coxeter_exercise_presentation():
 
 
 def test_todd_coxeter_full_model_presentation():
-    g = sg.todd_coxeter(sg.E_EVEN_PRESENTATION)
+    g = sg.todd_coxeter(E_EVEN_PRESENTATION)
     assert g.order == 16
     assert sg.is_isomorphic(g, sg.build_E_even())[0]
     assert sg.is_isomorphic(
@@ -604,7 +617,7 @@ def test_abelianizations():
     ab_d8 = sg.todd_coxeter(abelianized(sg.D8_PRESENTATION))
     assert ab_d8.order == 4
     assert sg.is_isomorphic(ab_d8, sg.klein())[0]
-    ab_e = sg.todd_coxeter(abelianized(sg.E_EVEN_PRESENTATION))
+    ab_e = sg.todd_coxeter(abelianized(E_EVEN_PRESENTATION))
     assert ab_e.order == 8
     assert sg.is_isomorphic(
         ab_e, sg.direct_product(sg.klein(), sg.cyclic(2)))[0]
@@ -626,14 +639,13 @@ FINITE_PRESENTATIONS = [
 
 
 @pytest.mark.parametrize("pres", [sg.parse_presentation(t) for t in FINITE_PRESENTATIONS]
-                         + [sg.D8_PRESENTATION, sg.E_EVEN_PRESENTATION])
+                         + [sg.D8_PRESENTATION, E_EVEN_PRESENTATION])
 def test_abelian_invariants_match_todd_coxeter(pres):
     """The Smith form of the relator exponent sums against the table that
     coset enumeration builds for the abelianized presentation."""
-    free_rank, torsion = sg.abelian_invariants(pres)
-    assert free_rank == 0
-    assert all(d > 1 for d in torsion)
-    assert all(b % a == 0 for a, b in zip(torsion, torsion[1:]))
+    ab = sg.abelian_invariants(pres)
+    torsion = ab.torsion
+    assert ab == sg.FinAbGroup(0, torsion)  # the checked constructor agrees
     table = sg.todd_coxeter(abelianized(pres))
     assert table.order == math.prod(torsion)
     assert sg.is_isomorphic(table, abelian_group(torsion))[0]
@@ -665,21 +677,21 @@ def test_abelian_invariants_on_seeded_relator_matrices():
     """Random 3 x 3 exponent matrices whose determinant is at most 64: the
     invariants describe the group that coset enumeration finds."""
     for pres, det in seeded_relator_matrices():
-        free_rank, torsion = sg.abelian_invariants(pres)
-        assert free_rank == 0 and math.prod(torsion) == det
-        assert all(b % a == 0 for a, b in zip(torsion, torsion[1:]))
+        ab = sg.abelian_invariants(pres)
+        torsion = ab.torsion
+        assert ab == sg.FinAbGroup(0, torsion) and math.prod(torsion) == det
         assert sg.is_isomorphic(sg.todd_coxeter(abelianized(pres)), abelian_group(torsion))[0]
 
 
 @pytest.mark.parametrize("text,want", [
     # rows (6, 4, 0), (4, 6, 10), (2, 0, 14): the gcd of the entries is 2,
     # of the 2 x 2 minors 4, and the determinant 360, so 2 | 2 | 90
-    ("gens: a,b,c; rels: a^6 b^4, a^4 b^6 c^10, a^2 c^14", (0, (2, 2, 90))),
+    ("gens: a,b,c; rels: a^6 b^4, a^4 b^6 c^10, a^2 c^14", sg.FinAbGroup(0, (2, 2, 90))),
     # diagonal (6, 4) is not in divisibility order: Z6 + Z4 = Z2 + Z12
-    ("gens: a,b; rels: a^6, b^4", (0, (2, 12))),
-    ("gens: a,b,c; rels: a^-9 b^6, b^-15", (1, (3, 45))),
-    ("gens: a,b; rels: a^2 b^-2 a^-2 b^2", (2, ())),
-    ("gens: a,b; rels: ", (2, ())),
+    ("gens: a,b; rels: a^6, b^4", sg.FinAbGroup(0, (2, 12))),
+    ("gens: a,b,c; rels: a^-9 b^6, b^-15", sg.FinAbGroup(1, (3, 45))),
+    ("gens: a,b; rels: a^2 b^-2 a^-2 b^2", sg.FinAbGroup(2, ())),
+    ("gens: a,b; rels: ", sg.FinAbGroup(2, ())),
 ])
 def test_abelian_invariants_need_several_pivots(text, want):
     assert sg.abelian_invariants(sg.parse_presentation(text)) == want
@@ -692,8 +704,8 @@ GAMMA_V2_WITH_T5 = sg.Presentation(sg.GAMMA_V2_PRESENTATION.generators,
 def test_gamma_v2_abelianization():
     """Gamma_V2 is infinite: Z4 + Z.  With T^5 added it becomes finite,
     Z4 + Z5 = Z20 in invariant factors."""
-    assert sg.abelian_invariants(sg.GAMMA_V2_PRESENTATION) == (1, (4,))
-    assert sg.abelian_invariants(GAMMA_V2_WITH_T5) == (0, (20,))
+    assert sg.abelian_invariants(sg.GAMMA_V2_PRESENTATION) == sg.FinAbGroup(1, (4,))
+    assert sg.abelian_invariants(GAMMA_V2_WITH_T5) == sg.FinAbGroup(0, (20,))
     assert sg.todd_coxeter(abelianized(GAMMA_V2_WITH_T5)).order == 20
 
 
@@ -730,10 +742,10 @@ def ref_todd_coxeter_table(pres, max_cosets=100_000):
 TODD_COXETER_PRESENTATIONS = (
     [sg.parse_presentation(text) for text, _ in KNOWN_ORDERS]
     + [sg.parse_presentation(t) for t in FINITE_PRESENTATIONS + ["gens: a; rels: a^64"]]
-    + [sg.D8_PRESENTATION, sg.E_EVEN_PRESENTATION]
+    + [sg.D8_PRESENTATION, E_EVEN_PRESENTATION]
     + [abelianized(pres) for pres in
        [sg.parse_presentation(t) for t in FINITE_PRESENTATIONS]
-       + [sg.D8_PRESENTATION, sg.E_EVEN_PRESENTATION, GAMMA_V2_WITH_T5]
+       + [sg.D8_PRESENTATION, E_EVEN_PRESENTATION, GAMMA_V2_WITH_T5]
        + [pres for pres, _ in seeded_relator_matrices()]])
 
 
@@ -756,8 +768,8 @@ def test_todd_coxeter_refuses_an_order_above_64_without_a_table(monkeypatch, n):
 def test_one_generator_orders_come_from_the_abelianization(monkeypatch):
     """A group with one generator is cyclic, so a finite abelianization
     gives its order: a^65, a^4000 and a^10000 are refused with no coset
-    enumeration, and a^64 still enumerates.  Two generators, or a free
-    abelianization, still enumerate."""
+    enumeration, and a^64 still enumerates.  A free abelianization still
+    enumerates, up to the cap."""
     calls = []
 
     def counted(pres, max_cosets):
@@ -773,11 +785,56 @@ def test_one_generator_orders_come_from_the_abelianization(monkeypatch):
     assert calls == []
     assert sg.todd_coxeter(sg.parse_presentation("gens: a; rels: a^64")).order == 64
     assert len(calls) == 1
-    with pytest.raises(sg.UnsupportedSizeError, match="^order 65 outside"):
-        sg.todd_coxeter(sg.parse_presentation("gens: a,b; rels: a^65, b"))
     with pytest.raises(sg.CosetCapacityError):
         sg.todd_coxeter(sg.parse_presentation("gens: a; rels: a^3 a^-3"), max_cosets=50)
-    assert len(calls) == 3
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("text,n", [
+    ("gens: a,b; rels: a^4000, b", 4000),
+    ("gens: a,b; rels: a^2000, b^2, [a,b]", 4000),
+    ("gens: a,b; rels: a^65, b", 65),
+])
+def test_a_large_finite_abelianization_is_refused_before_enumeration(monkeypatch, text, n):
+    """A group is at least as large as its abelianization, so one of order
+    above 64 refuses the presentation with no coset table."""
+    def no_coset_table(pres, max_cosets):
+        raise AssertionError("cosets were enumerated")
+
+    monkeypatch.setattr(sg, "_coset_table", no_coset_table)
+    with pytest.raises(sg.UnsupportedSizeError) as refused:
+        sg.todd_coxeter(sg.parse_presentation(text))
+    assert str(refused.value) == f"order at least {n} outside supported range 1..64"
+
+
+@pytest.mark.parametrize("pres", TODD_COXETER_PRESENTATIONS)
+def test_the_abelianization_order_divides_the_group_order(pres):
+    """The fact the refusal rests on: G^ab is a quotient of G."""
+    ab = sg.abelian_invariants(pres)
+    assert ab.free_rank == 0
+    assert sg.todd_coxeter(pres).order % math.prod(ab.torsion) == 0
+
+
+@pytest.mark.parametrize("pres", [
+    sg.GAMMA_V2_PRESENTATION,
+    sg.parse_presentation("gens: a,b; rels: a^2"),
+    sg.parse_presentation("gens: a; rels: a^3 a^-3"),
+])
+def test_a_free_abelianization_still_reaches_the_cap(pres):
+    assert sg.abelian_invariants(pres).free_rank >= 1
+    with pytest.raises(sg.CosetCapacityError):
+        sg.todd_coxeter(pres, max_cosets=200)
+
+
+@pytest.mark.parametrize("free_rank,torsion,text", [
+    (0, (), "trivial"),
+    (1, (), "Z"),
+    (0, (2, 2), "Z2 + Z2"),
+    (1, (4,), "Z4 + Z"),
+    (2, (2, 12), "Z2 + Z12 + Z + Z"),
+])
+def test_fin_ab_group_prints_its_summands(free_rank, torsion, text):
+    assert str(sg.FinAbGroup(free_rank, torsion)) == text
 
 
 def seeded_presentations(count=600):
