@@ -310,7 +310,9 @@ def generate(seed, mul, identity) -> frozenset:
 class MulTableGroup(_Value):
     """Finite group as a full multiplication table over indices 0..n-1.
 
-    The identity element is found from the table, not passed in.
+    The identity is found from the table.  Each table is validated in full,
+    except products and quotients of checked groups, which are groups by
+    construction from checked inputs.
     """
 
     __slots__ = _fields = ("table", "identity")
@@ -366,11 +368,10 @@ class MulTableGroup(_Value):
         return self.table[a][b]
 
     def inverse(self, a: int) -> int:
-        return next(b for b in range(self.order) if self.table[a][b] == self.identity)
+        return self.table[a].index(self.identity)  # each row is a permutation
 
     def is_abelian(self) -> bool:
-        t = self.table
-        return all(t[a][b] == t[b][a] for a in range(self.order) for b in range(self.order))
+        return self.table == tuple(zip(*self.table))
 
     def closure(self, seed) -> frozenset[int]:
         return generate(seed, self.mul, self.identity)
@@ -458,8 +459,11 @@ def semidirect_product(n: MulTableGroup, h: MulTableGroup,
     """Split extension of n by h: (a, x)(b, y) = (a * action[x](b), x y).
 
     action maps each element of h to a permutation of n's indices; it must
-    send each to an automorphism and be a homomorphism into Aut(n).
+    send each to an automorphism and be a homomorphism into Aut(n).  Then
+    n ⋊ h is a group by construction, so its table is not checked again.
     """
+    if not (isinstance(n, MulTableGroup) and isinstance(h, MulTableGroup)):
+        raise TypeError("semidirect_product needs MulTableGroup factors")
     if n.order * h.order > 64:
         raise UnsupportedSizeError("product order exceeds 64")
     if set(map(type, action)) != {int} or set(action) != set(range(h.order)):
@@ -490,11 +494,14 @@ def semidirect_product(n: MulTableGroup, h: MulTableGroup,
     m = h.order
     table = tuple([tuple([n_row[p] * m + z for p in images[x] for z in h_row])
                    for n_row in n.table for x, h_row in enumerate(h.table)])
-    return MulTableGroup(table)
+    return MulTableGroup._trusted(table, n.identity * m + h.identity)
 
 
 def quotient(g: MulTableGroup, normal) -> MulTableGroup:
-    """Quotient by a normal subgroup, cosets indexed by smallest member."""
+    """Quotient by a normal subgroup, cosets indexed by smallest member;
+    a group by construction, so its table is not checked again."""
+    if not isinstance(g, MulTableGroup):
+        raise TypeError("quotient needs a MulTableGroup")
     if not g.is_normal(normal):
         raise InvalidSubgroupError("subset is not a normal subgroup")
     nset = frozenset(normal)
@@ -511,7 +518,7 @@ def quotient(g: MulTableGroup, normal) -> MulTableGroup:
     k = len(reps)
     table = tuple([tuple([coset_of[g.table[reps[i]][reps[j]]] for j in range(k)])
                    for i in range(k)])
-    return MulTableGroup(table)
+    return MulTableGroup._trusted(table, coset_of[g.identity])
 
 
 # ---------------------------------------------------------------------------
@@ -717,18 +724,19 @@ def build_E_even() -> MulTableGroup:
 class FinAbGroup(_Value):
     """Finitely generated abelian group in invariant-factor form.
 
-    torsion is a divisibility chain d_1 | d_2 | ... with every d_i >= 2;
-    free_rank counts the infinite cyclic summands.
+    torsion is a divisibility chain d_1 | d_2 | ... of plain ints (no bool,
+    no float) >= 2, stored as a tuple; free_rank counts the Z summands.
     """
 
     __slots__ = _fields = ("free_rank", "torsion")
 
     def __init__(self, free_rank: int, torsion: tuple[int, ...]):
-        if free_rank < 0:
-            raise ValueError("free rank must be nonnegative")
+        torsion = tuple(torsion)
+        if type(free_rank) is not int or free_rank < 0:
+            raise ValueError(f"free rank {free_rank!r} must be a nonnegative int")
         for i, d in enumerate(torsion):
-            if d < 2:
-                raise ValueError(f"torsion order {d} must be at least 2")
+            if type(d) is not int or d < 2:
+                raise ValueError(f"torsion order {d!r} must be an int at least 2")
             if i and torsion[i - 1] != gcd(torsion[i - 1], d):
                 raise ValueError("torsion orders must form a divisibility chain")
         object.__setattr__(self, "free_rank", free_rank)

@@ -504,9 +504,10 @@ def check_property_suites(inputs):
     matrices of `_word_sample`), Arf invariance under all of
     Sp(2,2) and Sp(4,2) (every element of every refinement, bit-sliced
     over the elements), the majority oracle at k <= 2, and re-validation
-    of the 23 group tables it builds: each is validated by
-    MulTableGroup.__init__ once per run, here or, for the seven that
-    check_coset_enumeration also reads, there.  The word round trip is
+    of the 23 group tables it builds: MulTableGroup.__init__ validates each
+    once per run, here or, for the five that check_coset_enumeration also
+    reads, there; the two products and the quotient, built unchecked, are
+    rebuilt through it here.  The word round trip is
     check_word_algebra's alone; the per-call route, `transport` then
     `arf`, runs under `orbit` in check_symplectic_census."""
     ok = True
@@ -527,9 +528,10 @@ def check_property_suites(inputs):
                          _built(inputs, smallgrp.dihedral, 8), _built(inputs, smallgrp.cyclic, 2)))
     tables.append(_built(inputs, smallgrp.todd_coxeter, smallgrp.D8_PRESENTATION))
     tables.append(smallgrp.quotient(e, e.closure([smallgrp.E_EVEN_GENS["r"]])))
-    # construction re-runs the Latin-square / identity / associativity
-    # validation in MulTableGroup.__init__ (inverses follow from the Latin
-    # rows and the identity, so there is no separate inverse check)
+    # __init__ checks Latin rows, identity and associativity; inverses follow
+    if not all(smallgrp.MulTableGroup(t.table) == t for t in (e, tables[-3], tables[-1])):
+        ok = False
+        details.append("a product or quotient differs from its validated table")
     details.append(f"{len(tables)} group tables validated")
     sample = [m for _, m in _built(inputs, _word_sample)]
     bad = sum(not (sl2z.is_member(m1 * m2) and sl2z.is_member(m1.inverse()))

@@ -609,16 +609,29 @@ def test_property_suites_fail_when_inverse_leaves_the_group(monkeypatch):
 
 def test_property_suites_alone_build_their_own_inputs(monkeypatch):
     """Called alone, the property suite builds and validates its 23 tables
-    (plus the four factors build_E_even makes on the way) and lists
-    Sp(2,2) and Sp(4,2) itself."""
+    (plus the three factors build_E_even validates on the way; its inner
+    product, like every product and quotient, is built unchecked) and
+    lists Sp(2,2) and Sp(4,2) itself."""
     built, listed = _count_builds(monkeypatch)
     res = verify.check_property_suites()
     assert res.passed
     assert "23 group tables validated" in res.detail
     assert listed == [1, 2]
-    factors = [4, 2, 8, 2]  # klein, cyclic(2), their semidirect product, cyclic(2)
+    factors = [4, 2, 2]  # klein, cyclic(2), cyclic(2)
     orders = list(range(1, 13)) + [4, 8] + factors + [16, 6, 8, 10, 12, 16, 16, 8, 8]
     assert sorted(built) == sorted(orders)
+
+
+def test_property_suites_fail_on_a_trusted_table_that_is_no_group(monkeypatch):
+    """The products and the quotient are built unchecked, so the property
+    suite rebuilds them through the full check: an E_even that names a
+    wrong identity fails it."""
+    e = smallgrp.build_E_even()
+    monkeypatch.setattr(smallgrp, "build_E_even",
+                        lambda: smallgrp.MulTableGroup._trusted(e.table, 1))
+    res = verify.check_property_suites()
+    assert not res.passed
+    assert "a product or quotient differs from its validated table" in res.detail
 
 
 def test_run_all_leaves_no_reference_cycles():

@@ -19,6 +19,7 @@ import hashlib
 import itertools
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -837,6 +838,24 @@ def test_fin_ab_group_prints_its_summands(free_rank, torsion, text):
     assert str(sg.FinAbGroup(free_rank, torsion)) == text
 
 
+@pytest.mark.parametrize("free_rank,torsion", [
+    (0, (2.5,)),
+    (0, (4.0,)),
+    (0, ("4",)),
+    (True, ()),
+    (1.0, ()),
+])
+def test_fin_ab_group_takes_plain_ints_only(free_rank, torsion):
+    with pytest.raises(ValueError):
+        sg.FinAbGroup(free_rank, torsion)
+
+
+def test_fin_ab_group_stores_list_torsion_as_a_tuple():
+    listed = sg.FinAbGroup(0, [2, 4])
+    assert listed == sg.FinAbGroup(0, (2, 4)) and listed.torsion == (2, 4)
+    assert hash(listed) == hash(sg.FinAbGroup(0, (2, 4)))
+
+
 def seeded_presentations(count=600):
     """Presentations on one to three generators: a power relator a^2..a^6
     for some generators, then one to three relators of 2 to 10 random
@@ -1006,6 +1025,76 @@ def test_quotients():
     assert sg.is_isomorphic(q, sg.klein())[0]
     with pytest.raises(sg.InvalidSubgroupError):
         sg.quotient(d8, {0, 1})  # reflection subgroup is not normal
+
+
+def test_products_equal_their_validated_tables():
+    """semidirect_product and direct_product skip the table check, so every
+    group of the catalog, each product among them, equals the group that
+    MulTableGroup.__init__ validates from its table, identity included."""
+    groups = builder_groups(32)
+    assert sum(":" in name or "x" in name for name in groups) > 100
+    # the product's identity comes from its factors': here neither is element 0
+    z3 = identity_last(sg.cyclic(3))
+    groups["D8'xZ3'"] = sg.direct_product(identity_last(sg.dihedral(8)), z3)
+    groups["Z3':Z2'"] = sg.semidirect_product(z3, identity_last(sg.cyclic(2)),
+                                              {0: (1, 0, 2), 1: (0, 1, 2)})
+    assert groups["D8'xZ3'"].identity == 23 and groups["Z3':Z2'"].identity == 5
+    for name, g in groups.items():
+        assert sg.MulTableGroup(g.table) == g, name
+
+
+def identity_last(g):
+    """g with each element x renamed n - 1 - x, so the identity is last."""
+    return sg.MulTableGroup(relabelled(g.table, range(g.order - 1, -1, -1)))
+
+
+def alternating_4():
+    return sg.semidirect_product(sg.klein(), sg.cyclic(3),
+                                 {0: (0, 1, 2, 3), 1: (0, 2, 3, 1), 2: (0, 3, 1, 2)})
+
+
+@pytest.mark.parametrize("build,normals", [
+    (lambda: sg.dihedral(8), 6),
+    (lambda: sg.dihedral(12), 7),
+    (lambda: sg.quaternion(8), 6),
+    (alternating_4, 3),
+    (sg.build_E_even, 19),
+    (lambda: sg.cyclic(12), 6),
+    (lambda: identity_last(sg.dihedral(8)), 6),
+])
+def test_quotients_equal_their_validated_tables(build, normals):
+    """quotient skips the table check: the quotient by every normal
+    subgroup equals the group validated from its table, also when the
+    identity is not element 0."""
+    g = build()
+    subs = [n for n in sg.all_subgroups(g) if g.is_normal(n)]
+    assert len(subs) == normals
+    for n in subs:
+        q = sg.quotient(g, n)
+        assert q.order * len(n) == g.order
+        assert sg.MulTableGroup(q.table) == q, sorted(n)
+
+
+def test_products_and_quotients_need_table_groups():
+    """The unchecked product and quotient tables rest on checked factors,
+    so a look-alike group is refused before any work."""
+    c2 = sg.cyclic(2)
+    fake = SimpleNamespace(order=2, table=c2.table, identity=0)
+    trivial = {0: (0, 1), 1: (0, 1)}
+    for call in (lambda: sg.semidirect_product(fake, c2, trivial),
+                 lambda: sg.semidirect_product(c2, fake, trivial),
+                 lambda: sg.direct_product(fake, c2),
+                 lambda: sg.direct_product(c2, fake),
+                 lambda: sg.quotient(fake, {0})):
+        with pytest.raises(TypeError):
+            call()
+
+
+def test_inverse_and_is_abelian_match_their_definitions():
+    for name, g in builder_groups(32).items():
+        e, rng = g.identity, range(g.order)
+        assert all(g.mul(a, g.inverse(a)) == e == g.mul(g.inverse(a), a) for a in rng), name
+        assert g.is_abelian() == all(g.mul(a, b) == g.mul(b, a) for a in rng for b in rng), name
 
 
 def brute_force_has_complement(g, normal):

@@ -1,13 +1,16 @@
 """Values the library builds itself skip the public constructors' checks.
 
 Trusted results must equal what the public constructors give for the same
-fields, and the form memo on SpElement must never let a matrix that
-breaks a form through `transport`.
+fields, the form memo on SpElement must never let a matrix that
+breaks a form through `transport`, and only the product and quotient
+builders make group tables without the full check.
 """
 
 import copy
 import pickle
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -175,3 +178,23 @@ def test_trusted_values_stay_frozen():
             setattr(value, field, getattr(value, field))
     with pytest.raises(AttributeError):
         s._form = None
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_only_products_and_quotients_build_unchecked_group_tables():
+    """Every `MulTableGroup._trusted(` call in src/, by module and enclosing
+    function.  A table built without the full check must be a group by
+    construction from checked inputs; a new such builder is added here on
+    purpose, with a test that its tables equal their validated rebuilds."""
+    sites = []
+    for path in sorted(SRC.rglob("*.py")):
+        function = None
+        for line in path.read_text().splitlines():
+            defined = re.match(r"\s*def (\w+)", line)
+            if defined:
+                function = defined.group(1)
+            if "MulTableGroup._trusted(" in line:
+                sites.append((path.stem, function))
+    assert sites == [("smallgrp", "semidirect_product"), ("smallgrp", "quotient")]
