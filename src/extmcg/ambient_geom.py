@@ -37,11 +37,12 @@ class SignedPermMatrix(_Value):
     __slots__ = _fields = ("size", "image")  # image: row -> (column, sign)
 
     def __init__(self, size: int, image: tuple[tuple[int, int], ...]):
-        if size < 1 or len(image) != size:
+        image = tuple(map(tuple, image))
+        if type(size) is not int or size < 1 or len(image) != size:
             raise InvalidMatrixError("image must list one (column, sign) per row")
         cols = set()
         for col, sign in image:
-            if not 0 <= col < size or sign not in (1, -1):
+            if not (type(col) is type(sign) is int and 0 <= col < size and sign in (1, -1)):
                 raise InvalidMatrixError(f"bad image entry ({col}, {sign})")
             cols.add(col)
         if len(cols) != size:

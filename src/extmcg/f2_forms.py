@@ -34,15 +34,12 @@ therefore share no code for evaluating q.
 
 Validation happens once, at the boundary.  The public constructors and
 `from_columns` check their input.  What the library builds from checked
-values, such as the refinement `transport` returns, a product, the
-elements of the basis search and the transvections, is made by `_trusted`
-without a second check.  `transport` must still know that its element
-preserves the refinement's form.  Each SpElement therefore carries a memo
-beside its columns: the Gram row masks of a form it is known to
-preserve, or None.  The basis search and the transvections set it, a
-product keeps it when both factors carry the same form, and `transport`
-runs the full check only when the memo does not match, recording the
-form when the check passes.
+values, such as the refinement `transport` returns, a product and the
+elements of the basis search, is made by `_trusted` without a second
+check.  An SpElement is only its columns and names no form, so
+`transport` checks on every call that its element preserves q's form,
+then pulls q back through `_pull_back`.  `orbit` calls `_pull_back`
+directly on the columns of the transvections it builds itself.
 
 Orbits of refinements are found by breadth-first search over 3k - 1
 transvections that generate Sp(2k, 2), without enumerating the group, up
@@ -111,7 +108,7 @@ class SymplecticSpaceF2(_Value):
             for j in range(n):
                 if gram[i][j] != gram[j][i]:
                     raise DegenerateFormError("Gram matrix is not symmetric")
-        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "gram", tuple(map(tuple, gram)))
         self.basis_masks  # raises DegenerateFormError unless nondegenerate
 
     @cached_property
@@ -225,7 +222,7 @@ def standard_space(k: int) -> SymplecticSpaceF2:
     for i in range(k):
         gram[2 * i][2 * i + 1] = 1
         gram[2 * i + 1][2 * i] = 1
-    return SymplecticSpaceF2(tuple(tuple(row) for row in gram))
+    return SymplecticSpaceF2(gram)
 
 
 class QuadraticRefinement(_Value):
@@ -244,7 +241,7 @@ class QuadraticRefinement(_Value):
         if not _all_bits(basis_values):
             raise ValueError("basis values must be 0 or 1")
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "basis_values", basis_values)
+        object.__setattr__(self, "basis_values", tuple(basis_values))
 
     @classmethod
     def _trusted(cls, space: SymplecticSpaceF2,
@@ -326,14 +323,10 @@ class SpElement(_Value):
     left.  Only the columns are kept, as bitmasks.
 
     The constructor and `from_columns` check the shape and entries only;
-    whether the element preserves a form is checked by `transport`.  The
-    slot `_form`, which is not a field, memoizes that check: the Gram row
-    masks of a form the element is known to preserve, or None.  Equality,
-    hash and repr ignore it, and copy and pickle bring it back as None.
+    whether the element preserves a form is checked by `transport`.
     """
 
-    __slots__ = ("columns", "_form")
-    _fields = ("columns",)
+    __slots__ = _fields = ("columns",)
 
     def __init__(self, matrix: tuple[tuple[int, ...], ...]):
         # a matrix or row without a length raises TypeError here
@@ -345,14 +338,11 @@ class SpElement(_Value):
         if not square:
             raise ValueError("matrix must be square with 0/1 entries")
         _set_columns(self, tuple(sum(matrix[i][j] << i for i in range(n)) for j in range(n)))
-        _set_form(self, None)
 
     @classmethod
-    def _trusted(cls, columns: tuple[int, ...],
-                 form: tuple[int, ...] | None = None) -> "SpElement":
+    def _trusted(cls, columns: tuple[int, ...]) -> "SpElement":
         s = object.__new__(cls)
         _set_columns(s, columns)
-        _set_form(s, form)
         return s
 
     @classmethod
@@ -388,12 +378,10 @@ class SpElement(_Value):
     def __mul__(self, other: "SpElement") -> "SpElement":
         if self.dim != other.dim:
             raise DimensionMismatchError("matrix dimensions differ")
-        form = self._form
-        return SpElement._trusted(tuple(self.apply_mask(c) for c in other.columns),
-                                  form if form == other._form else None)
+        return SpElement._trusted(tuple(self.apply_mask(c) for c in other.columns))
 
 
-_set_columns, _set_form = SpElement.columns.__set__, SpElement._form.__set__
+_set_columns = SpElement.columns.__set__
 
 
 def _preserves_form(columns, space: SymplecticSpaceF2) -> bool:
@@ -470,8 +458,7 @@ def _extend_bases(space: SymplecticSpaceF2, want) -> list[SpElement]:
     extend(full, 0)
     del extend  # it names itself: break the cycle that would keep `out`
     out.sort()
-    form = space.row_masks
-    return [SpElement._trusted(c, form) for _, c in out]
+    return [SpElement._trusted(c) for _, c in out]
 
 
 def enumerate_sp(k: int) -> list[SpElement]:
@@ -491,18 +478,20 @@ def sp_order(k: int) -> int:
 def transport(q: QuadraticRefinement, s: SpElement) -> QuadraticRefinement:
     """Pull back a refinement along a symplectic matrix: q'(v) = q(S v).
 
-    The element must preserve q's form.  That is checked in full unless
-    the element's memo already names the form, and recorded after a pass.
+    The element must preserve q's form; that is checked in full on every
+    call, whatever built the element.
     """
-    space, columns = q.space, s.columns
-    if len(columns) != space.dim:
+    columns = s.columns
+    if len(columns) != q.space.dim:
         raise DimensionMismatchError("matrix does not match refinement dimension")
-    form = space.row_masks
-    if s._form != form:
-        if not _preserves_form(columns, space):
-            raise ValueError("matrix does not preserve the pairing")
-        _set_form(s, form)
-    return QuadraticRefinement._trusted(space, tuple(map(q.value_table.__getitem__, columns)))
+    if not _preserves_form(columns, q.space):
+        raise ValueError("matrix does not preserve the pairing")
+    return _pull_back(q, columns)
+
+
+def _pull_back(q: QuadraticRefinement, columns: tuple[int, ...]) -> QuadraticRefinement:
+    """q o S for the columns of an S known to preserve q's form."""
+    return QuadraticRefinement._trusted(q.space, tuple(map(q.value_table.__getitem__, columns)))
 
 
 def _require_standard(q: QuadraticRefinement, what: str, max_dim: int) -> int:
@@ -521,11 +510,10 @@ def stabilizer(q: QuadraticRefinement) -> list[SpElement]:
     return _extend_bases(q.space, [ones if b else ~ones for b in q.basis_values])
 
 
-def _transvection(space: SymplecticSpaceF2, w: int) -> SpElement:
-    """The symplectic map v -> v + <v, w> w."""
+def _transvection(space: SymplecticSpaceF2, w: int) -> tuple[int, ...]:
+    """The columns of the symplectic map v -> v + <v, w> w."""
     jw = space.image(w)
-    return SpElement._trusted(tuple((1 << j) ^ (w if (jw >> j) & 1 else 0)
-                                    for j in range(space.dim)), space.row_masks)
+    return tuple((1 << j) ^ (w if (jw >> j) & 1 else 0) for j in range(space.dim))
 
 
 def orbit(q: QuadraticRefinement) -> list[QuadraticRefinement]:
@@ -543,8 +531,8 @@ def orbit(q: QuadraticRefinement) -> list[QuadraticRefinement]:
     while frontier:
         reached = []
         for p in frontier:
-            for s in moves:
-                t = transport(p, s)
+            for cols in moves:
+                t = _pull_back(p, cols)
                 if t.basis_values not in seen:
                     seen[t.basis_values] = t
                     reached.append(t)

@@ -137,7 +137,7 @@ class GenWord(_Value):
     __slots__ = _fields = ("tokens", "sign")
 
     def __init__(self, tokens: tuple[tuple[str, int], ...], sign: int = 1):
-        if sign not in (1, -1) or isinstance(sign, bool):
+        if type(sign) is not int or sign not in (1, -1):
             raise WordSyntaxError(f"sign must be +-1, got {sign}")
         try:
             tokens = (tokens,) if isinstance(tokens, str) else tuple(tokens)

@@ -60,6 +60,7 @@ class Presentation(_Value):
 
     def __init__(self, generators: tuple[str, ...],
                  relators: tuple[tuple[tuple[int, int], ...], ...]):
+        generators, relators = tuple(generators), tuple(tuple(map(tuple, r)) for r in relators)
         if len(set(generators)) != len(generators):
             raise PresentationError("duplicate generator names")
         for rel in relators:

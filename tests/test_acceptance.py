@@ -444,10 +444,10 @@ def test_coset_enumeration_fails_on_a_finite_abelianization(monkeypatch):
 
 def test_verify_all_runs_no_brute_force(monkeypatch):
     """One run_all makes no Todd-Coxeter call on Gamma_V2 and no
-    `is_symplectic` call, and the property suite no `transport` call:
-    the proofs are direct."""
-    real_tc, real_transport = smallgrp.todd_coxeter, ff.transport
-    gamma_calls, transport_calls, symplectic_calls = [], [], []
+    `is_symplectic` call, and the property suite neither a `transport`
+    nor a `_pull_back` call: the proofs are direct."""
+    real_tc, real_transport, real_pull_back = smallgrp.todd_coxeter, ff.transport, ff._pull_back
+    gamma_calls, transport_calls, pull_calls, symplectic_calls = [], [], [], []
 
     def todd_coxeter(pres, *args, **kwargs):
         if pres == smallgrp.GAMMA_V2_PRESENTATION:
@@ -458,20 +458,26 @@ def test_verify_all_runs_no_brute_force(monkeypatch):
         transport_calls.append(s)
         return real_transport(q, s)
 
+    def pull_back(q, columns):
+        pull_calls.append(columns)
+        return real_pull_back(q, columns)
+
     def is_symplectic(mat, space):
         symplectic_calls.append(mat)
         return True
 
     monkeypatch.setattr(smallgrp, "todd_coxeter", todd_coxeter)
     monkeypatch.setattr(ff, "transport", transport)
+    monkeypatch.setattr(ff, "_pull_back", pull_back)
     monkeypatch.setattr(ff, "is_symplectic", is_symplectic)
     assert all(r.passed for r in verify.run_all())
     assert gamma_calls == []
     assert symplectic_calls == []
-    assert transport_calls  # the census's orbits still transport
+    assert pull_calls  # the census's orbits still pull back
     transport_calls.clear()
+    pull_calls.clear()
     assert verify.check_property_suites().passed
-    assert transport_calls == []
+    assert transport_calls == [] and pull_calls == []
 
 
 def _count_builds(monkeypatch):

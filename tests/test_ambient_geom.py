@@ -46,6 +46,11 @@ def test_validation():
         ag.SignedPermMatrix(2, ((0, 2), (1, 1)))  # bad sign
     with pytest.raises(ag.InvalidMatrixError):
         ag.SignedPermMatrix(2, ((0, 1), (2, 1)))  # column out of range
+    # not plain ints: a float column once failed later, in order()
+    for size, image in ((1, ((0.0, 1),)), (2.0, ((0, 1), (1, 1))), (2, ((True, 1), (0, 1))),
+                        (1, ((0, True),)), (1, ((0, 1.0),)), (1, ((0, -1.0),))):
+        with pytest.raises(ag.InvalidMatrixError):
+            ag.SignedPermMatrix(size, image)
 
 
 @given(st.integers(0, 2 ** 64))

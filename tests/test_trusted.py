@@ -1,9 +1,10 @@
 """Values the library builds itself skip the public constructors' checks.
 
 Trusted results must equal what the public constructors give for the same
-fields, the form memo on SpElement must never let a matrix that
-breaks a form through `transport`, and only the product and quotient
-builders make group tables without the full check.
+fields, `transport` must check every element it is given, whatever built
+it, only `transport` and `orbit` pull a refinement back without that
+check, and only the product and quotient builders make group tables
+without the full check.
 """
 
 import copy
@@ -53,7 +54,7 @@ def count_checks(monkeypatch):
     return calls
 
 
-def test_memo_on_another_form_still_checks():
+def test_enumerated_elements_are_checked_against_another_form():
     space = ff.SymplecticSpaceF2(OTHER_GRAM)
     standard = ff.standard_space(2)
     q = ff.QuadraticRefinement(space, (1, 0, 1, 1))
@@ -67,7 +68,7 @@ def test_memo_on_another_form_still_checks():
             broken += 1
             with pytest.raises(ValueError, match="pairing"):
                 ff.transport(q, s)
-        # the memo may now name the other form; the standard one still works
+        # whether or not the other form refused it, the standard one takes it
         assert_same(ff.transport(p, s), moved(p, s))
     assert kept and broken and kept + broken == 720
 
@@ -83,7 +84,7 @@ def test_product_with_a_user_element_is_checked(count_checks):
     good = ff.SpElement(s.matrix) * s
     assert_same(ff.transport(q, good), moved(q, good))
     assert len(count_checks) == 3
-    # an element with the memo times one without keeps no memo
+    # a product of two elements that preserve the form is checked as well
     assert_same(ff.transport(q, s * ff.SpElement(s.matrix)), moved(q, s * s))
     assert len(count_checks) == 4
 
@@ -91,27 +92,25 @@ def test_product_with_a_user_element_is_checked(count_checks):
 @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
                                    lambda s: pickle.loads(pickle.dumps(s))],
                          ids=["copy", "deepcopy", "pickle"])
-def test_copies_forget_the_memo(clone, count_checks):
+def test_copies_transport_the_same(clone, count_checks):
     q = ff.QuadraticRefinement(ff.standard_space(2), (1, 1, 0, 1))
     s = ff.SpElement(ff.enumerate_sp(2)[42].matrix)
     want = ff.transport(q, s)
-    assert s._form == q.space.row_masks and len(count_checks) == 1
     again = clone(s)
-    assert again == s and again._form is None
+    assert again == s and type(again).__slots__ == ("columns",)
     assert_same(ff.transport(q, again), want)
-    assert len(count_checks) == 2
+    assert count_checks == [s.columns, s.columns]
 
 
-def test_enumerated_elements_are_not_rechecked(count_checks):
+def test_every_transport_call_checks_the_form_once(count_checks):
+    """Enumerated or built by the caller, each element is checked on every
+    `transport` call: no element carries a record of an earlier check."""
     refinements = ff.all_refinements(ff.standard_space(2))
-    for s in ff.enumerate_sp(2):
+    elements = ff.enumerate_sp(2) + [ff.SpElement(ff.enumerate_sp(2)[7].matrix)]
+    for s in elements:
         for q in refinements:
-            ff.transport(q, s)
-    assert count_checks == []
-    user = ff.SpElement(ff.enumerate_sp(2)[7].matrix)
-    for q in refinements:
-        assert_same(ff.transport(q, user), moved(q, user))
-    assert len(count_checks) == 1
+            assert_same(ff.transport(q, s), moved(q, s))
+    assert count_checks == [s.columns for s in elements for _ in refinements]
 
 
 def test_orbit_transvections_are_not_rechecked(count_checks):
@@ -198,3 +197,20 @@ def test_only_products_and_quotients_build_unchecked_group_tables():
             if "MulTableGroup._trusted(" in line:
                 sites.append((path.stem, function))
     assert sites == [("smallgrp", "semidirect_product"), ("smallgrp", "quotient")]
+
+
+def test_only_transport_and_orbit_pull_back():
+    """Every `_pull_back(` call site in src/, by module and enclosing
+    function.  `_pull_back` runs no form check: `transport` checks first,
+    and `orbit` pulls back only along the transvections it builds itself.
+    A new caller is added here on purpose, with a reason it needs no check."""
+    sites = []
+    for path in sorted(SRC.rglob("*.py")):
+        function = None
+        for line in path.read_text().splitlines():
+            defined = re.match(r"\s*def (\w+)", line)
+            if defined:
+                function = defined.group(1)
+            elif "_pull_back(" in line:
+                sites.append((path.stem, function))
+    assert sites == [("f2_forms", "transport"), ("f2_forms", "orbit")]

@@ -97,6 +97,33 @@ def test_value_semantics(cls, build, text):
     assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
 
 
+# (name, a value built from lists, the same value built from tuples)
+LIST_BUILT = [
+    ("QuadraticRefinement", lambda: ff.QuadraticRefinement(ff.standard_space(1), [0, 1]),
+     lambda: ff.QuadraticRefinement(ff.standard_space(1), (0, 1))),
+    ("SymplecticSpaceF2", lambda: ff.SymplecticSpaceF2([[0, 1], [1, 0]]),
+     lambda: ff.standard_space(1)),
+    ("refinement-of-list-space",
+     lambda: ff.QuadraticRefinement(ff.SymplecticSpaceF2([[0, 1], [1, 0]]), [1, 1]),
+     lambda: ff.QuadraticRefinement(ff.standard_space(1), (1, 1))),
+    ("Presentation", lambda: sg.Presentation(["a"], [[[0, 1], [0, 1]]]),
+     lambda: sg.Presentation(("a",), (((0, 1), (0, 1)),))),
+    ("SignedPermMatrix", lambda: ag.SignedPermMatrix(2, [[1, -1], [0, 1]]),
+     lambda: ag.SignedPermMatrix(2, ((1, -1), (0, 1)))),
+]
+
+
+@pytest.mark.parametrize("from_lists, from_tuples", [b[1:] for b in LIST_BUILT],
+                         ids=[b[0] for b in LIST_BUILT])
+def test_list_input_is_stored_as_tuples(from_lists, from_tuples):
+    """A list once stayed a list: the value did not hash, compared unequal
+    to the one built from tuples, and `orbit` refused it."""
+    a, b = from_lists(), from_tuples()
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    if isinstance(a, ff.QuadraticRefinement):
+        assert ff.orbit(a) == ff.orbit(b) and ff.stabilizer(a) == ff.stabilizer(b)
+
+
 def test_defaults_and_keywords():
     assert sl2z.GenWord(tokens=(("T", 3),)).sign == 1
     assert sl2z.UniModMat2(d=1, c=0, b=2, a=1) == sl2z.UniModMat2(1, 2, 0, 1)
