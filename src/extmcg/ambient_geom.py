@@ -37,18 +37,23 @@ class SignedPermMatrix(_Value):
     __slots__ = _fields = ("size", "image")  # image: row -> (column, sign)
 
     def __init__(self, size: int, image: tuple[tuple[int, int], ...]):
-        image = tuple(map(tuple, image))
+        image = tuple(image)
         if type(size) is not int or size < 1 or len(image) != size:
             raise InvalidMatrixError("image must list one (column, sign) per row")
-        cols = set()
-        for col, sign in image:
+        entries, cols = [], set()
+        for entry in image:
+            try:
+                col, sign = entry
+            except (TypeError, ValueError):
+                raise InvalidMatrixError(f"bad image entry {entry!r}") from None
             if not (type(col) is type(sign) is int and 0 <= col < size and sign in (1, -1)):
                 raise InvalidMatrixError(f"bad image entry ({col}, {sign})")
             cols.add(col)
+            entries.append((col, sign))
         if len(cols) != size:
             raise InvalidMatrixError("two rows hit the same column")
         object.__setattr__(self, "size", size)
-        object.__setattr__(self, "image", image)
+        object.__setattr__(self, "image", tuple(entries))
 
     def __mul__(self, other: "SignedPermMatrix") -> "SignedPermMatrix":
         """Matrix product self * other: on row vectors, self acts first."""

@@ -60,15 +60,23 @@ class Presentation(_Value):
 
     def __init__(self, generators: tuple[str, ...],
                  relators: tuple[tuple[tuple[int, int], ...], ...]):
-        generators, relators = tuple(generators), tuple(tuple(map(tuple, r)) for r in relators)
+        generators = tuple(generators)
         if len(set(generators)) != len(generators):
             raise PresentationError("duplicate generator names")
+        rels = []
         for rel in relators:
-            for g, s in rel:
+            letters = []
+            for letter in rel:
+                try:
+                    g, s = letter
+                except (TypeError, ValueError):
+                    raise PresentationError(f"bad letter {letter!r}") from None
                 if not (type(g) is type(s) is int and 0 <= g < len(generators) and s in (1, -1)):
                     raise PresentationError(f"bad letter ({g}, {s})")
+                letters.append((g, s))
+            rels.append(tuple(letters))
         object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "relators", relators)
+        object.__setattr__(self, "relators", tuple(rels))
 
 
 # the relators of one presentation expand to at most this many letters in
@@ -660,13 +668,20 @@ def is_isomorphic(g: MulTableGroup, h: MulTableGroup) -> tuple[bool, tuple[int, 
 def all_subgroups(g: MulTableGroup) -> set[frozenset[int]]:
     """Breadth-first search over joins with the cyclic subgroups (one kept
     generator each); every subgroup is such a chain of joins.  Each found
-    subgroup keeps the generators that built it, which seed its joins."""
+    subgroup keeps the generators that built it, which seed its joins.
+
+    A subgroup H makes one join per right coset: after joining a, the coset
+    H·a is marked tried, and a later generator in a tried coset is skipped.
+    That is sound because <H, h·a> = <H, a> for every h in H, so the skipped
+    join would find a subgroup this H has already put in `gens`."""
     cyclic_gens = {g.closure([a]): a for a in range(g.order)}
     gens = {frozenset({g.identity}): ()}
     queue = list(gens)
     for sub in queue:
+        tried = set(sub)
         for a in cyclic_gens.values():
-            if a not in sub:
+            if a not in tried:
+                tried.update(g.table[h][a] for h in sub)
                 seed = gens[sub] + (a,)
                 bigger = g.closure(seed)
                 if bigger not in gens:

@@ -53,6 +53,12 @@ def test_validation():
             ag.SignedPermMatrix(size, image)
 
 
+@pytest.mark.parametrize("entry", [(0,), (0, 1, 1), 5, None])
+def test_validation_refuses_an_entry_that_is_not_a_pair(entry):
+    with pytest.raises(ag.InvalidMatrixError, match="^bad image entry"):
+        ag.SignedPermMatrix(1, (entry,))
+
+
 @given(st.integers(0, 2 ** 64))
 @settings(max_examples=200, deadline=None)
 def test_determinant_against_inversion_count(seed):
