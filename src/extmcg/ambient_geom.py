@@ -37,7 +37,10 @@ class SignedPermMatrix(_Value):
     __slots__ = _fields = ("size", "image")  # image: row -> (column, sign)
 
     def __init__(self, size: int, image: tuple[tuple[int, int], ...]):
-        image = tuple(image)
+        try:
+            image = tuple(image)
+        except TypeError:
+            raise InvalidMatrixError(f"image {image!r} is not a sequence") from None
         if type(size) is not int or size < 1 or len(image) != size:
             raise InvalidMatrixError("image must list one (column, sign) per row")
         entries, cols = [], set()

@@ -32,9 +32,11 @@ def _load_json(text: str) -> dict:
     """The JSON object in `text`; every leaf must be an integer."""
     import json
 
+    # an integer past the digit limit raises ValueError, nesting past the
+    # recursion limit RecursionError; both are undecodable documents
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseInputError(f"bad JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ParseInputError("expected a JSON object")

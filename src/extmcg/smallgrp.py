@@ -18,7 +18,7 @@ above 64 is refused before any enumeration.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import chain, product
 from math import gcd, prod
 from operator import eq
 
@@ -60,7 +60,10 @@ class Presentation(_Value):
 
     def __init__(self, generators: tuple[str, ...],
                  relators: tuple[tuple[tuple[int, int], ...], ...]):
-        generators = tuple(generators)
+        try:
+            generators, relators = tuple(generators), tuple(map(tuple, relators))
+        except TypeError:
+            raise PresentationError("generators and each relator must be sequences") from None
         if len(set(generators)) != len(generators):
             raise PresentationError("duplicate generator names")
         rels = []
@@ -327,38 +330,38 @@ class MulTableGroup(_Value):
     __slots__ = _fields = ("table", "identity")
 
     def __init__(self, table: tuple[tuple[int, ...], ...]):
-        # entries are checked in C: each a plain int (no bool, no float) in
-        # range; a table or row without a length raises TypeError here
+        # the rules are checked in C over the whole table, each before the
+        # next: entries plain ints (no bool, no float) in range, rows and
+        # columns bijections, a two-sided identity; a table or row without
+        # a length raises TypeError here
         try:
             n = len(table)
             _require_order(n)
-            rng = range(n)
-            indices = set(rng)
-            for row in table:
-                if len(row) != n or set(map(type, row)) != {int} or not indices.issuperset(row):
-                    raise InvalidTableError("table is not square over element indices")
+            square = set(map(len, table)) == {n}
+            # stored frozen: list input equals and hashes as the same group,
+            # and a later change to the caller's lists cannot reach it
+            table = tuple(map(tuple, table))
         except TypeError:
-            raise InvalidTableError("table is not square over element indices") from None
-        # stored frozen: list input equals and hashes as the same group, and
-        # a later change to the caller's lists cannot reach it
-        table = tuple(map(tuple, table))
-        for row in table:
-            if len(set(row)) != n:
-                raise InvalidTableError("a row repeats an element (not a bijection)")
-        commutative = True  # column i equals row i for every i
-        for row, col in zip(table, zip(*table)):
-            if len(set(col)) != n:
-                raise InvalidTableError("a column repeats an element (not a bijection)")
-            commutative = commutative and row == col
-        ident = next((e for e in rng
-                      if all(table[e][x] == x and table[x][e] == x for x in rng)),
-                     None)
-        if ident is None:
+            square = False
+        if not (square and set(map(type, chain.from_iterable(table))) == {int}
+                and set(range(n)).issuperset(chain.from_iterable(table))):
+            raise InvalidTableError("table is not square over element indices")
+        if min(map(len, map(set, table))) < n:
+            raise InvalidTableError("a row repeats an element (not a bijection)")
+        cols = tuple(zip(*table))
+        if min(map(len, map(set, cols))) < n:
+            raise InvalidTableError("a column repeats an element (not a bijection)")
+        commutative = table == cols  # column i equals row i for every i
+        # the identity's row and column are 0..n-1; the rows of a Latin
+        # square are distinct, so at most one row is 0..n-1
+        plain = tuple(range(n))
+        ident = table.index(plain) if plain in table else -1
+        if ident < 0 or cols[ident] != plain:
             raise InvalidTableError("no two-sided identity element")
         # a triple through the identity holds; in a commutative table
         # (ab)c = c(ba) and a(bc) = (cb)a, so (a,b,c) holds iff (c,b,a) does
         # and c runs from a up: each triple is decided, the first failure named
-        others = [x for x in rng if x != ident]
+        others = [x for x in range(n) if x != ident]
         for i, a in enumerate(others):
             row_a, cs = table[a], others[i:] if commutative else others
             for b in others:
@@ -409,7 +412,9 @@ class MulTableGroup(_Value):
 # grows by repeated resizes, which fragments the heap over many builds
 def cyclic(n: int) -> MulTableGroup:
     _require_order(n)
-    return MulTableGroup(tuple([tuple([(i + j) % n for j in range(n)]) for i in range(n)]))
+    # row i is (i + j) mod n: 0..n-1 rotated left by i
+    line = list(range(n))
+    return MulTableGroup(tuple([tuple(line[i:] + line[:i]) for i in range(n)]))
 
 
 def klein() -> MulTableGroup:
@@ -421,17 +426,19 @@ def dihedral(order: int) -> MulTableGroup:
     """Dihedral group of the given (even) order: rotations r^i, reflections r^i s."""
     if order < 2 or order % 2 or order > 64:
         raise UnsupportedSizeError(f"no dihedral group of order {order} here")
-    n = order // 2
-    # element 2i = r^i, element 2i+1 = r^i s; s r s = r^-1
-
-    def mul(x, y):
-        i, fx = divmod(x, 2)
-        j, fy = divmod(y, 2)
-        if fx == 0:
-            return 2 * ((i + j) % n) + fy
-        return 2 * ((i - j) % n) + (fy ^ 1)
-
-    return MulTableGroup(tuple([tuple([mul(x, y) for y in range(order)]) for x in range(order)]))
+    # element 2i = r^i, element 2i+1 = r^i s; s r s = r^-1, so r^i times
+    # r^j or r^j s is r^(i+j) or r^(i+j) s, and r^i s times them is
+    # r^(i-j) s or r^(i-j): the rotations and reflections, rotated left
+    # by i or read backwards from i, interleaved
+    rot, ref = list(range(0, order, 2)), list(range(1, order, 2))
+    rows = []
+    for i in range(order // 2):
+        row = [0] * order
+        row[0::2], row[1::2] = rot[i:] + rot[:i], ref[i:] + ref[:i]
+        rows.append(tuple(row))
+        row[0::2], row[1::2] = ref[i::-1] + ref[:i:-1], rot[i::-1] + rot[:i:-1]
+        rows.append(tuple(row))
+    return MulTableGroup(tuple(rows))
 
 
 def quaternion(order: int) -> MulTableGroup:
@@ -459,8 +466,13 @@ def quaternion(order: int) -> MulTableGroup:
 
 
 def direct_product(g: MulTableGroup, h: MulTableGroup) -> MulTableGroup:
-    """Componentwise product on pairs; pair (a, b) gets index a*|H| + b."""
-    return semidirect_product(g, h, {b: tuple(range(g.order)) for b in range(h.order)})
+    """Componentwise product on pairs; pair (a, b) gets index a*|H| + b.
+
+    The trivial action is a homomorphism into Aut(g) by definition, so it
+    is not checked.
+    """
+    _require_factors(g, h)
+    return _product(g, h, [range(g.order)] * h.order)
 
 
 def semidirect_product(n: MulTableGroup, h: MulTableGroup,
@@ -468,13 +480,16 @@ def semidirect_product(n: MulTableGroup, h: MulTableGroup,
     """Split extension of n by h: (a, x)(b, y) = (a * action[x](b), x y).
 
     action maps each element of h to a permutation of n's indices; it must
-    send each to an automorphism and be a homomorphism into Aut(n).  Then
-    n ⋊ h is a group by construction, so its table is not checked again.
+    send each to an automorphism and be a homomorphism into Aut(n).  Both
+    are checked on a generating set S of h: action[s] is an automorphism
+    for each s in S, the identity acts trivially, and action[x s] is
+    action[x] after action[s] for every x in h and s in S.  Every element
+    of a finite group is a product of generators, so that accepts exactly
+    the homomorphisms, and their images are then products of automorphisms
+    (Holt, Eick and O'Brien, Handbook of Computational Group Theory, ch. 2).
+    Then n ⋊ h is a group by construction, so its table is not checked again.
     """
-    if not (isinstance(n, MulTableGroup) and isinstance(h, MulTableGroup)):
-        raise TypeError("semidirect_product needs MulTableGroup factors")
-    if n.order * h.order > 64:
-        raise UnsupportedSizeError("product order exceeds 64")
+    _require_factors(n, h)
     if set(map(type, action)) != {int} or set(action) != set(range(h.order)):
         raise InvalidActionError("action must cover every element of the acting group")
     indices = list(range(n.order))
@@ -487,19 +502,34 @@ def semidirect_product(n: MulTableGroup, h: MulTableGroup,
             ok = False
         if not ok:
             raise InvalidActionError(f"image of element {x} is not a permutation")
-        images[x] = perm = tuple(perm)
-        for a in range(n.order):
-            for b in range(n.order):
-                if perm[n.table[a][b]] != n.table[perm[a]][perm[b]]:
-                    raise InvalidActionError(f"image of element {x} is not an automorphism")
-    for x in range(h.order):
-        for y in range(h.order):
-            composed = tuple([images[x][images[y][a]] for a in range(n.order)])
-            if composed != images[h.table[x][y]]:
-                raise InvalidActionError("action is not a homomorphism into Aut(n)")
+        images[x] = tuple(perm)
+    gens, nt = _generating_set(h), n.table
+    for s in gens:
+        # row a of n read through the image is row image(a) read at the image
+        perm = images[s]
+        for a, row in enumerate(nt):
+            if list(map(perm.__getitem__, row)) != list(map(nt[perm[a]].__getitem__, perm)):
+                raise InvalidActionError(f"image of element {s} is not an automorphism")
+    if images[h.identity] != tuple(indices) or any(
+            images[row[s]] != tuple(map(images[x].__getitem__, images[s]))
+            for x, row in enumerate(h.table) for s in gens):
+        raise InvalidActionError("action is not a homomorphism into Aut(n)")
+    return _product(n, h, [images[x] for x in range(h.order)])
 
+
+def _require_factors(n: MulTableGroup, h: MulTableGroup) -> None:
+    # the product table is not checked, so it rests on checked factors
+    if not (isinstance(n, MulTableGroup) and isinstance(h, MulTableGroup)):
+        raise TypeError("products need MulTableGroup factors")
+    if n.order * h.order > 64:
+        raise UnsupportedSizeError("product order exceeds 64")
+
+
+def _product(n: MulTableGroup, h: MulTableGroup, images) -> MulTableGroup:
+    """n ⋊ h for checked factors and a checked action, images[x] the
+    permutation of n's indices that x acts by."""
     # pair (a, x) has index a*|h| + x; row (a, x), column (b, y) holds
-    # (a * action[x](b), x y), built one row at a time
+    # (a * images[x](b), x y), built one row at a time
     m = h.order
     table = tuple([tuple([n_row[p] * m + z for p in images[x] for z in h_row])
                    for n_row in n.table for x, h_row in enumerate(h.table)])

@@ -53,6 +53,12 @@ def test_validation():
             ag.SignedPermMatrix(size, image)
 
 
+@pytest.mark.parametrize("image", [5, None])
+def test_validation_refuses_an_image_that_is_not_a_sequence(image):
+    with pytest.raises(ag.InvalidMatrixError):
+        ag.SignedPermMatrix(1, image)
+
+
 @pytest.mark.parametrize("entry", [(0,), (0, 1, 1), 5, None])
 def test_validation_refuses_an_entry_that_is_not_a_pair(entry):
     with pytest.raises(ag.InvalidMatrixError, match="^bad image entry"):

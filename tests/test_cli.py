@@ -569,7 +569,7 @@ def test_reader_agrees_with_argparse():
             assert vars(got) == argparse_vars(argv), argv
             read += 1
     # the other 32 are help, usage errors and three negative option values
-    assert (read, len(golden)) == (244, 276)
+    assert (read, len(golden)) == (246, 278)
     for argv in READ_BY_READER:
         got = cli._read_argv(argv)
         assert got is not None and vars(got) == argparse_vars(argv), argv

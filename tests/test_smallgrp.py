@@ -195,6 +195,20 @@ def test_table_entries_must_be_plain_indices(table):
         sg.MulTableGroup(table)
 
 
+@pytest.mark.parametrize("table,message", [
+    (((0, 1.0), (1, 1)), "table is not square over element indices"),
+    (((0, 0), (0, 1)), "a row repeats an element (not a bijection)"),
+    (((1, 0), (1, 0)), "a column repeats an element (not a bijection)"),
+])
+def test_the_first_broken_table_rule_is_named(table, message):
+    """The rules are checked over the whole table one after another, so
+    a table that breaks two gets the message of the one checked first:
+    entries, then rows, then columns, then the identity."""
+    with pytest.raises(sg.InvalidTableError) as err:
+        sg.MulTableGroup(table)
+    assert str(err.value) == message
+
+
 def test_list_tables_are_accepted():
     """List input is stored as a tuple of tuples: the group equals and
     hashes as the builder's, and a later change to the input misses it."""
@@ -588,6 +602,12 @@ def test_presentation_refuses_a_letter_that_is_not_two_plain_ints(letter):
 def test_presentation_refuses_a_letter_that_is_not_a_pair(letter):
     with pytest.raises(sg.PresentationError, match="^bad letter"):
         sg.Presentation(("a",), ((letter,),))
+
+
+@pytest.mark.parametrize("generators,relators", [(("a",), (5,)), (5, ()), (("a",), 5)])
+def test_presentation_refuses_arguments_that_are_not_sequences(generators, relators):
+    with pytest.raises(sg.PresentationError):
+        sg.Presentation(generators, relators)
 
 
 def test_parse_presentation_caps_the_expanded_relators():
@@ -1016,15 +1036,23 @@ def reference_semidirect_table(n, h, action):
 
 def test_semidirect_rows_match_the_entrywise_table(monkeypatch):
     """Every product builder_groups makes, and one direct product of order
-    64, has the table the entry-by-entry construction gives."""
-    real, made = sg.semidirect_product, []
+    64, has the table the entry-by-entry construction gives; a direct
+    product's is the one under the trivial action."""
+    made = []
+    real_semidirect, real_direct = sg.semidirect_product, sg.direct_product
 
-    def recorded(n, h, action):
-        g = real(n, h, action)
+    def semidirect(n, h, action):
+        g = real_semidirect(n, h, action)
         made.append((n, h, action, g))
         return g
 
-    monkeypatch.setattr(sg, "semidirect_product", recorded)
+    def direct(n, h):
+        g = real_direct(n, h)
+        made.append((n, h, {x: tuple(range(n.order)) for x in range(h.order)}, g))
+        return g
+
+    monkeypatch.setattr(sg, "semidirect_product", semidirect)
+    monkeypatch.setattr(sg, "direct_product", direct)
     builder_groups(32)
     sg.direct_product(sg.dihedral(8), sg.quaternion(8))
     assert len(made) > 100 and made[-1][3].order == 64
@@ -1054,6 +1082,67 @@ def test_semidirect_rejects_bad_actions():
         sg.semidirect_product(c3, c4, bad_hom)  # action(1)^2 != action(2)
     with pytest.raises(sg.InvalidActionError):
         sg.semidirect_product(c3, c2, {1: (0, 2, 1)})  # missing key
+
+
+def reference_action_is_valid(n, h, action):
+    """The definition, pair by pair: every image is an automorphism of n,
+    and action[x y] is action[x] after action[y] for every x and y in h."""
+    nr, hr = range(n.order), range(h.order)
+    return all(perm[n.table[a][b]] == n.table[perm[a]][perm[b]]
+               for perm in action.values() for a in nr for b in nr) and \
+        all(tuple(action[x][action[y][a]] for a in nr) == tuple(action[h.table[x][y]])
+            for x in hr for y in hr)
+
+
+def accepted_actions(n, h, maps):
+    """How many of the maps semidirect_product accepts, asserting for each
+    that it accepts exactly when the pairwise definition holds."""
+    accepted = 0
+    for perms in maps:
+        action = dict(enumerate(perms))
+        try:
+            sg.semidirect_product(n, h, action)
+            ok = True
+        except sg.InvalidActionError:
+            ok = False
+        assert ok == reference_action_is_valid(n, h, action), perms
+        accepted += ok
+    return accepted
+
+
+@pytest.mark.parametrize("n,h,homs", [
+    (sg.cyclic(3), sg.cyclic(2), 2),
+    (sg.cyclic(3), sg.klein(), 4),
+    (sg.klein(), sg.cyclic(2), 4),
+    (sg.klein(), sg.cyclic(3), 3),
+    (sg.cyclic(4), sg.cyclic(2), 2),
+    (sg.klein(), sg.cyclic(1), 1),
+], ids=["Z3-Z2", "Z3-Z2^2", "Z2^2-Z2", "Z2^2-Z3", "Z4-Z2", "Z2^2-Z1"])
+def test_semidirect_checks_on_generators_accept_exactly_the_actions(n, h, homs):
+    """semidirect_product checks the action on a generating set of h.  For
+    every map from h to the permutations of n's indices (16,332 maps over
+    the six pairs), it accepts exactly when the pairwise definition holds:
+    for the homomorphisms into Aut(n), counted here.  The trivial h has no
+    generators, so only the check that its identity acts trivially applies."""
+    maps = itertools.product(itertools.permutations(range(n.order)), repeat=h.order)
+    assert accepted_actions(n, h, maps) == homs
+
+
+@pytest.mark.parametrize("h", [
+    sg.klein(), sg.semidirect_product(sg.cyclic(3), sg.cyclic(2), {0: (0, 1, 2), 1: (0, 2, 1)})
+], ids=["Z2^2", "S3"])
+def test_semidirect_checks_every_generator_of_a_non_abelian_action(h):
+    """Above, wherever h has two generators its images commute, so a check
+    of one generator only, or of each composition in reverse order, would
+    pass there.  Here h has two generators and acts on Z2^2, whose
+    automorphisms are its six permutations fixing 0, a copy of S3.  Every
+    map into them sending the identity to the identity is tested (216 and
+    7,776 maps); 10 are homomorphisms (the trivial one, 9 or 3 onto a Z2,
+    and 0 or 6 isomorphisms)."""
+    n = sg.klein()
+    auts = [p for p in itertools.permutations(range(4)) if p[0] == 0]
+    maps = ((tuple(range(4)), *rest) for rest in itertools.product(auts, repeat=h.order - 1))
+    assert accepted_actions(n, h, maps) == 10
 
 
 @pytest.mark.parametrize("action", [

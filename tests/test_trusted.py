@@ -184,9 +184,10 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 def test_only_products_and_quotients_build_unchecked_group_tables():
     """Every `MulTableGroup._trusted(` call in src/, by module and enclosing
-    function.  A table built without the full check must be a group by
-    construction from checked inputs; a new such builder is added here on
-    purpose, with a test that its tables equal their validated rebuilds."""
+    function; `_product` builds the tables of both products.  A table
+    built without the full check must be a group by construction from
+    checked inputs; a new such builder is added here on purpose, with a
+    test that its tables equal their validated rebuilds."""
     sites = []
     for path in sorted(SRC.rglob("*.py")):
         function = None
@@ -196,7 +197,7 @@ def test_only_products_and_quotients_build_unchecked_group_tables():
                 function = defined.group(1)
             if "MulTableGroup._trusted(" in line:
                 sites.append((path.stem, function))
-    assert sites == [("smallgrp", "semidirect_product"), ("smallgrp", "quotient")]
+    assert sites == [("smallgrp", "_product"), ("smallgrp", "quotient")]
 
 
 def test_only_transport_and_orbit_pull_back():
