@@ -36,7 +36,7 @@ class SignedPermMatrix(_Value):
 
     __slots__ = _fields = ("size", "image")  # image: row -> (column, sign)
 
-    def __init__(self, size: int, image: tuple[tuple[int, int], ...]):
+    def __new__(cls, size: int, image: tuple[tuple[int, int], ...]):
         try:
             image = tuple(image)
         except TypeError:
@@ -55,8 +55,7 @@ class SignedPermMatrix(_Value):
             entries.append((col, sign))
         if len(cols) != size:
             raise InvalidMatrixError("two rows hit the same column")
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "image", tuple(entries))
+        return cls._trusted(size, tuple(entries))
 
     def __mul__(self, other: "SignedPermMatrix") -> "SignedPermMatrix":
         """Matrix product self * other: on row vectors, self acts first."""
@@ -200,13 +199,6 @@ class ProductMapDescriptor(_Value):
 
     __slots__ = _fields = ("block_sizes", "swaps_factors", "first_block_det",
                            "second_block_det")
-
-    def __init__(self, block_sizes: tuple[int, int], swaps_factors: bool,
-                 first_block_det: int, second_block_det: int):
-        object.__setattr__(self, "block_sizes", block_sizes)
-        object.__setattr__(self, "swaps_factors", swaps_factors)
-        object.__setattr__(self, "first_block_det", first_block_det)
-        object.__setattr__(self, "second_block_det", second_block_det)
 
 
 def restrict_to_product(m: SignedPermMatrix, p: int, q: int) -> ProductMapDescriptor:

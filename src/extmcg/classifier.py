@@ -140,10 +140,6 @@ class KnotFamily(_Value):
 
     __slots__ = _fields = ("kind", "params")
 
-    def __init__(self, kind: str, params: tuple[int, ...]):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "params", params)
-
     @classmethod
     def unknot_sphere(cls, n: int) -> "KnotFamily":
         _dimensions(n=n)
@@ -194,9 +190,6 @@ class KnotFamily(_Value):
 class Unknown(_Value):
     __slots__ = _fields = ("reason",)
 
-    def __init__(self, reason: str):
-        object.__setattr__(self, "reason", reason)
-
 
 class GroupDescriptor(_Value):
     """Named group with an attached concrete realization.
@@ -206,11 +199,6 @@ class GroupDescriptor(_Value):
     """
 
     __slots__ = _fields = ("name", "realization")
-
-    def __init__(self, name: str,
-                 realization: smallgrp.MulTableGroup | smallgrp.Presentation):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "realization", realization)
 
     _BUILDERS = {
         "trivial": lambda: smallgrp.cyclic(1),
@@ -238,14 +226,9 @@ class GroupDescriptor(_Value):
         if self.name == "GammaV2":
             from . import sl2z
 
-            pres = self.realization
-            if pres != smallgrp.GAMMA_V2_PRESENTATION:
-                return False
-            for rel in pres.relators:
-                word = sl2z.GenWord(tuple((pres.generators[g], s) for g, s in rel))
-                if sl2z.eval_word(word) != sl2z.IDENTITY:
-                    return False
-            return sl2z.is_member(sl2z.V) and sl2z.is_member(sl2z.T)
+            return (self.realization == smallgrp.GAMMA_V2_PRESENTATION
+                    and sl2z.failing_relator(self.realization) is None
+                    and sl2z.is_member(sl2z.V) and sl2z.is_member(sl2z.T))
         if not isinstance(self.realization, smallgrp.MulTableGroup):
             return False
         # a fresh build, not the shared one of _canonical, so a table that
@@ -269,10 +252,10 @@ class ClassificationResult(_Value):
     __slots__ = _fields = ("family", "image", "kernel", "total", "splits", "citations",
                            "notes")
 
-    def __init__(self, family: KnotFamily, image: GroupDescriptor | Unknown,
-                 kernel: GroupDescriptor | Unknown, total: GroupDescriptor | Unknown,
-                 splits: bool | Unknown, citations: tuple[str, ...],
-                 notes: tuple[str, ...] = ()):
+    def __new__(cls, family: KnotFamily, image: GroupDescriptor | Unknown,
+                kernel: GroupDescriptor | Unknown, total: GroupDescriptor | Unknown,
+                splits: bool | Unknown, citations: tuple[str, ...],
+                notes: tuple[str, ...] = ()):
         if not citations:
             raise ValueError("a classification must cite at least one statement")
         for tag in citations:
@@ -285,13 +268,7 @@ class ClassificationResult(_Value):
                 raise ValueError(
                     f"orders are inconsistent: |kernel| * |image| = "
                     f"{orders[0]} * {orders[1]} != |total| = {orders[2]}")
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "image", image)
-        object.__setattr__(self, "kernel", kernel)
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "splits", splits)
-        object.__setattr__(self, "citations", citations)
-        object.__setattr__(self, "notes", notes)
+        return cls._trusted(family, image, kernel, total, splits, citations, notes)
 
     def to_json(self) -> dict:
         out: dict = {"family": {"kind": self.family.kind,
@@ -408,11 +385,6 @@ def classify(family: KnotFamily) -> ClassificationResult:
 
 class CrossCheck(_Value):
     __slots__ = _fields = ("name", "passed", "detail")
-
-    def __init__(self, name: str, passed: bool, detail: str):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "detail", detail)
 
 
 def _mod2_matrix(m: sl2z.UniModMat2) -> tuple[tuple[int, ...], ...]:

@@ -184,9 +184,7 @@ def cmd_mod2(args) -> int:
 def cmd_decompose(args) -> int:
     from . import sl2z
 
-    m = sl2z.UniModMat2.from_json(_load_json(args.matrix))
-    sl2z.require_member(m)
-    word = sl2z.decompose(m)
+    word = sl2z.decompose(sl2z.UniModMat2.from_json(_load_json(args.matrix)))
     _emit(args, {"word": str(word), "sign": word.sign,
                  "tokens": [[g, e] for g, e in word.tokens]}, str(word))
     return 0

@@ -24,18 +24,29 @@ class UnsupportedSizeError(ValueError):
 
 
 class _Value:
-    """Frozen value: a subclass lists its fields in `_fields` and sets them
-    in `__init__` with `object.__setattr__`.  Instances are equal when they
-    have the same class and equal fields, hash as the field tuple, print as
-    `Name(field=value, ...)`, and refuse assignment with AttributeError.
+    """Frozen value: a subclass lists its fields in `_fields`.  Instances
+    are equal when they have the same class and equal fields, hash as the
+    field tuple, print as `Name(field=value, ...)`, and refuse assignment
+    with AttributeError.
 
-    `__init__` checks its arguments; `_trusted` takes field values the
-    library built itself and stores them unchecked.  Validation therefore
-    runs once, where a value first enters from outside.
+    Every instance is made by its class's `_trusted`, which stores field
+    values unchecked: a public constructor calls it once its checks pass,
+    the library calls it for results it computed from checked values, and
+    copy and pickle call it with an instance's fields.  A class whose
+    fields need no check keeps this `__new__`, which takes one positional
+    value per field; one that validates defines its own `__new__`, which
+    checks its arguments and returns `cls._trusted(...)`.  Validation
+    therefore runs once, where a value first enters from outside.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __new__(cls, *values):
+        if len(values) != len(cls._fields):
+            raise TypeError(f"{cls.__qualname__}() takes the fields {cls._fields}, "
+                            f"got {len(values)} values")
+        return cls._trusted(*values)
 
     def __init_subclass__(cls):
         # the field tuple is read in C; attrgetter of one name returns no tuple
@@ -62,11 +73,12 @@ class _Value:
 
     @classmethod
     def _trusted(cls, *values):
-        """The instance with these field values, made without `__init__`.
+        """The instance with these field values, stored unchecked.
 
-        Only for values that already meet `__init__`'s checks: results the
-        library computed from checked values, and copies.  A class on a hot
-        path overrides this with direct slot stores.
+        Only for values that already meet the class's checks: arguments its
+        `__new__` has checked, results the library computed from checked
+        values, and copies.  A class on a hot path overrides this with
+        direct slot stores.
         """
         self = object.__new__(cls)
         for f, v in zip(cls._fields, values):

@@ -28,9 +28,9 @@ coordinate with two bitsets the space caches per coordinate.  The
 majority vote counts its bits, `stabilizer` restricts the basis search
 with it, and the quadratic-identity and Arf-invariance kernels of
 `verify` read it whole.  The public `value_table` unpacks it once into
-0/1 entries, which `transport` indexes by column, reusing the table
-across the many elements it is called with.  The two Arf routes
-therefore share no code for evaluating q.
+0/1 entries, which `_pull_back` indexes by column for `transport` and
+`orbit`, reusing the table across the many elements it is called with.
+The two Arf routes therefore share no code for evaluating q.
 
 Validation happens once, at the boundary.  The public constructors and
 `from_columns` check their input.  What the library builds from checked
@@ -91,7 +91,7 @@ class SymplecticSpaceF2(_Value):
 
     _fields = ("gram",)
 
-    def __init__(self, gram: tuple[tuple[int, ...], ...]):
+    def __new__(cls, gram: tuple[tuple[int, ...], ...]):
         # a Gram matrix or row without a length raises TypeError here
         try:
             n = len(gram)
@@ -108,8 +108,9 @@ class SymplecticSpaceF2(_Value):
             for j in range(n):
                 if gram[i][j] != gram[j][i]:
                     raise DegenerateFormError("Gram matrix is not symmetric")
-        object.__setattr__(self, "gram", tuple(map(tuple, gram)))
-        self.basis_masks  # raises DegenerateFormError unless nondegenerate
+        space = cls._trusted(tuple(map(tuple, gram)))
+        space.basis_masks  # raises DegenerateFormError unless nondegenerate
+        return space
 
     @cached_property
     def dim(self) -> int:
@@ -230,7 +231,7 @@ class QuadraticRefinement(_Value):
 
     _fields = ("space", "basis_values")
 
-    def __init__(self, space: SymplecticSpaceF2, basis_values: tuple[int, ...]):
+    def __new__(cls, space: SymplecticSpaceF2, basis_values: tuple[int, ...]):
         # basis values without a length raise TypeError here
         try:
             fits = len(basis_values) == space.dim
@@ -240,8 +241,7 @@ class QuadraticRefinement(_Value):
             raise DimensionMismatchError("basis_values length != dimension")
         if not _all_bits(basis_values):
             raise ValueError("basis values must be 0 or 1")
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "basis_values", tuple(basis_values))
+        return cls._trusted(space, tuple(basis_values))
 
     @classmethod
     def _trusted(cls, space: SymplecticSpaceF2,
@@ -328,7 +328,7 @@ class SpElement(_Value):
 
     __slots__ = _fields = ("columns",)
 
-    def __init__(self, matrix: tuple[tuple[int, ...], ...]):
+    def __new__(cls, matrix: tuple[tuple[int, ...], ...]):
         # a matrix or row without a length raises TypeError here
         try:
             n = len(matrix)
@@ -337,7 +337,7 @@ class SpElement(_Value):
             square = False
         if not square:
             raise ValueError("matrix must be square with 0/1 entries")
-        _set_columns(self, tuple(sum(matrix[i][j] << i for i in range(n)) for j in range(n)))
+        return cls._trusted(tuple(sum(matrix[i][j] << i for i in range(n)) for j in range(n)))
 
     @classmethod
     def _trusted(cls, columns: tuple[int, ...]) -> "SpElement":

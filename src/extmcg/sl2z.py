@@ -16,6 +16,9 @@ evaluated words and decompositions are built from checked values by
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import itemgetter
+
 from .errors import InvalidMatrixError, ParseError, _Value
 
 
@@ -32,17 +35,14 @@ class UniModMat2(_Value):
 
     __slots__ = _fields = ("a", "b", "c", "d")
 
-    def __init__(self, a: int, b: int, c: int, d: int):
+    def __new__(cls, a: int, b: int, c: int, d: int):
         for e in (a, b, c, d):
             if not isinstance(e, int) or isinstance(e, bool):
                 raise InvalidMatrixError(f"entry {e!r} is not an integer")
         det = a * d - b * c
         if det != 1:
             raise InvalidMatrixError(f"determinant is {det}, must be +1")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+        return cls._trusted(a, b, c, d)
 
     @classmethod
     def _trusted(cls, a: int, b: int, c: int, d: int) -> "UniModMat2":
@@ -136,7 +136,7 @@ class GenWord(_Value):
 
     __slots__ = _fields = ("tokens", "sign")
 
-    def __init__(self, tokens: tuple[tuple[str, int], ...], sign: int = 1):
+    def __new__(cls, tokens: tuple[tuple[str, int], ...], sign: int = 1):
         if type(sign) is not int or sign not in (1, -1):
             raise WordSyntaxError(f"sign must be +-1, got {sign}")
         try:
@@ -151,8 +151,7 @@ class GenWord(_Value):
                 raise WordSyntaxError(f"unknown generator {gen!r}")
             if not isinstance(exp, int) or isinstance(exp, bool):
                 raise WordSyntaxError(f"exponent {exp!r} is not an integer")
-        object.__setattr__(self, "tokens", tokens)
-        object.__setattr__(self, "sign", sign)
+        return cls._trusted(tokens, sign)
 
     @classmethod
     def _trusted(cls, tokens: tuple[tuple[str, int], ...], sign: int) -> "GenWord":
@@ -299,19 +298,31 @@ def normal_forms_up_to(bound: int):
         yield GenWord._trusted(tokens, -1)
 
 
+def failing_relator(pres) -> GenWord | None:
+    """The first relator of a presentation on generators named V and T
+    whose matrix is not the identity, as a word with each run of one
+    generator written as a power; None when every relator holds."""
+    for rel in pres.relators:
+        word = GenWord(tuple((pres.generators[g], sum(s for _, s in run))
+                             for g, run in groupby(rel, key=itemgetter(0))))
+        if eval_word(word) != IDENTITY:
+            return word
+    return None
+
+
 def verify_presentation(bound: int) -> int:
     """Exhaustive injectivity check for the presentation <V, T | V^4, V^2 T = T V^2>.
 
-    Evaluates every normal form of letter length <= bound and confirms the
-    matrices are pairwise distinct.  Returns the number of words checked.
-    Also spot-checks that both defining relators evaluate to the identity.
+    First checks that every relator of `smallgrp.GAMMA_V2_PRESENTATION`
+    evaluates to the identity, then evaluates every normal form of letter
+    length <= bound and confirms the matrices are pairwise distinct.
+    Returns the number of words checked.
     """
-    if eval_word(GenWord((("V", 4),))) != IDENTITY:
-        raise AssertionError("V^4 is not the identity")
-    lhs = eval_word(GenWord((("V", 2), ("T", 1))))
-    rhs = eval_word(GenWord((("T", 1), ("V", 2))))
-    if lhs != rhs:
-        raise AssertionError("V^2 does not commute with T")
+    from . import smallgrp  # here, so that importing sl2z loads no smallgrp
+
+    word = failing_relator(smallgrp.GAMMA_V2_PRESENTATION)
+    if word is not None:
+        raise AssertionError(f"{word} is not the identity")
     seen: dict[tuple, GenWord] = {}
     count = 0
     for w in normal_forms_up_to(bound):

@@ -58,12 +58,14 @@ class Presentation(_Value):
 
     __slots__ = _fields = ("generators", "relators")
 
-    def __init__(self, generators: tuple[str, ...],
-                 relators: tuple[tuple[tuple[int, int], ...], ...]):
+    def __new__(cls, generators: tuple[str, ...],
+                relators: tuple[tuple[tuple[int, int], ...], ...]):
         try:
             generators, relators = tuple(generators), tuple(map(tuple, relators))
         except TypeError:
             raise PresentationError("generators and each relator must be sequences") from None
+        if not all(isinstance(name, str) for name in generators):
+            raise PresentationError("generator names must be strings")
         if len(set(generators)) != len(generators):
             raise PresentationError("duplicate generator names")
         rels = []
@@ -78,8 +80,7 @@ class Presentation(_Value):
                     raise PresentationError(f"bad letter ({g}, {s})")
                 letters.append((g, s))
             rels.append(tuple(letters))
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "relators", tuple(rels))
+        return cls._trusted(generators, tuple(rels))
 
 
 # the relators of one presentation expand to at most this many letters in
@@ -329,7 +330,7 @@ class MulTableGroup(_Value):
 
     __slots__ = _fields = ("table", "identity")
 
-    def __init__(self, table: tuple[tuple[int, ...], ...]):
+    def __new__(cls, table: tuple[tuple[int, ...], ...]):
         # the rules are checked in C over the whole table, each before the
         # next: entries plain ints (no bool, no float) in range, rows and
         # columns bijections, a two-sided identity; a table or row without
@@ -369,8 +370,7 @@ class MulTableGroup(_Value):
                 for c in cs:
                     if row_ab[c] != row_a[row_b[c]]:
                         raise InvalidTableError(f"not associative at ({a},{b},{c})")
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "identity", ident)
+        return cls._trusted(table, ident)
 
     @property
     def order(self) -> int:
@@ -390,7 +390,10 @@ class MulTableGroup(_Value):
 
     def is_subgroup(self, elems) -> bool:
         # members follow the table rule: plain ints (no bool, no float) in range
-        s = set(elems)
+        try:
+            s = set(elems)
+        except TypeError:  # not iterable, or a member that does not hash
+            return False
         if self.identity not in s or set(map(type, s)) != {int} \
                 or not s.issubset(range(self.order)):
             return False
@@ -490,8 +493,9 @@ def semidirect_product(n: MulTableGroup, h: MulTableGroup,
     Then n ⋊ h is a group by construction, so its table is not checked again.
     """
     _require_factors(n, h)
-    if set(map(type, action)) != {int} or set(action) != set(range(h.order)):
-        raise InvalidActionError("action must cover every element of the acting group")
+    if not (isinstance(action, dict) and set(map(type, action)) == {int}
+            and set(action) == set(range(h.order))):
+        raise InvalidActionError("action must be a dict over every element of the acting group")
     indices = list(range(n.order))
     images = {}  # stored as tuples, so list images compare equal below
     for x, perm in action.items():
@@ -729,7 +733,10 @@ def has_complement(g: MulTableGroup, normal) -> bool:
     N trivially exactly when its order is |G|/|N|.  So the search tries the
     |N|^k choices of lifts and never builds the subgroup lattice.
     """
-    nset = frozenset(normal)
+    try:
+        nset = frozenset(normal)
+    except TypeError:  # not iterable, or a member that does not hash
+        nset = frozenset()  # no subgroup: refused below
     if not g.is_normal(nset):
         raise InvalidSubgroupError("subset is not a normal subgroup")
     want = g.order // len(nset)
@@ -776,8 +783,11 @@ class FinAbGroup(_Value):
 
     __slots__ = _fields = ("free_rank", "torsion")
 
-    def __init__(self, free_rank: int, torsion: tuple[int, ...]):
-        torsion = tuple(torsion)
+    def __new__(cls, free_rank: int, torsion: tuple[int, ...]):
+        try:
+            torsion = tuple(torsion)
+        except TypeError:
+            raise ValueError(f"torsion {torsion!r} is not a sequence of orders") from None
         if type(free_rank) is not int or free_rank < 0:
             raise ValueError(f"free rank {free_rank!r} must be a nonnegative int")
         for i, d in enumerate(torsion):
@@ -785,8 +795,7 @@ class FinAbGroup(_Value):
                 raise ValueError(f"torsion order {d!r} must be an int at least 2")
             if i and torsion[i - 1] != gcd(torsion[i - 1], d):
                 raise ValueError("torsion orders must form a divisibility chain")
-        object.__setattr__(self, "free_rank", free_rank)
-        object.__setattr__(self, "torsion", torsion)
+        return cls._trusted(free_rank, torsion)
 
     def __str__(self):  # Z4 + Z, Z2 + Z12, or trivial
         return " + ".join([f"Z{d}" for d in self.torsion] + ["Z"] * self.free_rank) or "trivial"

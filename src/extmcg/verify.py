@@ -19,12 +19,6 @@ from .errors import _Value
 class CheckResult(_Value):
     __slots__ = _fields = ("name", "passed", "detail", "citations")
 
-    def __init__(self, name: str, passed: bool, detail: str, citations: tuple[str, ...]):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "detail", detail)
-        object.__setattr__(self, "citations", citations)
-
 
 def _check(name: str, *citations: str):
     """Decorate a check body that takes an inputs dict (see `_built`) and
@@ -504,11 +498,11 @@ def check_property_suites(inputs):
     matrices of `_word_sample`), Arf invariance under all of
     Sp(2,2) and Sp(4,2) (every element of every refinement, bit-sliced
     over the elements), the majority oracle at k <= 2, and re-validation
-    of the 23 group tables it builds: MulTableGroup.__init__ validates each
+    of the 23 group tables it builds: MulTableGroup.__new__ validates each
     once per run, here or, for the five that check_coset_enumeration also
     reads, there; the two products and the quotient, built unchecked, are
     rebuilt through it here.  The word round trip is
-    check_word_algebra's alone; the per-call route, `transport` then
+    check_word_algebra's alone; the per-call route, `_pull_back` then
     `arf`, runs under `orbit` in check_symplectic_census."""
     ok = True
     details = []
@@ -528,7 +522,7 @@ def check_property_suites(inputs):
                          _built(inputs, smallgrp.dihedral, 8), _built(inputs, smallgrp.cyclic, 2)))
     tables.append(_built(inputs, smallgrp.todd_coxeter, smallgrp.D8_PRESENTATION))
     tables.append(smallgrp.quotient(e, e.closure([smallgrp.E_EVEN_GENS["r"]])))
-    # __init__ checks Latin rows, identity and associativity; inverses follow
+    # __new__ checks Latin rows, identity and associativity; inverses follow
     if not all(smallgrp.MulTableGroup(t.table) == t for t in (e, tables[-3], tables[-1])):
         ok = False
         details.append("a product or quotient differs from its validated table")

@@ -483,18 +483,18 @@ def test_verify_all_runs_no_brute_force(monkeypatch):
 def _count_builds(monkeypatch):
     """Record the order of every group table built from here on, and the
     k of every Sp(2k,2) listing."""
-    real_init, real_enumerate = smallgrp.MulTableGroup.__init__, ff.enumerate_sp
+    real_new, real_enumerate = smallgrp.MulTableGroup.__new__, ff.enumerate_sp
     built, listed = [], []
 
-    def counted(self, table):
+    def counted(cls, table):
         built.append(len(table))
-        real_init(self, table)
+        return real_new(cls, table)
 
     def enumerate_sp(k):
         listed.append(k)
         return real_enumerate(k)
 
-    monkeypatch.setattr(smallgrp.MulTableGroup, "__init__", counted)
+    monkeypatch.setattr(smallgrp.MulTableGroup, "__new__", staticmethod(counted))
     monkeypatch.setattr(ff, "enumerate_sp", enumerate_sp)
     return built, listed
 

@@ -610,6 +610,14 @@ def test_presentation_refuses_arguments_that_are_not_sequences(generators, relat
         sg.Presentation(generators, relators)
 
 
+def test_presentation_refuses_a_generator_name_that_is_not_a_str():
+    """A list name raised a bare TypeError from the duplicate check, and
+    an int name was stored."""
+    for generators in (([1],), (5,)):
+        with pytest.raises(sg.PresentationError, match="must be strings"):
+            sg.Presentation(generators, ())
+
+
 def test_parse_presentation_caps_the_expanded_relators():
     """An exponent is refused before it is expanded: a^99999999999 would
     otherwise need a list of that many letters."""
@@ -915,6 +923,7 @@ def test_fin_ab_group_prints_its_summands(free_rank, torsion, text):
     (0, ("4",)),
     (True, ()),
     (1.0, ()),
+    (0, 5),  # torsion that is not a sequence
 ])
 def test_fin_ab_group_takes_plain_ints_only(free_rank, torsion):
     with pytest.raises(ValueError):
@@ -1153,6 +1162,8 @@ def test_semidirect_checks_every_generator_of_a_non_abelian_action(h):
     {0: (0, 1), 1: None},
     {0: (0, 1), 1.0: (0, 1)},     # keys follow the same rule
     {0: (0, 1), True: (0, 1)},
+    5,                            # not a mapping at all
+    {0, 1},                       # the keys without their images
 ])
 def test_semidirect_rejects_non_index_actions(action):
     with pytest.raises(sg.InvalidActionError):
@@ -1170,7 +1181,7 @@ def test_quotients():
 def test_products_equal_their_validated_tables():
     """semidirect_product and direct_product skip the table check, so every
     group of the catalog, each product among them, equals the group that
-    MulTableGroup.__init__ validates from its table, identity included."""
+    MulTableGroup.__new__ validates from its table, identity included."""
     groups = builder_groups(32)
     assert sum(":" in name or "x" in name for name in groups) > 100
     # the product's identity comes from its factors': here neither is element 0
@@ -1337,6 +1348,7 @@ def test_build_E_even_structure():
 @pytest.mark.parametrize("elems", [
     {0, 2, -2}, {0, 4}, {0, 2, 6},
     [0, 2.0], [0, True, 2, 3], [False, 2], [0, "2"], [0, None],
+    5, [[1]],  # not iterable, a member that does not hash
 ])
 def test_indices_outside_the_group_make_no_subgroup(elems):
     """-2 would pick row 2 through negative indexing and 4 or 6 would run

@@ -7,6 +7,8 @@ repr texts below are those the classes printed as frozen dataclasses.
 
 import copy
 import pickle
+import re
+from pathlib import Path
 
 import pytest
 
@@ -135,6 +137,41 @@ def test_defaults_and_keywords():
         sg.MulTableGroup(((0,),), identity=0)
     with pytest.raises(TypeError):
         sl2z.UniModMat2(1, 2, 0)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_values_are_stored_by_trusted_alone():
+    """Every `object.__setattr__(` call in src/, by module and enclosing
+    function, and every value class's `__init__`.  A value class checks
+    its arguments in `__new__` (a record without checks keeps the base
+    class's) and stores them through `_trusted`; copies and unpickled
+    values are built there too, so the base class's `_trusted` is the one
+    generic store, and `__init__` is never a second way in."""
+    sites = []
+    for path in sorted(SRC.rglob("*.py")):
+        function = None
+        for line in path.read_text().splitlines():
+            defined = re.match(r"\s*def (\w+)", line)
+            if defined:
+                function = defined.group(1)
+            if "object.__setattr__(" in line:
+                sites.append((path.stem, function))
+    assert sites == [("errors", "_trusted")]
+    assert [cls for cls, _, _ in VALUES if cls.__init__ is not object.__init__] == []
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cl.Unknown(),
+    lambda: cl.Unknown("why", "again"),
+    lambda: vf.CheckResult("n", False, "d"),
+    lambda: ag.ProductMapDescriptor((2, 2), True, 1, -1, 0),
+    lambda: cl.CrossCheck(name="n", passed=True, detail="d"),
+], ids=["none", "two-for-one", "three-for-four", "five-for-four", "keywords"])
+def test_records_take_one_positional_value_per_field(build):
+    with pytest.raises(TypeError):
+        build()
 
 
 def test_one_class_per_shared_error():
