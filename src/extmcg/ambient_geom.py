@@ -208,8 +208,8 @@ def restrict_to_product(m: SignedPermMatrix, p: int, q: int) -> ProductMapDescri
     entirely onto one block; anything else is not a symmetry of the
     embedded product and raises NotBlockStructuredError.
     """
-    if p < 1 or q < 1:
-        raise BlockSizeError("block dimensions must be positive")
+    if not (type(p) is type(q) is int and p >= 1 and q >= 1):
+        raise BlockSizeError(f"block dimensions must be positive ints, got {p!r} and {q!r}")
     if m.size != p + q + 3:
         raise BlockSizeError(f"matrix size {m.size} != p + q + 3 = {p + q + 3}")
     a_rows = range(1, p + 2)

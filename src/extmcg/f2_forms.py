@@ -8,19 +8,20 @@ routes are kept separate on purpose so each can check the other.
 
 Vectors are bitmask integers (bit i = coordinate i); matrices and basis
 values are exposed as plain 0/1 tuples.  A vector of a 2k-dimensional
-space is a mask m with 0 <= m < 2^(2k): `pair_masks` and `eval_mask`
-raise DimensionMismatchError for any other, while `image` and `upper`,
-which the hot loops call, do not check.  A space pairs masks through its
-Gram image, <u, v> = parity(u & J v), and splits off its symplectic
-basis once.  A symplectic matrix keeps only its columns as bitmasks
-(column j is the image of basis vector j), so applying, composing and
-validating it are XORs and popcounts.
+space is a mask m with 0 <= m < 2^(2k): `pair_masks`, `eval_mask` and
+`apply_mask` raise DimensionMismatchError for any other, while `image`
+and `upper`, which the hot loops call, do not check.  A space pairs
+masks through its Gram image, <u, v> = parity(u & J v), and splits off
+its symplectic basis once.  A symplectic matrix keeps only its columns
+as bitmasks (column j is the image of basis vector j).  Every GF(2)
+matrix is applied by one routine, `_apply`: the XOR of its column masks
+over the set bits of the vector.
 
 A refinement is evaluated in closed form, q(v) = v^T U v plus the sum of
-q(e_i) over i in v, with U the strict upper triangle of the Gram matrix
-applied through byte tables like J.  The Arf invariant by basis reads
-that form from data the space caches once: for each symplectic basis
-vector, parity(v & U v) and the set bits of v.  Per refinement it then
+q(e_i) over i in v, with U the strict upper triangle of the Gram matrix;
+`_apply` gives both U v and that sum.  The Arf invariant by basis reads
+that form from data the space caches once: parity(v & U v) for each
+symplectic basis vector v.  Per refinement it then
 adds up basis values only, and builds no table.  Every other reader
 evaluates q everywhere, through the value bitset: one int whose bit v
 holds q(v), doubled once per refinement, one shift and XOR per
@@ -73,17 +74,22 @@ class DimensionMismatchError(ValueError):
     pass
 
 
-def _byte_tables(columns) -> tuple[list[int], ...]:
-    """The matrix with these column masks applied to every value of each
-    8-bit slice of a vector; the XOR of one lookup per slice applies it."""
-    tables = []
-    for base in range(0, len(columns), 8):
-        cols = columns[base:base + 8]
-        table = [0] * (1 << len(cols))
-        for m in range(1, len(table)):
-            table[m] = table[m & (m - 1)] ^ cols[(m & -m).bit_length() - 1]
-        tables.append(table)
-    return tuple(tables)
+def _check_mask(mask: int, dim: int) -> None:
+    """Raise DimensionMismatchError unless 0 <= mask < 2^dim."""
+    if not 0 <= mask < 1 << dim:
+        raise DimensionMismatchError(
+            f"mask {mask} outside 0..{(1 << dim) - 1} for dimension {dim}")
+
+
+def _apply(columns, v: int) -> int:
+    """The matrix with these column masks applied to the mask v: the XOR of
+    columns[i] over the set bits i of v."""
+    out = 0
+    while v:
+        low = v & -v
+        out ^= columns[low.bit_length() - 1]
+        v ^= low
+    return out
 
 
 class SymplecticSpaceF2(_Value):
@@ -121,40 +127,22 @@ class SymplecticSpaceF2(_Value):
         return tuple(sum(e << j for j, e in enumerate(row)) for row in self.gram)
 
     @cached_property
-    def _byte_images(self) -> tuple[list[int], ...]:
-        return _byte_tables(self.row_masks)
-
-    @cached_property
-    def _byte_uppers(self) -> tuple[list[int], ...]:
+    def _upper_columns(self) -> tuple[int, ...]:
         # column j of the strict upper triangle: the rows i < j with G_ij = 1
-        return _byte_tables([r & ((1 << j) - 1) for j, r in enumerate(self.row_masks)])
+        return tuple(r & ((1 << j) - 1) for j, r in enumerate(self.row_masks))
 
     def image(self, v: int) -> int:
-        """J v, the mask with <u, v> = parity(u & J v) for every u."""
-        out = 0
-        for table in self._byte_images:
-            out ^= table[v & 0xFF]
-            v >>= 8
-        return out
+        """J v, the mask with <u, v> = parity(u & J v) for every u; J = J^T."""
+        return _apply(self.row_masks, v)
 
     def upper(self, v: int) -> int:
         """U v for U the strict upper triangle of the Gram matrix, so that
         parity(v & U v) is the sum of <e_i, e_j> over pairs i < j in v."""
-        out = 0
-        for table in self._byte_uppers:
-            out ^= table[v & 0xFF]
-            v >>= 8
-        return out
-
-    def _check_mask(self, mask: int) -> None:
-        """Raise DimensionMismatchError unless 0 <= mask < 2^dim."""
-        if not 0 <= mask < 1 << self.dim:
-            raise DimensionMismatchError(
-                f"mask {mask} outside 0..{(1 << self.dim) - 1} for dimension {self.dim}")
+        return _apply(self._upper_columns, v)
 
     def pair_masks(self, u: int, v: int) -> int:
-        self._check_mask(u)
-        self._check_mask(v)
+        _check_mask(u, self.dim)
+        _check_mask(v, self.dim)
         return (u & self.image(v)).bit_count() & 1
 
     @cached_property
@@ -197,13 +185,12 @@ class SymplecticSpaceF2(_Value):
         return tuple(steps)
 
     @cached_property
-    def _arf_terms(self) -> tuple[tuple[int, tuple[int, ...], int, tuple[int, ...]], ...]:
-        """For each pair (a, b) of basis_masks: parity(a & U a), the set bits
-        of a, then the same for b.  q(v) is that parity plus the basis
-        values at those bits (see QuadraticRefinement.eval_mask)."""
+    def _arf_terms(self) -> tuple[tuple[int, int, int, int], ...]:
+        """For each pair (a, b) of basis_masks: parity(a & U a), a, then the
+        same for b.  q(v) is that parity plus the basis values at the set
+        bits of v (see QuadraticRefinement.eval_mask)."""
         def term(v):
-            return ((v & self.upper(v)).bit_count() & 1,
-                    tuple(i for i in range(self.dim) if v >> i & 1))
+            return (v & self.upper(v)).bit_count() & 1, v
         return tuple(term(a) + term(b) for a, b in self.basis_masks)
 
 
@@ -269,13 +256,8 @@ class QuadraticRefinement(_Value):
 
     def eval_mask(self, mask: int) -> int:
         """q(v) = v^T U v plus the sum of q(e_i) over i in v; no value table."""
-        self.space._check_mask(mask)
-        total = (mask & self.space.upper(mask)).bit_count()
-        values = self.basis_values
-        while mask:
-            low = mask & -mask
-            total += values[low.bit_length() - 1]
-            mask ^= low
+        _check_mask(mask, self.space.dim)
+        total = (mask & self.space.upper(mask)).bit_count() ^ _apply(self.basis_values, mask)
         return total & 1
 
 
@@ -287,12 +269,8 @@ def arf(q: QuadraticRefinement) -> int:
     """
     values = q.basis_values
     total = 0
-    for qa, bits_a, qb, bits_b in q.space._arf_terms:
-        for i in bits_a:
-            qa ^= values[i]
-        for i in bits_b:
-            qb ^= values[i]
-        total ^= qa & qb
+    for qa, a, qb, b in q.space._arf_terms:
+        total ^= (qa ^ _apply(values, a)) & (qb ^ _apply(values, b))
     return total
 
 
@@ -368,17 +346,14 @@ class SpElement(_Value):
         return len(self.columns)
 
     def apply_mask(self, v: int) -> int:
-        out = 0
-        for c in self.columns:
-            if v & 1:
-                out ^= c
-            v >>= 1
-        return out
+        """S v, for a mask 0 <= v < 2^n."""
+        _check_mask(v, len(self.columns))
+        return _apply(self.columns, v)
 
     def __mul__(self, other: "SpElement") -> "SpElement":
         if self.dim != other.dim:
             raise DimensionMismatchError("matrix dimensions differ")
-        return SpElement._trusted(tuple(self.apply_mask(c) for c in other.columns))
+        return SpElement._trusted(tuple([_apply(self.columns, c) for c in other.columns]))
 
 
 _set_columns = SpElement.columns.__set__

@@ -147,7 +147,7 @@ class GenWord(_Value):
             if not isinstance(token, tuple) or len(token) != 2:
                 raise WordSyntaxError(f"token {token!r} is not a (generator, exponent) pair")
             gen, exp = token
-            if gen not in GENERATORS:
+            if not isinstance(gen, str) or gen not in GENERATORS:
                 raise WordSyntaxError(f"unknown generator {gen!r}")
             if not isinstance(exp, int) or isinstance(exp, bool):
                 raise WordSyntaxError(f"exponent {exp!r} is not an integer")

@@ -388,27 +388,35 @@ class MulTableGroup(_Value):
     def closure(self, seed) -> frozenset[int]:
         return generate(seed, self.mul, self.identity)
 
-    def is_subgroup(self, elems) -> bool:
-        # members follow the table rule: plain ints (no bool, no float) in range
+    def _subgroup(self, elems) -> frozenset[int] | None:
+        """The subset elems, read once, if it is a subgroup; else None.
+        Members follow the table rule: plain ints (no bool, no float) in range."""
         try:
-            s = set(elems)
+            s = frozenset(elems)
         except TypeError:  # not iterable, or a member that does not hash
-            return False
+            return None
         if self.identity not in s or set(map(type, s)) != {int} \
                 or not s.issubset(range(self.order)):
-            return False
-        return all(self.table[a][b] in s for a in s for b in s)
+            return None
+        return s if all(self.table[a][b] in s for a in s for b in s) else None
 
-    def is_normal(self, elems) -> bool:
-        if not self.is_subgroup(elems):
-            return False
-        s = set(elems)
+    def _normal_subgroup(self, elems) -> frozenset[int] | None:
+        """The subset elems, read once, if it is a normal subgroup; else None."""
+        s = self._subgroup(elems)
+        if s is None:
+            return None
+        t = self.table
         for g in range(self.order):
             gi = self.inverse(g)
-            for a in s:
-                if self.table[self.table[g][a]][gi] not in s:
-                    return False
-        return True
+            if any(t[t[g][a]][gi] not in s for a in s):
+                return None
+        return s
+
+    def is_subgroup(self, elems) -> bool:
+        return self._subgroup(elems) is not None
+
+    def is_normal(self, elems) -> bool:
+        return self._normal_subgroup(elems) is not None
 
 
 # the builders make rows and tables from lists: tuple() over a generator
@@ -521,10 +529,14 @@ def semidirect_product(n: MulTableGroup, h: MulTableGroup,
     return _product(n, h, [images[x] for x in range(h.order)])
 
 
+def _require_groups(what: str, *groups) -> None:
+    if not all(isinstance(g, MulTableGroup) for g in groups):
+        raise TypeError(f"{what} needs MulTableGroup arguments")
+
+
 def _require_factors(n: MulTableGroup, h: MulTableGroup) -> None:
     # the product table is not checked, so it rests on checked factors
-    if not (isinstance(n, MulTableGroup) and isinstance(h, MulTableGroup)):
-        raise TypeError("products need MulTableGroup factors")
+    _require_groups("a product", n, h)
     if n.order * h.order > 64:
         raise UnsupportedSizeError("product order exceeds 64")
 
@@ -543,11 +555,10 @@ def _product(n: MulTableGroup, h: MulTableGroup, images) -> MulTableGroup:
 def quotient(g: MulTableGroup, normal) -> MulTableGroup:
     """Quotient by a normal subgroup, cosets indexed by smallest member;
     a group by construction, so its table is not checked again."""
-    if not isinstance(g, MulTableGroup):
-        raise TypeError("quotient needs a MulTableGroup")
-    if not g.is_normal(normal):
+    _require_groups("quotient", g)
+    nset = g._normal_subgroup(normal)
+    if nset is None:
         raise InvalidSubgroupError("subset is not a normal subgroup")
-    nset = frozenset(normal)
     coset_of = {}
     reps = []
     for a in range(g.order):
@@ -612,6 +623,7 @@ def is_isomorphic(g: MulTableGroup, h: MulTableGroup) -> tuple[bool, tuple[int, 
     ch. 9).  Generators and candidates are tried in index order, so the
     witness is the first isomorphism in that order.
     """
+    _require_groups("is_isomorphic", g, h)
     n = g.order
     if n != h.order:
         return False, None
@@ -733,11 +745,9 @@ def has_complement(g: MulTableGroup, normal) -> bool:
     N trivially exactly when its order is |G|/|N|.  So the search tries the
     |N|^k choices of lifts and never builds the subgroup lattice.
     """
-    try:
-        nset = frozenset(normal)
-    except TypeError:  # not iterable, or a member that does not hash
-        nset = frozenset()  # no subgroup: refused below
-    if not g.is_normal(nset):
+    _require_groups("has_complement", g)
+    nset = g._normal_subgroup(normal)
+    if nset is None:
         raise InvalidSubgroupError("subset is not a normal subgroup")
     want = g.order // len(nset)
     reps = _generating_set(g, nset)

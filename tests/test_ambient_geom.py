@@ -221,6 +221,14 @@ def test_restrict_to_product_rejections():
         ag.restrict_to_product(ag.build_omega(2), 1, 3)
 
 
+@pytest.mark.parametrize("p,q", [([3], 3), ("3", 3), (3.0, 3), (3, 3.0), (True, 5)])
+def test_restrict_to_product_refuses_block_dimensions_that_are_not_ints(p, q):
+    """Block dimensions follow the plain-int rule: a list or str raised a
+    bare TypeError, a float reached range(), and True stood for 1."""
+    with pytest.raises(ag.BlockSizeError, match="positive ints"):
+        ag.restrict_to_product(ag.build_omega(3), p, q)
+
+
 def test_homology_action_algebra():
     quarter = ag.SignedPermMatrix(2, ((1, -1), (0, 1)))
     assert quarter.rows == ((0, -1), (1, 0))

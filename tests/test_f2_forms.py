@@ -130,8 +130,12 @@ def test_masks_outside_the_space_are_rejected(mask):
         space.pair_masks(0b10, mask)
     with pytest.raises(ff.DimensionMismatchError):
         q.eval_mask(mask)
+    swap = ff.SpElement(((0, 1), (1, 0)))
+    with pytest.raises(ff.DimensionMismatchError):
+        swap.apply_mask(mask)
     # the top mask of the space is still inside it
     assert space.pair_masks(0b11, 0b10) == 1 and q.eval_mask(0b11) == 1
+    assert swap.apply_mask(0b11) == 0b11 and swap.apply_mask(0b01) == 0b10
 
 
 def random_invertible(rng, n):
@@ -158,7 +162,7 @@ def congruent_space(k, rng):
         dense_mul(dense_transpose(p), dense_mul(ff.standard_space(k).gram, p)))
 
 
-@pytest.mark.parametrize("k", [1, 4, 5, 9])
+@pytest.mark.parametrize("k", [1, 4, 5, 9, ff.MAX_STANDARD_K])
 def test_pair_masks_matches_dense_form(k):
     """<u, v> = u^T G v, on a random congruent Gram; dimensions past 8 too."""
     import random
@@ -208,6 +212,23 @@ def test_eval_mask_matches_value_table(k, seed, congruent):
     q = ff.QuadraticRefinement(space, tuple(rng.randrange(2) for _ in range(n)))
     table = q.value_table
     assert all(q.eval_mask(m) == table[m] for m in range(1 << n))
+
+
+@pytest.mark.parametrize("k", [5, 16, ff.MAX_STANDARD_K])
+def test_eval_mask_matches_dense_closed_form(k):
+    """q(v) = sum of v_i q(e_i) plus the sum over i < j of v_i v_j G_ij, on
+    a random congruent Gram, up to dimensions where no value table fits."""
+    import random
+    rng = random.Random(k)
+    n = 2 * k
+    space = congruent_space(k, rng)
+    gram = space.gram
+    q = ff.QuadraticRefinement(space, tuple(rng.randrange(2) for _ in range(n)))
+    for v in [0, (1 << n) - 1] + [rng.randrange(1 << n) for _ in range(200)]:
+        bits = [i for i in range(n) if (v >> i) & 1]
+        dense = sum(q.basis_values[i] for i in bits) + sum(
+            gram[i][j] for a, i in enumerate(bits) for j in bits[a + 1:])
+        assert q.eval_mask(v) == dense & 1
 
 
 @given(st.integers(1, 5), st.integers(0, 2 ** 64))

@@ -274,7 +274,7 @@ def test_matrix_rejects_boolean_entries(entries):
 
 @pytest.mark.parametrize("tokens, sign", [((("T", True),), 1), ((("V", False),), 1),
                                           ((), True), ((("V", 1),), True), ((), 1.0),
-                                          ((("V", 1),), -1.0)])
+                                          ((("V", 1),), -1.0), (((["V"], 1),), 1)])
 def test_word_rejects_boolean_exponent_and_sign(tokens, sign):
     with pytest.raises(sl2z.WordSyntaxError):
         sl2z.GenWord(tokens, sign)

@@ -1236,7 +1236,10 @@ def test_products_and_quotients_need_table_groups():
                  lambda: sg.semidirect_product(c2, fake, trivial),
                  lambda: sg.direct_product(fake, c2),
                  lambda: sg.direct_product(c2, fake),
-                 lambda: sg.quotient(fake, {0})):
+                 lambda: sg.quotient(fake, {0}),
+                 lambda: sg.is_isomorphic(5, sg.klein()),
+                 lambda: sg.is_isomorphic(c2, fake),
+                 lambda: sg.has_complement(5, [0])):
         with pytest.raises(TypeError):
             call()
 
@@ -1361,6 +1364,20 @@ def test_indices_outside_the_group_make_no_subgroup(elems):
         sg.quotient(c4, elems)
     with pytest.raises(sg.InvalidSubgroupError):
         sg.has_complement(c4, elems)
+
+
+@pytest.mark.parametrize("build", [lambda: sg.dihedral(8), lambda: sg.quaternion(8)])
+def test_subsets_are_read_once(build):
+    """An iterator is read once: as a list and as an iterator every subset
+    gives the same answers and, when normal, the same quotient."""
+    g = build()
+    for bits in range(1 << g.order):
+        subset = [a for a in range(g.order) if (bits >> a) & 1]
+        assert g.is_subgroup(iter(subset)) == g.is_subgroup(subset), subset
+        assert g.is_normal(iter(subset)) == g.is_normal(subset), subset
+        if g.is_normal(subset):
+            assert sg.quotient(g, iter(subset)) == sg.quotient(g, subset), subset
+            assert sg.has_complement(g, iter(subset)) == sg.has_complement(g, subset), subset
 
 
 def test_closure_and_subgroup_predicates():
