@@ -8,12 +8,13 @@ routes are kept separate on purpose so each can check the other.
 
 Vectors are bitmask integers (bit i = coordinate i); matrices and basis
 values are exposed as plain 0/1 tuples.  A vector of a 2k-dimensional
-space is a mask m with 0 <= m < 2^(2k): `pair_masks`, `eval_mask` and
-`apply_mask` raise DimensionMismatchError for any other, while `image`
-and `upper`, which the hot loops call, do not check.  A space pairs
-masks through its Gram image, <u, v> = parity(u & J v), and splits off
-its symplectic basis once.  A symplectic matrix keeps only its columns
-as bitmasks (column j is the image of basis vector j).  Every GF(2)
+space is a mask m with 0 <= m < 2^(2k): `pair_masks`, `eval_mask`,
+`apply_mask`, `image` and `upper` raise DimensionMismatchError for any
+other, while `_image` and `_upper`, which the hot loops call on masks
+they built or checked, do not check.  A space pairs masks through its
+Gram image, <u, v> = parity(u & J v), and splits off its symplectic
+basis once.  A symplectic matrix keeps only its columns as bitmasks
+(column j is the image of basis vector j).  Every GF(2)
 matrix is applied by one routine, `_apply`: the XOR of its column masks
 over the set bits of the vector.
 
@@ -133,17 +134,27 @@ class SymplecticSpaceF2(_Value):
 
     def image(self, v: int) -> int:
         """J v, the mask with <u, v> = parity(u & J v) for every u; J = J^T."""
+        _check_mask(v, self.dim)
+        return self._image(v)
+
+    def _image(self, v: int) -> int:
+        # `image` for a mask the caller has checked or built itself
         return _apply(self.row_masks, v)
 
     def upper(self, v: int) -> int:
         """U v for U the strict upper triangle of the Gram matrix, so that
         parity(v & U v) is the sum of <e_i, e_j> over pairs i < j in v."""
+        _check_mask(v, self.dim)
+        return self._upper(v)
+
+    def _upper(self, v: int) -> int:
+        # `upper` for a mask the caller has checked or built itself
         return _apply(self._upper_columns, v)
 
     def pair_masks(self, u: int, v: int) -> int:
         _check_mask(u, self.dim)
         _check_mask(v, self.dim)
-        return (u & self.image(v)).bit_count() & 1
+        return (u & self._image(v)).bit_count() & 1
 
     @cached_property
     def basis_masks(self) -> tuple[tuple[int, int], ...]:
@@ -160,12 +171,12 @@ class SymplecticSpaceF2(_Value):
         pairs: list[tuple[int, int]] = []
         while pool:
             a = pool.pop(0)
-            ja = self.image(a)
+            ja = self._image(a)
             b = next((v for v in pool if (v & ja).bit_count() & 1), None)
             if b is None:
                 raise DegenerateFormError("Gram matrix is singular over GF(2)")
             pool.remove(b)
-            jb = self.image(b)
+            jb = self._image(b)
             pool = [v ^ (a if (v & jb).bit_count() & 1 else 0)
                     ^ (b if (v & ja).bit_count() & 1 else 0) for v in pool]
             pairs.append((a, b))
@@ -190,7 +201,7 @@ class SymplecticSpaceF2(_Value):
         same for b.  q(v) is that parity plus the basis values at the set
         bits of v (see QuadraticRefinement.eval_mask)."""
         def term(v):
-            return (v & self.upper(v)).bit_count() & 1, v
+            return (v & self._upper(v)).bit_count() & 1, v
         return tuple(term(a) + term(b) for a, b in self.basis_masks)
 
 
@@ -257,7 +268,7 @@ class QuadraticRefinement(_Value):
     def eval_mask(self, mask: int) -> int:
         """q(v) = v^T U v plus the sum of q(e_i) over i in v; no value table."""
         _check_mask(mask, self.space.dim)
-        total = (mask & self.space.upper(mask)).bit_count() ^ _apply(self.basis_values, mask)
+        total = (mask & self.space._upper(mask)).bit_count() ^ _apply(self.basis_values, mask)
         return total & 1
 
 
@@ -364,7 +375,7 @@ def _preserves_form(columns, space: SymplecticSpaceF2) -> bool:
 
     Both sides are alternating, so the pairs a < b decide it.
     """
-    image, rows = space.image, space.row_masks
+    image, rows = space._image, space.row_masks
     for b, cb in enumerate(columns):
         jb = image(cb)
         want = rows[b]
@@ -395,7 +406,7 @@ def _extend_bases(space: SymplecticSpaceF2, want) -> list[SpElement]:
     # bitset over vector indices: bit v of ortho[u] says <u, v> = 0
     ortho = [0] * size
     for u in range(size):
-        ju = space.image(u)
+        ju = space._image(u)
         for v in range(size):
             if not (v & ju).bit_count() & 1:
                 ortho[u] |= 1 << v
@@ -487,7 +498,7 @@ def stabilizer(q: QuadraticRefinement) -> list[SpElement]:
 
 def _transvection(space: SymplecticSpaceF2, w: int) -> tuple[int, ...]:
     """The columns of the symplectic map v -> v + <v, w> w."""
-    jw = space.image(w)
+    jw = space._image(w)
     return tuple((1 << j) ^ (w if (jw >> j) & 1 else 0) for j in range(space.dim))
 
 

@@ -6,14 +6,15 @@ deterministic HLT Todd-Coxeter enumeration of the trivial-subgroup
 cosets in one pass: a coincidence maps the coset graph onto a quotient,
 which keeps every closed relator cycle closed, so nothing is rescanned.
 For a finite presented group the cosets are the elements, which yields
-the table.  An order above 64 is refused right after the enumeration,
-before any table is built.  On a presentation of an infinite group the
-coset count passes any cap, reported as CosetCapacityError, which shows
-nothing about finiteness; `abelian_invariants` proves a group infinite
-instead, when its abelianization has positive free rank, from the Smith
-normal form of the relator exponent sums, as a `FinAbGroup`.  A group
-is at least as large as its abelianization, so a finite one of order
-above 64 is refused before any enumeration.
+the table, and the coset graph certifies that table without the O(n^3)
+check.  An order above 64 is refused right after the enumeration,
+before any table is built.  `abelian_invariants` gives the
+abelianization from the Smith normal form of the relator exponent sums,
+as a `FinAbGroup`.  A group maps onto its abelianization, so one with a
+free summand is infinite, and one whose abelianization is finite of
+order above 64 is too large: both are refused before any enumeration.
+Any other presentation of an infinite group still passes the coset cap,
+reported as CosetCapacityError, which shows nothing about finiteness.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ class PresentationError(ParseError):
 
 
 class CosetCapacityError(RuntimeError):
-    """Coset cap exceeded; the presented group may be infinite."""
+    """Coset cap exceeded, so the presented group may be infinite; or an
+    abelianization with a free summand proves it infinite."""
 
 
 class InvalidTableError(ValueError):
@@ -260,38 +262,70 @@ def _coset_table(pres: Presentation, max_cosets: int) -> list[list[int]]:
 def todd_coxeter(pres: Presentation, max_cosets: int = 100_000) -> "MulTableGroup":
     """Multiplication table of the presented group, if it closes under the cap.
 
-    Coset 0 of the trivial subgroup is the identity and every coset is one
-    group element, so more than 64 cosets is refused before any table is
-    built.  The group maps onto its abelianization, so a finite one of
-    order N > 64 is refused before any enumeration (exactly N with one
-    generator, where the group is cyclic); a free summand is left to the
-    cap.  If element d is first reached from c by letter x in a
-    breadth-first search from the identity, then i * d = (i * c) * x.
+    `max_cosets` must be a plain int (no bool, no float) at least 1.  The
+    group maps onto its abelianization, so one with a free summand is
+    infinite and is refused before any coset is defined, since no cap can
+    close it; a finite one of order N > 64 is refused the same way
+    (exactly N with one generator, where the group is cyclic).  Coset 0 of
+    the trivial subgroup is the identity and every coset is one group
+    element, so more than 64 cosets is refused before any table is built.
+
+    The table is built one column at a time: column d lists i * d for
+    every element i.  If d is first reached from c by letter x in a
+    breadth-first search from the identity, column d is letter x applied
+    to column c, and column 0 is the identity permutation.  The coset
+    graph itself then certifies the table, in C-level work of order n^2
+    per generator (one `bytes.translate` per column), instead of the
+    O(n^3) associativity check.  Each generator's two letter columns must
+    be inverse permutations, so the letters generate a permutation group G
+    on the cosets, transitive as the search reaches every coset.  Column
+    d, the letters of d's tree word applied in turn, is the element of G
+    that takes coset 0 to d, and the stabilizer of coset 0 is generated by
+    the Schreier generators col(c * x)^-1 x col(c), one per coset c and
+    generator x (Schreier's lemma; Holt, Eick and O'Brien, Handbook of
+    Computational Group Theory, 4.1).  Requiring col(c * x) = x col(c)
+    for every c and x makes each of them trivial, so G acts regularly and
+    its elements are the n columns.  As i = col(i) applied to coset 0,
+    entry i * d is col(i) then col(d) applied to coset 0: the table is
+    that of G, so it is built unchecked, and a coset graph that fails the
+    certificate is an InvalidTableError.
     """
+    if type(max_cosets) is not int or max_cosets < 1:
+        raise UnsupportedSizeError(f"max_cosets must be an int at least 1, got {max_cosets!r}")
     ab = abelian_invariants(pres)
+    if ab.free_rank:
+        raise CosetCapacityError(
+            f"abelianization {ab} has a free summand, so the group is infinite "
+            "and no coset cap can close it")
     n = prod(ab.torsion)
-    if not ab.free_rank and n > 64:
+    if n > 64:
         bound = "" if len(pres.generators) == 1 else "at least "
         raise UnsupportedSizeError(f"order {bound}{n} outside supported range 1..64")
     table = _coset_table(pres, max_cosets)
     n = len(table)
     _require_order(n)
-    tree, order, seen = [], [0], {0}  # tree holds (c, x, d) for d = c * x
+    # columns are bytes, so letter x acts on a column by one translate;
+    # a translate table has 256 entries, and no entry reaches the padding
+    pad = bytes(256 - n)
+    letters = [bytes(col) + pad for col in zip(*table)]  # letters[x][c] = c * x
+    plain = bytes(range(n))
+    for p, q in zip(letters[::2], letters[1::2]):
+        # q after p fixes every coset, so p is a bijection and q its inverse
+        if p[:n].translate(q) != plain:
+            raise InvalidTableError("a generator's letter columns are not inverse permutations")
+    cols = [plain] + [None] * (n - 1)
+    order = [0]
     for c in order:
         for x, d in enumerate(table[c]):
-            if d not in seen:
-                seen.add(d)
+            if cols[d] is None:
+                cols[d] = cols[c].translate(letters[x])
                 order.append(d)
-                tree.append((c, x, d))
     if len(order) != n:
         raise PresentationError("coset graph is not connected")
-    mul = []
-    for i in range(n):
-        row = [i] * n  # entry 0 is i * identity; the tree fills the rest
-        for c, x, d in tree:
-            row[d] = table[row[c]][x]
-        mul.append(tuple(row))
-    return MulTableGroup(tuple(mul))
+    for p in letters[::2]:
+        if list(map(cols.__getitem__, p[:n])) != [col.translate(p) for col in cols]:
+            raise InvalidTableError("the coset graph is not a regular permutation action")
+    return MulTableGroup._trusted(tuple(zip(*cols)), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -762,7 +796,8 @@ def has_complement(g: MulTableGroup, normal) -> bool:
 D8_PRESENTATION = parse_presentation(
     "gens: a,b,u; rels: a^2, b^2, u^2, [a,b], a u b^-1 u^-1")
 
-# the even-row-product subgroup of SL(2,Z); infinite, so Todd-Coxeter hits any cap
+# the even-row-product subgroup of SL(2,Z); its abelianization Z4 + Z proves it
+# infinite, so Todd-Coxeter refuses it before enumerating
 GAMMA_V2_PRESENTATION = parse_presentation("gens: V,T; rels: V^4, V^2 T V^-2 T^-1")
 
 # element indices inside build_E_even(), fixed by the product conventions:

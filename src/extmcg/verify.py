@@ -385,7 +385,7 @@ def _quadratic_identity_holds(space: f2_forms.SymplecticSpaceF2, value_bits) -> 
     for i in range(dim):
         half = 1 << i
         low = ((1 << size) - 1) // ((1 << 2 * half) - 1) * ((1 << half) - 1) * starts
-        je = space.image(half)
+        je = space._image(half)
         row = 0
         for j in range(dim):
             row |= (row ^ ((1 << (1 << j)) - 1 if je >> j & 1 else 0)) << (1 << j)
@@ -452,7 +452,7 @@ def _form_preserving(space: f2_forms.SymplecticSpaceF2, elements) -> int:
              for d in range(c + 1, n) if r >> d & 1]
     good = (1 << len(elements)) - 1
     for a, (u, xu) in enumerate(zip(basis, coords)):
-        ju = space.image(u)
+        ju = space._image(u)
         for w, xw in zip(basis[a + 1:], coords[a + 1:]):
             pairs = 0
             for c, d in edges:
@@ -499,10 +499,10 @@ def check_property_suites(inputs):
     Sp(2,2) and Sp(4,2) (every element of every refinement, bit-sliced
     over the elements), the majority oracle at k <= 2, and re-validation
     of the 23 group tables it builds: MulTableGroup.__new__ validates each
-    once per run, here or, for the five that check_coset_enumeration also
-    reads, there; the two products and the quotient, built unchecked, are
-    rebuilt through it here.  The word round trip is
-    check_word_algebra's alone; the per-call route, `_pull_back` then
+    once per run, here or, for the four that check_coset_enumeration also
+    reads, there; the two products, the quotient and the Todd-Coxeter
+    table, built unchecked, are rebuilt through it here.  The word round
+    trip is check_word_algebra's alone; the per-call route, `_pull_back` then
     `arf`, runs under `orbit` in check_symplectic_census."""
     ok = True
     details = []
@@ -526,6 +526,9 @@ def check_property_suites(inputs):
     if not all(smallgrp.MulTableGroup(t.table) == t for t in (e, tables[-3], tables[-1])):
         ok = False
         details.append("a product or quotient differs from its validated table")
+    if smallgrp.MulTableGroup(tables[-2].table) != tables[-2]:
+        ok = False
+        details.append("the Todd-Coxeter table differs from its validated table")
     details.append(f"{len(tables)} group tables validated")
     sample = [m for _, m in _built(inputs, _word_sample)]
     bad = sum(not (sl2z.is_member(m1 * m2) and sl2z.is_member(m1.inverse()))

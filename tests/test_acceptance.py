@@ -640,6 +640,20 @@ def test_property_suites_fail_on_a_trusted_table_that_is_no_group(monkeypatch):
     assert "a product or quotient differs from its validated table" in res.detail
 
 
+def test_property_suites_fail_on_a_coset_table_that_is_no_group(monkeypatch):
+    """todd_coxeter builds its certified table unchecked, so the property
+    suite rebuilds it through the full check: an order-8 table whose rows
+    3 and 5 trade one entry is no group, and fails it."""
+    rows = [list(row) for row in smallgrp.dihedral(8).table]
+    rows[3][0], rows[5][0] = rows[5][0], rows[3][0]
+    table = tuple(map(tuple, rows))
+    monkeypatch.setattr(smallgrp, "todd_coxeter",
+                        lambda pres: smallgrp.MulTableGroup._trusted(table, 0))
+    res = verify.check_property_suites()
+    assert not res.passed
+    assert "InvalidTableError" in res.detail
+
+
 def test_run_all_leaves_no_reference_cycles():
     """The recursive searches (`_extend_bases`, `is_isomorphic`,
     `normal_forms_up_to`) hold no reference to themselves after they

@@ -138,6 +138,16 @@ def test_masks_outside_the_space_are_rejected(mask):
     assert swap.apply_mask(0b11) == 0b11 and swap.apply_mask(0b01) == 0b10
 
 
+@pytest.mark.parametrize("call,mask", [("image", 4), ("image", -1), ("upper", 4)])
+def test_image_and_upper_reject_masks_outside_the_space(call, mask):
+    space = ff.standard_space(1)
+    with pytest.raises(ff.DimensionMismatchError, match=f"mask {mask} outside 0..3"):
+        getattr(space, call)(mask)
+    # inside the space: J swaps the two coordinates, U keeps <e_0, e_1>
+    assert [space.image(v) for v in range(4)] == [0, 0b10, 0b01, 0b11]
+    assert [space.upper(v) for v in range(4)] == [0, 0, 0b01, 0b01]
+
+
 def random_invertible(rng, n):
     """GF(2) invertible matrix, rows as ints, from a seeded PRNG."""
     rows = []

@@ -848,8 +848,8 @@ def test_todd_coxeter_refuses_an_order_above_64_without_a_table(monkeypatch, n):
 def test_one_generator_orders_come_from_the_abelianization(monkeypatch):
     """A group with one generator is cyclic, so a finite abelianization
     gives its order: a^65, a^4000 and a^10000 are refused with no coset
-    enumeration, and a^64 still enumerates.  A free abelianization still
-    enumerates, up to the cap."""
+    enumeration, and a^64 still enumerates.  A free abelianization proves
+    the group infinite, so it is refused with no coset enumeration too."""
     calls = []
 
     def counted(pres, max_cosets):
@@ -867,7 +867,7 @@ def test_one_generator_orders_come_from_the_abelianization(monkeypatch):
     assert len(calls) == 1
     with pytest.raises(sg.CosetCapacityError):
         sg.todd_coxeter(sg.parse_presentation("gens: a; rels: a^3 a^-3"), max_cosets=50)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("text,n", [
@@ -1007,6 +1007,97 @@ def test_coset_tables_close_every_relator_at_every_coset():
                     d = table[d][x]
                 assert d == c, (pres, rel, c)
     assert closed > len(ENUMERATION_CORPUS) // 2
+
+
+def test_certified_tables_equal_the_word_walk_and_the_full_check():
+    """Every corpus presentation whose enumeration closes: at 64 cosets or
+    fewer, the table the coset graph certifies is the word-walk table, and
+    the full check rebuilds the same group from it; past 64 it is refused."""
+    certified = 0
+    for (pres, cap), table in zip(ENUMERATION_CORPUS, enumeration_outcomes()):
+        if isinstance(table, str):
+            continue
+        if len(table) > 64:
+            with pytest.raises(sg.UnsupportedSizeError):
+                sg.todd_coxeter(pres, cap)
+            continue
+        g = sg.todd_coxeter(pres, cap)
+        assert g.table == ref_todd_coxeter_table(pres, cap), pres
+        assert sg.MulTableGroup(g.table) == g, pres
+        certified += 1
+    assert certified > len(ENUMERATION_CORPUS) // 2
+
+
+# S3 = <t, s> acting on the three right cosets of <s>: letters t, t^-1, s,
+# s^-1; complete, consistent and connected, but coset 0 is fixed by s
+S3_ON_THREE_COSETS = [[1, 2, 0, 0], [2, 0, 2, 2], [0, 1, 1, 1]]
+S3_PRESENTATION = sg.parse_presentation("gens: t,s; rels: t^3, s^2, s t s t")
+
+
+def test_a_coset_graph_that_is_not_regular_is_refused(monkeypatch):
+    """Every check but the regularity one passes: the letter columns are
+    inverse permutations and the graph is connected.  With t first, every
+    Schreier generator of t is trivial, so only the last generator, s,
+    shows that the action is not regular."""
+    monkeypatch.setattr(sg, "_coset_table", lambda pres, max_cosets: S3_ON_THREE_COSETS)
+    with pytest.raises(sg.InvalidTableError, match="not a regular"):
+        sg.todd_coxeter(S3_PRESENTATION)
+
+
+def test_every_corrupted_entry_of_a_regular_coset_table_is_refused(monkeypatch):
+    """S3's own coset table, with any one entry changed to any other coset,
+    an inverse letter off the search tree included, is refused."""
+    table = sg._coset_table(S3_PRESENTATION, 100)
+    assert sg.todd_coxeter(S3_PRESENTATION).order == len(table) == 6
+    corrupted = []
+    monkeypatch.setattr(sg, "_coset_table", lambda pres, max_cosets: corrupted)
+    for c, row in enumerate(table):
+        for x, d in enumerate(row):
+            for e in range(len(table)):
+                if e != d:
+                    corrupted[:] = [list(r) for r in table]
+                    corrupted[c][x] = e
+                    with pytest.raises(sg.InvalidTableError):
+                        sg.todd_coxeter(S3_PRESENTATION)
+
+
+@pytest.mark.parametrize("text,ab", [
+    ("gens: V,T; rels: V^4, V^2 T V^-2 T^-1", "Z4 + Z"),
+    ("gens: a,b; rels: a^2", "Z2 + Z"),
+    ("gens: a; rels: a^3 a^-3", "Z"),
+])
+def test_a_free_abelianization_defines_no_coset(monkeypatch, text, ab):
+    """No cap closes an infinite group, so the refusal names the
+    abelianization that proves it infinite and enumerates nothing."""
+    calls = []
+    real = sg._coset_table
+
+    def counted(pres, max_cosets):
+        calls.append(pres)
+        return real(pres, max_cosets)
+
+    monkeypatch.setattr(sg, "_coset_table", counted)
+    with pytest.raises(sg.CosetCapacityError) as refused:
+        sg.todd_coxeter(sg.parse_presentation(text), max_cosets=2000)
+    assert str(refused.value) == (f"abelianization {ab} has a free summand, so the "
+                                  "group is infinite and no coset cap can close it")
+    assert calls == []
+
+
+@pytest.mark.parametrize("cap", ["10", None, 2.5, True, 0, -1])
+def test_todd_coxeter_refuses_a_cap_that_is_not_a_positive_int(monkeypatch, cap):
+    """Refused before the abelianization is computed; the smallest cap,
+    1, still encloses the trivial group."""
+    pres = sg.parse_presentation("gens: a; rels: a")
+    assert sg.todd_coxeter(pres, max_cosets=1).order == 1
+
+    def no_work(pres):
+        raise AssertionError("the presentation was read")
+
+    monkeypatch.setattr(sg, "abelian_invariants", no_work)
+    with pytest.raises(sg.UnsupportedSizeError) as refused:
+        sg.todd_coxeter(pres, max_cosets=cap)
+    assert str(refused.value) == f"max_cosets must be an int at least 1, got {cap!r}"
 
 
 def test_direct_product_structure():

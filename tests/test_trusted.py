@@ -3,8 +3,8 @@
 Trusted results must equal what the public constructors give for the same
 fields, `transport` must check every element it is given, whatever built
 it, only `transport` and `orbit` pull a refinement back without that
-check, and only the product and quotient builders make group tables
-without the full check.
+check, and only the product and quotient builders and `todd_coxeter`
+make group tables without the full check.
 """
 
 import copy
@@ -184,10 +184,11 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 def test_only_products_and_quotients_build_unchecked_group_tables():
     """Every `MulTableGroup._trusted(` call in src/, by module and enclosing
-    function; `_product` builds the tables of both products.  A table
-    built without the full check must be a group by construction from
-    checked inputs; a new such builder is added here on purpose, with a
-    test that its tables equal their validated rebuilds."""
+    function; `_product` builds the tables of both products, and
+    `todd_coxeter` the tables its coset graph certifies.  A table built
+    without the full check must be a group by construction from checked
+    inputs or by a certificate; a new such builder is added here on
+    purpose, with a test that its tables equal their validated rebuilds."""
     sites = []
     for path in sorted(SRC.rglob("*.py")):
         function = None
@@ -197,7 +198,8 @@ def test_only_products_and_quotients_build_unchecked_group_tables():
                 function = defined.group(1)
             if "MulTableGroup._trusted(" in line:
                 sites.append((path.stem, function))
-    assert sites == [("smallgrp", "_product"), ("smallgrp", "quotient")]
+    assert sites == [("smallgrp", "todd_coxeter"), ("smallgrp", "_product"),
+                     ("smallgrp", "quotient")]
 
 
 def test_only_transport_and_orbit_pull_back():
