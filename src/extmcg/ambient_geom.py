@@ -225,10 +225,8 @@ def restrict_to_product(m: SignedPermMatrix, p: int, q: int) -> ProductMapDescri
             raise NotBlockStructuredError("a block maps across block boundaries")
         return targets.pop()
 
-    ta, tb = block_target(a_rows), block_target(b_rows)
-    if ta == tb:
-        raise NotBlockStructuredError("both blocks map to the same block")
-    swaps = ta == "b"
+    swaps = block_target(a_rows) == "b"
+    block_target(b_rows)  # not a's target: p + q + 2 rows never fit in one block
 
     def block_det(rows, col_base: int) -> int:
         sub = [(m.image[i][0] - col_base, m.image[i][1]) for i in rows]

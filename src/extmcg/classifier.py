@@ -140,6 +140,14 @@ class KnotFamily(_Value):
 
     __slots__ = _fields = ("kind", "params")
 
+    # the embedded manifold of each kind, from its parameters
+    _MANIFOLDS = {
+        "unknot-sphere": lambda n: f"S^{n} in S^{n + 2}",
+        "equal-product": lambda p: f"S^{p} x S^{p} in S^{2 * p + 2}",
+        "unequal-product": lambda p, q: f"S^{p} x S^{q} in S^{p + q + 2}",
+        "adjacent-product": lambda p: f"S^{p - 2} x S^{p - 1} in S^{2 * p - 1}",
+    }
+
     @classmethod
     def unknot_sphere(cls, n: int) -> "KnotFamily":
         _dimensions(n=n)
@@ -170,17 +178,9 @@ class KnotFamily(_Value):
         return cls("adjacent-product", (p,))
 
     def describe(self) -> str:
-        if self.kind == "unknot-sphere":
-            n = self.params[0]
-            return f"S^{n} in S^{n + 2}"
-        if self.kind == "equal-product":
-            p = self.params[0]
-            return f"S^{p} x S^{p} in S^{2 * p + 2}"
-        if self.kind == "unequal-product":
-            p, q = self.params
-            return f"S^{p} x S^{q} in S^{p + q + 2}"
-        p = self.params[0]
-        return f"S^{p - 2} x S^{p - 1} in S^{2 * p - 1}"
+        if self.kind not in self._MANIFOLDS:
+            raise UnsupportedFamilyError(f"unknown family kind {self.kind!r}")
+        return self._MANIFOLDS[self.kind](*self.params)
 
 
 # ---------------------------------------------------------------------------
@@ -274,18 +274,13 @@ class ClassificationResult(_Value):
         out: dict = {"family": {"kind": self.family.kind,
                                 "params": list(self.family.params)},
                      "manifold": self.family.describe()}
-        for label, value in (("image", self.image), ("kernel", self.kernel),
-                             ("total", self.total)):
+        for label in ("image", "kernel", "total", "splits"):
+            value = getattr(self, label)
             if isinstance(value, Unknown):
                 out[label] = None
                 out[f"{label}_reason"] = value.reason
             else:
-                out[label] = value.name
-        if isinstance(self.splits, Unknown):
-            out["splits"] = None
-            out["splits_reason"] = self.splits.reason
-        else:
-            out["splits"] = self.splits
+                out[label] = value.name if isinstance(value, GroupDescriptor) else value
         out["citations"] = list(self.citations)
         out["notes"] = list(self.notes)
         return out
@@ -299,84 +294,61 @@ def _even_model_splits() -> bool:
     return smallgrp.has_complement(group, kernel)
 
 
-def classify(family: KnotFamily) -> ClassificationResult:
-    """Image / kernel / total of the homology action on extendable classes."""
-    if family.kind == "unknot-sphere":
-        triv = GroupDescriptor.of("trivial")
-        return ClassificationResult(
-            family, image=triv, kernel=triv, total=triv, splits=True,
-            citations=("unknot-trivial",))
+# The paper's cases, (kind, case) -> (image, kernel, total, splits, citations,
+# notes): a str names a canonical group, built by `GroupDescriptor.of` when
+# read, an Unknown stays as written, and a callable splits is computed.
+_CASES = {
+    ("unknot-sphere", None): ("trivial", "trivial", "trivial", True, ("unknot-trivial",), ()),
+    ("equal-product", 1): (
+        "GammaV2", "trivial", "GammaV2", True, ("torus-even-products", "odd-total"),
+        ("the classes are exactly their matrices here, so the homology action is "
+         "injective with the stated image",)),
+    ("equal-product", 2): (
+        "Z2xZ2", Unknown("homology-trivial extendable classes in dimension 2 are not "
+                         "determined here"),
+        Unknown("only the homology image is determined in dimension 2"),
+        Unknown("extension structure unknown in dimension 2"), ("dim2-image",),
+        ("both pseudo-isotopy generators extend to the ambient 6-sphere",)),
+    ("equal-product", "odd"): (
+        "GammaV2", "trivial", "GammaV2", True, ("odd-image", "odd-kernel", "odd-total"), ()),
+    ("equal-product", "even"): (
+        "Z2xZ2", "Z2xZ2", "D8xZ2", _even_model_splits,
+        ("even-image", "even-kernel", "even-total", "even-sequence", "even-splits-computed"),
+        ("splits is computed on the order-16 model by subgroup search, not quoted from "
+         "the classification",)),
+    ("unequal-product", None): (
+        "Z2", Unknown("homology-trivial extendable classes are not determined for "
+                      "unequal dimensions"),
+        Unknown("only the homology image is determined for unequal dimensions"),
+        Unknown("extension structure unknown for unequal dimensions"), ("unequal-image",), ()),
+    ("adjacent-product", None): ("Z2", "Z2", "Z2xZ2", True, ("adjacent-split", "so-tables"), ()),
+}
 
-    if family.kind == "equal-product":
+
+def _case(family: KnotFamily) -> tuple:
+    """The key of `family`'s row of _CASES: equal products by p = 1, p = 2,
+    odd or even p, every other kind by its kind alone."""
+    kind = family.kind
+    if kind == "equal-product":
         p = family.params[0]
-        if p == 1:
-            return ClassificationResult(
-                family,
-                image=GroupDescriptor.of("GammaV2"),
-                kernel=GroupDescriptor.of("trivial"),
-                total=GroupDescriptor.of("GammaV2"),
-                splits=True,
-                citations=("torus-even-products", "odd-total"),
-                notes=("the classes are exactly their matrices here, so the "
-                       "homology action is injective with the stated image",))
-        if p == 2:
-            return ClassificationResult(
-                family,
-                image=GroupDescriptor.of("Z2xZ2"),
-                kernel=Unknown("homology-trivial extendable classes in "
-                               "dimension 2 are not determined here"),
-                total=Unknown("only the homology image is determined in "
-                              "dimension 2"),
-                splits=Unknown("extension structure unknown in dimension 2"),
-                citations=("dim2-image",),
-                notes=("both pseudo-isotopy generators extend to the ambient "
-                       "6-sphere",))
-        if p % 2:
-            return ClassificationResult(
-                family,
-                image=GroupDescriptor.of("GammaV2"),
-                kernel=GroupDescriptor.of("trivial"),
-                total=GroupDescriptor.of("GammaV2"),
-                splits=True,
-                citations=("odd-image", "odd-kernel", "odd-total"))
-        return ClassificationResult(
-            family,
-            image=GroupDescriptor.of("Z2xZ2"),
-            kernel=GroupDescriptor.of("Z2xZ2"),
-            total=GroupDescriptor.of("D8xZ2"),
-            splits=_even_model_splits(),
-            citations=("even-image", "even-kernel", "even-total",
-                       "even-sequence", "even-splits-computed"),
-            notes=("splits is computed on the order-16 model by subgroup "
-                   "search, not quoted from the classification",))
-
-    if family.kind == "unequal-product":
-        return ClassificationResult(
-            family,
-            image=GroupDescriptor.of("Z2"),
-            kernel=Unknown("homology-trivial extendable classes are not "
-                           "determined for unequal dimensions"),
-            total=Unknown("only the homology image is determined for "
-                          "unequal dimensions"),
-            splits=Unknown("extension structure unknown for unequal "
-                           "dimensions"),
-            citations=("unequal-image",))
-
-    if family.kind == "adjacent-product":
+        return kind, (p if p in (1, 2) else "odd" if p % 2 else "even")
+    if kind == "adjacent-product":
         from . import homotopy_tables
 
-        p = family.params[0]
-        kernel_group = homotopy_tables.pi_p_so_p_residue5(p - 1)
-        assert kernel_group == homotopy_tables.Z2
-        return ClassificationResult(
-            family,
-            image=GroupDescriptor.of("Z2"),
-            kernel=GroupDescriptor.of("Z2"),
-            total=GroupDescriptor.of("Z2xZ2"),
-            splits=True,
-            citations=("adjacent-split", "so-tables"))
+        # its domain check refuses a hand-built family off the table
+        homotopy_tables.pi_p_so_p_residue5(family.params[0] - 1)
+    return kind, None
 
-    raise UnsupportedFamilyError(f"unknown family kind {family.kind!r}")
+
+def classify(family: KnotFamily) -> ClassificationResult:
+    """Image / kernel / total of the homology action on extendable classes."""
+    case = _CASES.get(_case(family))
+    if case is None:
+        raise UnsupportedFamilyError(f"unknown family kind {family.kind!r}")
+    *groups, splits, citations, notes = case
+    image, kernel, total = (GroupDescriptor.of(g) if isinstance(g, str) else g for g in groups)
+    return ClassificationResult(family, image, kernel, total,
+                                splits() if callable(splits) else splits, citations, notes)
 
 
 # ---------------------------------------------------------------------------

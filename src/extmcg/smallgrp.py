@@ -321,7 +321,7 @@ def todd_coxeter(pres: Presentation, max_cosets: int = 100_000) -> "MulTableGrou
                 cols[d] = cols[c].translate(letters[x])
                 order.append(d)
     if len(order) != n:
-        raise PresentationError("coset graph is not connected")
+        raise InvalidTableError("coset graph is not connected")
     for p in letters[::2]:
         if list(map(cols.__getitem__, p[:n])) != [col.translate(p) for col in cols]:
             raise InvalidTableError("the coset graph is not a regular permutation action")

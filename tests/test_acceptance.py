@@ -20,7 +20,8 @@ from itertools import product
 
 import pytest
 
-from extmcg import classifier, cli, f2_forms as ff, sl2z, smallgrp, verify
+from extmcg import ambient_geom as ag, classifier, cli, f2_forms as ff
+from extmcg import homotopy_tables as ht, sl2z, smallgrp, verify
 from test_word_kernel import ref_is_normal_form
 
 NAMES = ["membership-characterization", "symplectic-census", "coset-enumeration",
@@ -715,6 +716,18 @@ def test_word_algebra_fails_when_a_relator_fails(monkeypatch):
     assert res.detail == "raised AssertionError('V^4 is not the identity')"
 
 
+def test_word_algebra_fails_when_two_short_forms_collide(monkeypatch):
+    """The normal forms of length <= 6 must give distinct matrices: with
+    T^2 evaluated as T, the scan names the pair and the check fails."""
+    real_eval_word = sl2z.eval_word
+    t1, t2 = sl2z.GenWord((("T", 1),), 1), sl2z.GenWord((("T", 2),), 1)
+    monkeypatch.setattr(sl2z, "eval_word",
+                        lambda w: real_eval_word(t1 if w == t2 else w))
+    res = verify.check_word_algebra()
+    assert not res.passed
+    assert res.detail == "raised AssertionError('collision: T and T^2 both give (1, 2, 0, 1)')"
+
+
 def _counted_builder(monkeypatch, name):
     """Swap the _BUILDERS entry for `name` for one that records its calls."""
     build = classifier.GroupDescriptor._BUILDERS[name]
@@ -794,3 +807,74 @@ def test_membership_fails_when_is_member_is_wrong_on_one_member(monkeypatch):
     assert res.name == "membership-characterization"
     assert not res.passed
     assert res.detail == "mismatch at ((1, 2), (0, 1))"
+
+
+def _wrong_at(monkeypatch, module, name, args, value):
+    """module.name returns `value` when called with `args`, and what it
+    returned before on every other call."""
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: value if a == args else real(*a))
+
+
+def _classify_with_wrong_splits(monkeypatch):
+    real_classify = classifier.classify
+    faulty = classifier.KnotFamily.adjacent_product(14)
+
+    def classify(family):
+        r = real_classify(family)
+        if family != faulty:
+            return r
+        return classifier.ClassificationResult(r.family, r.image, r.kernel, r.total, False,
+                                               r.citations, r.notes)
+
+    monkeypatch.setattr(classifier, "classify", classify)
+
+
+def _census_without_one(monkeypatch, name):
+    real = getattr(ff, name)
+    monkeypatch.setattr(ff, name, lambda *a: real(*a)[1:])
+
+
+FAIL_BRANCHES = {
+    "s_pi": (verify.check_homotopy_tables,
+             lambda mp: _wrong_at(mp, ht, "s_pi_p_so_p", (11,), ht.Z2), "s_pi at p=11"),
+    "pi_plus": (verify.check_homotopy_tables,
+                lambda mp: _wrong_at(mp, ht, "pi_p_so_p_plus", (10, 2), ht.Z2),
+                "pi_plus at p=10"),
+    "p=6": (verify.check_homotopy_tables,
+            lambda mp: _wrong_at(mp, ht, "s_pi_p_so_p", (6,), ht.Z2),
+            "p=6 exception missing"),
+    "residue-5": (verify.check_homotopy_tables,
+                  lambda mp: _wrong_at(mp, ht, "pi_p_so_p_residue5", (13,), ht.TRIVIAL),
+                  "isolated residue-5 entry wrong"),
+    "omega": (verify.check_ambient_matrices,
+              lambda mp: _wrong_at(mp, ag, "build_omega", (5,), ag.build_omega_prime(5, 5)),
+              "omega p=5 FAIL"),
+    "even-builders": (verify.check_ambient_matrices,
+                      lambda mp: _wrong_at(mp, ag, "build_omega_hat", (6,),
+                                           ag.build_omega_prime(6, 6)),
+                      "even builders p=6 FAIL"),
+    "classification-row": (verify.check_classification_table, _classify_with_wrong_splits,
+                           "adjacent-product(14,): got ('Z2', 'Z2', 'Z2xZ2', False)"),
+    "arf-split": (verify.check_symplectic_census,
+                  lambda mp: _census_without_one(mp, "all_refinements"), "Arf split 9/6"),
+    "orbit-stabilizer": (verify.check_symplectic_census,
+                         lambda mp: _census_without_one(mp, "stabilizer"),
+                         "Arf 0: orbit 10 x stabilizer 71"),
+    "majority": (verify.check_property_suites,
+                 lambda mp: mp.setattr(ff, "arf_by_majority", lambda q: 1 - ff.arf(q)),
+                 "majority oracle disagrees at k=1"),
+    "todd-coxeter": (verify.check_property_suites,
+                     lambda mp: mp.setattr(smallgrp, "todd_coxeter", lambda pres: (
+                         smallgrp.MulTableGroup._trusted(smallgrp.dihedral(8).table, 1))),
+                     "the Todd-Coxeter table differs from its validated table"),
+}
+
+
+@pytest.mark.parametrize("check, patch, detail", FAIL_BRANCHES.values(), ids=FAIL_BRANCHES)
+def test_each_fail_branch_names_its_fault(monkeypatch, check, patch, detail):
+    """Each fault fails its check, and the check's detail names it."""
+    patch(monkeypatch)
+    res = check()
+    assert not res.passed
+    assert detail in res.detail.split("; ")

@@ -65,6 +65,13 @@ def test_validation_refuses_an_entry_that_is_not_a_pair(entry):
         ag.SignedPermMatrix(1, (entry,))
 
 
+def test_a_product_of_different_sizes_is_refused():
+    a = ag.SignedPermMatrix(2, ((1, 1), (0, 1)))
+    b = ag.SignedPermMatrix(3, ((0, 1), (1, 1), (2, 1)))
+    with pytest.raises(ag.InvalidMatrixError, match="^sizes differ$"):
+        a * b
+
+
 @given(st.integers(0, 2 ** 64))
 @settings(max_examples=200, deadline=None)
 def test_determinant_against_inversion_count(seed):

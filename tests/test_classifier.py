@@ -109,6 +109,13 @@ def test_classify_rejects_unknown_kind():
         cf.classify(cf.KnotFamily("moebius", (3,)))
 
 
+def test_describe_rejects_unknown_kind():
+    """An unknown kind has no manifold text, as it has no classification;
+    it does not fall through to another kind's text."""
+    with pytest.raises(cf.UnsupportedFamilyError, match="unknown family kind 'moebius'"):
+        cf.KnotFamily("moebius", (3,)).describe()
+
+
 def test_group_descriptors():
     for name in ("trivial", "Z2", "Z2xZ2", "D8xZ2", "GammaV2"):
         d = cf.GroupDescriptor.of(name)
@@ -129,6 +136,13 @@ def test_group_descriptors():
     missing = cf.GroupDescriptor("GammaV2", smallgrp.parse_presentation("gens: V,T; rels: V^4"))
     assert not missing.verify_realization()
     assert not cf.GroupDescriptor("GammaV2", smallgrp.klein()).verify_realization()
+
+
+def test_a_finite_name_realized_by_a_presentation_does_not_verify():
+    """Only GammaV2 is realized by a presentation; a finite name needs a
+    table."""
+    pres = smallgrp.parse_presentation("gens: a; rels: a^2")
+    assert not cf.GroupDescriptor("Z2", pres).verify_realization()
 
 
 @pytest.mark.parametrize("name", ["trivial", "Z2", "Z2xZ2", "D8xZ2"])

@@ -511,6 +511,17 @@ def test_size_limits():
         ff.orbit(bigger)
 
 
+def test_majority_and_transport_refuse_what_they_cannot_take():
+    """The majority vote is exhaustive, so it stops at dimension 16; a
+    transport needs an element of the refinement's own dimension."""
+    with pytest.raises(ff.UnsupportedSizeError, match="dimension too large"):
+        ff.arf_by_majority(ff.QuadraticRefinement(ff.standard_space(9), (0,) * 18))
+    q = ff.QuadraticRefinement(ff.standard_space(1), (1, 1))
+    s = ff.SpElement(((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)))
+    with pytest.raises(ff.DimensionMismatchError, match="does not match refinement dimension"):
+        ff.transport(q, s)
+
+
 def test_sp_element_validation():
     space = ff.standard_space(1)
     good = ff.SpElement(((0, 1), (1, 0)))

@@ -70,6 +70,11 @@ def test_size_limits():
         sg.quaternion(16)
 
 
+def test_a_product_past_order_64_is_refused():
+    with pytest.raises(sg.UnsupportedSizeError, match="^product order exceeds 64$"):
+        sg.direct_product(sg.cyclic(8), sg.cyclic(9))
+
+
 def test_table_validation():
     with pytest.raises(sg.InvalidTableError):
         sg.MulTableGroup(((0, 1), (1, 1)))  # repeated entry in a row
@@ -589,6 +594,18 @@ def test_parse_presentation():
         sg.parse_presentation("gens: a; rels: a^")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("gens: a; rels: [a]", "bad commutator '[a]'"),
+    ("gens: a; rels: [a,z]", "unknown generator in '[a,z]'"),
+    ("gen: a; rels: a^2", "expected 'gens: ...; rels: ...'"),
+    ("gens: ; rels: a^2", "no generators"),
+])
+def test_parse_presentation_names_what_is_malformed(text, message):
+    with pytest.raises(sg.PresentationError) as refused:
+        sg.parse_presentation(text)
+    assert str(refused.value) == message
+
+
 @pytest.mark.parametrize("letter", [
     (0.0, 1), (0, 1.0), (True, 1), (0, True), (1, -1.0), (2, 1), (-1, 1), (0, 2), (0, 0)])
 def test_presentation_refuses_a_letter_that_is_not_two_plain_ints(letter):
@@ -1042,6 +1059,19 @@ def test_a_coset_graph_that_is_not_regular_is_refused(monkeypatch):
     monkeypatch.setattr(sg, "_coset_table", lambda pres, max_cosets: S3_ON_THREE_COSETS)
     with pytest.raises(sg.InvalidTableError, match="not a regular"):
         sg.todd_coxeter(S3_PRESENTATION)
+
+
+def test_a_disconnected_coset_graph_is_an_invalid_table(monkeypatch, capsys):
+    """Two cosets, each fixed by a: the letter columns are inverse
+    permutations, but the search never leaves coset 0.  That is a fault of
+    the enumerator, not malformed input, so the CLI exits 1, not 2."""
+    from extmcg import cli
+
+    monkeypatch.setattr(sg, "_coset_table", lambda pres, max_cosets: [[0, 0], [1, 1]])
+    with pytest.raises(sg.InvalidTableError, match="^coset graph is not connected$"):
+        sg.todd_coxeter(sg.parse_presentation("gens: a; rels: a^2"))
+    assert cli.main(["coset-enum", "gens: a; rels: a^2"]) == 1
+    assert "coset graph is not connected" in capsys.readouterr().err
 
 
 def test_every_corrupted_entry_of_a_regular_coset_table_is_refused(monkeypatch):
