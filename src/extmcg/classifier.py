@@ -128,59 +128,62 @@ STATEMENTS: dict[str, str] = {
 # families
 
 
-def _dimensions(**params: int) -> None:
-    """Refuse a dimension that is not a plain int (no bool, float or str)."""
-    for name, value in params.items():
-        if type(value) is not int:
-            raise FamilyParameterError(f"{name} = {value!r} must be an integer")
-
-
 class KnotFamily(_Value):
-    """A supported family of standardly embedded sphere (products)."""
+    """A supported family of standardly embedded sphere (products), checked
+    here whoever builds it: an unknown kind raises UnsupportedFamilyError,
+    and params that are not a list or tuple of the kind's plain ints (no
+    bool, float or str), or break its rule, raise FamilyParameterError."""
 
     __slots__ = _fields = ("kind", "params")
 
-    # the embedded manifold of each kind, from its parameters
-    _MANIFOLDS = {
-        "unknot-sphere": lambda n: f"S^{n} in S^{n + 2}",
-        "equal-product": lambda p: f"S^{p} x S^{p} in S^{2 * p + 2}",
-        "unequal-product": lambda p, q: f"S^{p} x S^{q} in S^{p + q + 2}",
-        "adjacent-product": lambda p: f"S^{p - 2} x S^{p - 1} in S^{2 * p - 1}",
+    # each kind: its dimension names, its rule on them with the message for
+    # a family that breaks it, and its embedded manifold
+    _KINDS = {
+        "unknot-sphere": (("n",), lambda n: n >= 5, "n = {n} must be at least 5",
+                          lambda n: f"S^{n} in S^{n + 2}"),
+        "equal-product": (("p",), lambda p: p >= 1, "p = {p} must be at least 1",
+                          lambda p: f"S^{p} x S^{p} in S^{2 * p + 2}"),
+        "unequal-product": (("p", "q"), lambda p, q: 2 <= p < q,
+                            "need 2 <= p < q, got p = {p}, q = {q}",
+                            lambda p, q: f"S^{p} x S^{q} in S^{p + q + 2}"),
+        "adjacent-product": (("p",), lambda p: p >= 9 and p % 8 == 6,
+                             "p = {p} must be at least 9 and congruent to 6 mod 8",
+                             lambda p: f"S^{p - 2} x S^{p - 1} in S^{2 * p - 1}"),
     }
+
+    def __new__(cls, kind: str, params: tuple[int, ...]):
+        if not isinstance(kind, str) or kind not in cls._KINDS:
+            raise UnsupportedFamilyError(f"unknown family kind {kind!r}")
+        names, rule, breach, _ = cls._KINDS[kind]
+        if not isinstance(params, (tuple, list)) or len(params) != len(names):
+            raise FamilyParameterError(
+                f"{kind} takes the dimensions ({', '.join(names)}), got {params!r}")
+        dims = dict(zip(names, params))
+        for name, value in dims.items():
+            if type(value) is not int:
+                raise FamilyParameterError(f"{name} = {value!r} must be an integer")
+        if not rule(*params):
+            raise FamilyParameterError(breach.format(**dims))
+        return cls._trusted(kind, tuple(params))
 
     @classmethod
     def unknot_sphere(cls, n: int) -> "KnotFamily":
-        _dimensions(n=n)
-        if n < 5:
-            raise FamilyParameterError(f"n = {n} must be at least 5")
         return cls("unknot-sphere", (n,))
 
     @classmethod
     def equal_product(cls, p: int) -> "KnotFamily":
-        _dimensions(p=p)
-        if p < 1:
-            raise FamilyParameterError(f"p = {p} must be at least 1")
         return cls("equal-product", (p,))
 
     @classmethod
     def unequal_product(cls, p: int, q: int) -> "KnotFamily":
-        _dimensions(p=p, q=q)
-        if not 2 <= p < q:
-            raise FamilyParameterError(f"need 2 <= p < q, got p = {p}, q = {q}")
         return cls("unequal-product", (p, q))
 
     @classmethod
     def adjacent_product(cls, p: int) -> "KnotFamily":
-        _dimensions(p=p)
-        if p < 9 or p % 8 != 6:
-            raise FamilyParameterError(
-                f"p = {p} must be at least 9 and congruent to 6 mod 8")
         return cls("adjacent-product", (p,))
 
     def describe(self) -> str:
-        if self.kind not in self._MANIFOLDS:
-            raise UnsupportedFamilyError(f"unknown family kind {self.kind!r}")
-        return self._MANIFOLDS[self.kind](*self.params)
+        return self._KINDS[self.kind][3](*self.params)
 
 
 # ---------------------------------------------------------------------------
@@ -332,20 +335,12 @@ def _case(family: KnotFamily) -> tuple:
     if kind == "equal-product":
         p = family.params[0]
         return kind, (p if p in (1, 2) else "odd" if p % 2 else "even")
-    if kind == "adjacent-product":
-        from . import homotopy_tables
-
-        # its domain check refuses a hand-built family off the table
-        homotopy_tables.pi_p_so_p_residue5(family.params[0] - 1)
     return kind, None
 
 
 def classify(family: KnotFamily) -> ClassificationResult:
     """Image / kernel / total of the homology action on extendable classes."""
-    case = _CASES.get(_case(family))
-    if case is None:
-        raise UnsupportedFamilyError(f"unknown family kind {family.kind!r}")
-    *groups, splits, citations, notes = case
+    *groups, splits, citations, notes = _CASES[_case(family)]
     image, kernel, total = (GroupDescriptor.of(g) if isinstance(g, str) else g for g in groups)
     return ClassificationResult(family, image, kernel, total,
                                 splits() if callable(splits) else splits, citations, notes)

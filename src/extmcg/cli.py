@@ -268,26 +268,26 @@ def cmd_induced_action(args) -> int:
     return 0
 
 
-# --family value -> (KnotFamily constructor, the flags it takes in order);
-# also the --family choices
+# --family value -> the flags that give its dimensions, in order; also the
+# --family choices
 FAMILIES = {
-    "unknot-sphere": ("unknot_sphere", ("n",)),
-    "equal-product": ("equal_product", ("p",)),
-    "unequal-product": ("unequal_product", ("p", "q")),
-    "adjacent-product": ("adjacent_product", ("p",)),
+    "unknot-sphere": ("n",),
+    "equal-product": ("p",),
+    "unequal-product": ("p", "q"),
+    "adjacent-product": ("p",),
 }
 
 
 def cmd_classify(args) -> int:
     from . import classifier
 
-    constructor, flags = FAMILIES[args.family]
+    flags = FAMILIES[args.family]
     values = [getattr(args, f) for f in flags]
     if None in values:
         names = " and ".join(f"--{f}" for f in flags)
         raise ParseInputError(
             f"{names} {'are' if len(flags) > 1 else 'is'} required for {args.family}")
-    family = getattr(classifier.KnotFamily, constructor)(*values)
+    family = classifier.KnotFamily(args.family, values)
     result = classifier.classify(family).to_json()
     if args.json:
         _print_json(result)

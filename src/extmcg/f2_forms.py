@@ -293,11 +293,8 @@ def arf_by_majority(q: QuadraticRefinement) -> int:
     n = q.space.dim
     if n > 16:
         raise UnsupportedSizeError("majority count is exhaustive; dimension too large")
-    ones = q._value_bits.bit_count()
-    half = 1 << (n - 1)
-    if ones == half:
-        raise DegenerateFormError("no majority value; pairing must be degenerate")
-    return 1 if ones > half else 0
+    # q is 1 on 2^(2k-1) +- 2^(k-1) of the 2^(2k) vectors (n = 2k), never on half
+    return 1 if q._value_bits.bit_count() > 1 << (n - 1) else 0
 
 
 def all_refinements(space: SymplecticSpaceF2) -> list[QuadraticRefinement]:

@@ -308,28 +308,3 @@ def failing_relator(pres) -> GenWord | None:
         if eval_word(word) != IDENTITY:
             return word
     return None
-
-
-def verify_presentation(bound: int) -> int:
-    """Exhaustive injectivity check for the presentation <V, T | V^4, V^2 T = T V^2>.
-
-    First checks that every relator of `smallgrp.GAMMA_V2_PRESENTATION`
-    evaluates to the identity, then evaluates every normal form of letter
-    length <= bound and confirms the matrices are pairwise distinct.
-    Returns the number of words checked.
-    """
-    from . import smallgrp  # here, so that importing sl2z loads no smallgrp
-
-    word = failing_relator(smallgrp.GAMMA_V2_PRESENTATION)
-    if word is not None:
-        raise AssertionError(f"{word} is not the identity")
-    seen: dict[tuple, GenWord] = {}
-    count = 0
-    for w in normal_forms_up_to(bound):
-        m = eval_word(w)
-        key = (m.a, m.b, m.c, m.d)
-        if key in seen:
-            raise AssertionError(f"collision: {seen[key]} and {w} both give {key}")
-        seen[key] = w
-        count += 1
-    return count

@@ -157,8 +157,10 @@ def check_symplectic_census(inputs):
         orb = f2_forms.orbit(q)
         if stab != stab_want or len(orb) != orbit_want or stab * len(orb) != 720:
             ok = False
-        if {f2_forms.arf(t) for t in orb} != {arf_value}:
+        found = {f2_forms.arf(t) for t in orb}
+        if found != {arf_value}:
             ok = False
+            details.append(f"Arf {arf_value} orbit holds Arf values {sorted(found)}")
         details.append(f"Arf {arf_value}: orbit {len(orb)} x stabilizer {stab}")
     return ok, "; ".join(details)
 
@@ -208,17 +210,28 @@ def _word_sample() -> list[tuple[sl2z.GenWord, sl2z.UniModMat2]]:
 
 @_check("word-algebra", "gammav2-presentation")
 def check_word_algebra(inputs):
-    """Defining relations hold on actual matrices and normal forms of
-    letter length <= 6 evaluate injectively (`sl2z.verify_presentation`,
-    which raises otherwise); decompose is a left inverse of eval_word on
-    the 1000 words of `_word_sample`: decompose(eval_word(w)) is w itself,
+    """The relators of `smallgrp.GAMMA_V2_PRESENTATION` hold on the actual
+    matrices (the detail names the first that fails); no two of the 380
+    normal forms of letter length <= 6 share a matrix (it names the first
+    pair that does); and decompose is a left inverse of eval_word on the
+    1000 words of `_word_sample`: decompose(eval_word(w)) is w itself,
     tokens and sign.  Normal forms are unique, so this also says that
-    decompose returns a normal form, and a word of the same matrix that
-    is not w (w V^4, say) fails."""
-    count = sl2z.verify_presentation(6)
+    decompose returns a normal form, and a word of the same matrix that is
+    not w (w V^4, say) fails."""
+    relator = sl2z.failing_relator(smallgrp.GAMMA_V2_PRESENTATION)
+    forms = list(sl2z.normal_forms_up_to(6))
+    seen: dict[tuple, sl2z.GenWord] = {}
+    collisions = []
+    for w in forms:
+        m = sl2z.eval_word(w)
+        key = (m.a, m.b, m.c, m.d)
+        if seen.setdefault(key, w) is not w:
+            collisions.append(f"collision: {seen[key]} and {w} both give {key}")
     failures = sum(sl2z.decompose(m) != w for w, m in _built(inputs, _word_sample))
-    return failures == 0, (f"relations hold; roundtrip failures {failures}/1000; "
-                           f"{count} normal forms of length <= 6, no collisions")
+    relations = "relations hold" if relator is None else f"{relator} is not the identity"
+    return (relator is None and not collisions and failures == 0,
+            f"{relations}; roundtrip failures {failures}/1000; {len(forms)} normal "
+            f"forms of length <= 6, {collisions[0] if collisions else 'no collisions'}")
 
 
 @_check("ambient-matrices", "omega-action", "omega-hat-action", "omega-prime-action")

@@ -335,6 +335,22 @@ def test_symplectic_census_fails_on_a_non_symplectic_element(monkeypatch):
     assert "duplicates" not in res.detail
 
 
+def test_symplectic_census_names_an_orbit_that_meets_the_other_arf_value(monkeypatch):
+    """The Arf 0 orbit with its last refinement swapped for (1, 1, 0, 0),
+    of Arf 1: sizes and the stabilizer product still hold, so only the
+    orbit's Arf values fail, and the detail names them."""
+    real_orbit = ff.orbit
+    other = ff.QuadraticRefinement(ff.standard_space(2), (1, 1, 0, 0))
+    assert ff.arf(other) == 1
+    monkeypatch.setattr(ff, "orbit", lambda q: real_orbit(q)[:-1] + [other])
+    res = verify.check_symplectic_census()
+    assert not res.passed
+    assert res.detail.split("; ") == [
+        "|Sp(2,2)| = 6, |Sp(4,2)| = 720", "Arf split 10/6",
+        "Arf 0 orbit holds Arf values [0, 1]", "Arf 0: orbit 10 x stabilizer 72",
+        "Arf 1: orbit 6 x stabilizer 120"]
+
+
 def test_property_suites_catch_an_element_that_changes_arf(monkeypatch):
     """One element of Sp(4,2) replaced by the singular map with columns
     (e0, e0, e2, e3): q = (1, 0, 0, 0) has Arf 0, but q(S a_0) q(S b_0) =
@@ -707,13 +723,14 @@ def test_word_algebra_fails_when_decompose_is_not_a_left_inverse(monkeypatch, co
 
 
 def test_word_algebra_fails_when_a_relator_fails(monkeypatch):
-    """The relators are checked once, by sl2z.verify_presentation; its
-    failure is the check's own FAIL line."""
+    """The check evaluates the relators itself, through
+    sl2z.failing_relator, and names the failing one in its own detail."""
     monkeypatch.setattr(verify.sl2z, "IDENTITY", verify.sl2z.V)
     res = verify.check_word_algebra()
     assert res.name == "word-algebra"
     assert not res.passed
-    assert res.detail == "raised AssertionError('V^4 is not the identity')"
+    assert res.detail == ("V^4 is not the identity; roundtrip failures 0/1000; "
+                          "380 normal forms of length <= 6, no collisions")
 
 
 def test_word_algebra_fails_when_two_short_forms_collide(monkeypatch):
@@ -725,7 +742,9 @@ def test_word_algebra_fails_when_two_short_forms_collide(monkeypatch):
                         lambda w: real_eval_word(t1 if w == t2 else w))
     res = verify.check_word_algebra()
     assert not res.passed
-    assert res.detail == "raised AssertionError('collision: T and T^2 both give (1, 2, 0, 1)')"
+    assert res.detail == ("relations hold; roundtrip failures 0/1000; "
+                          "380 normal forms of length <= 6, "
+                          "collision: T and T^2 both give (1, 2, 0, 1)")
 
 
 def _counted_builder(monkeypatch, name):

@@ -46,6 +46,30 @@ def test_family_dimensions_must_be_plain_ints(factory, args):
         getattr(cf.KnotFamily, factory)(*args)
 
 
+@pytest.mark.parametrize("kind, params, error", [
+    (5, (4,), cf.UnsupportedFamilyError),
+    (["equal-product"], (4,), cf.UnsupportedFamilyError),
+    ("unknot-sphere", (2,), cf.FamilyParameterError),
+    ("equal-product", (True,), cf.FamilyParameterError),
+    ("equal-product", (), cf.FamilyParameterError),
+    ("equal-product", ("4",), cf.FamilyParameterError),
+    ("equal-product", 4, cf.FamilyParameterError),
+    ("unequal-product", (3,), cf.FamilyParameterError),
+    ("adjacent-product", (13,), cf.FamilyParameterError),
+], ids=["int-kind", "list-kind", "unknot-n=2", "bool-p", "no-params", "str-p",
+        "int-params", "unequal-one-param", "adjacent-p=13"])
+def test_hand_built_families_are_checked_at_construction(kind, params, error):
+    """A family built directly meets the factories' rules: none of these
+    reaches classify, which once called S^2 in S^4 trivial by the n >= 5
+    statement and S^True x S^True in S^4 the p = 1 case."""
+    with pytest.raises(error):
+        cf.KnotFamily(kind, params)
+
+
+def test_hand_built_family_equals_the_factorys():
+    assert cf.KnotFamily("equal-product", [4]) == cf.KnotFamily.equal_product(4)
+
+
 def test_describe():
     assert cf.KnotFamily.unknot_sphere(7).describe() == "S^7 in S^9"
     assert cf.KnotFamily.equal_product(4).describe() == "S^4 x S^4 in S^10"

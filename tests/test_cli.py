@@ -371,7 +371,7 @@ def test_cold_ambient_calls_do_not_load_sl2z(argv, out):
     (["equal-product", "--p", "1"], "S^1 x S^1 in S^4", []),
     (["equal-product", "--p", "4"], "S^4 x S^4 in S^10", []),
     (["unequal-product", "--p", "2", "--q", "5"], "S^2 x S^5 in S^9", []),
-    (["adjacent-product", "--p", "14"], "S^12 x S^13 in S^27", ["extmcg.homotopy_tables"]),
+    (["adjacent-product", "--p", "14"], "S^12 x S^13 in S^27", []),
 ], ids=["unknot-sphere", "equal-product-odd", "equal-product-even", "unequal-product",
         "adjacent-product"])
 def test_cold_classify_loads_only_smallgrp(flags, out, extra):

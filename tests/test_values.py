@@ -99,6 +99,13 @@ def test_value_semantics(cls, build, text):
     assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
 
 
+def test_fields_cannot_be_deleted():
+    family = cl.KnotFamily.equal_product(4)
+    with pytest.raises(AttributeError, match="cannot delete field 'kind'"):
+        del family.kind
+    assert family.kind == "equal-product"
+
+
 # (name, a value built from lists, the same value built from tuples)
 LIST_BUILT = [
     ("QuadraticRefinement", lambda: ff.QuadraticRefinement(ff.standard_space(1), [0, 1]),
