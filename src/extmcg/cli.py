@@ -4,16 +4,17 @@ Every subcommand wraps exactly one library operation (verify-all wraps
 the acceptance suite).  --json switches to the documented JSON schemas.
 Exit codes: 0 success, 1 domain/validation error (non-member matrix,
 coset cap, out-of-domain parameter), 2 malformed input (bad word syntax,
-undecodable JSON, unknown subcommand, a --max-cosets below 1).  For a
-JSON argument, wrong types exit 2 and wrong values exit 1: a document is
-an object holding only objects, lists and integers, so any other leaf, a
-missing field or a field of the wrong container or length exits 2, while
-a wrong determinant, an out-of-range value, a repeat or mismatched sizes
-exit 1.  Every malformed-input error is an errors.ParseError.  Each
-handler imports the one module it runs, so a call loads only what it
-needs: `json` only when it reads a JSON argument or prints --json
-output.  A well-formed call is read straight from _SUBCOMMANDS, and
-`argparse` loads only to print help or a usage error.
+undecodable JSON, unknown subcommand, a --max-cosets below 1, an option
+the call does not read).  For a JSON argument, wrong types exit 2 and
+wrong values exit 1: a document is an object holding only objects, lists
+and integers, so any other leaf, a missing field or a field of the wrong
+container or length exits 2, while a wrong determinant, an out-of-range
+value, a repeat or mismatched sizes exit 1.  Every malformed-input error
+is an errors.ParseError.  Each handler imports the one module it runs, so
+a call loads only what it needs: `json` only when it reads a JSON
+argument or prints --json output.  A well-formed call is read straight
+from _SUBCOMMANDS, and `argparse` loads only to print help or a usage
+error.
 """
 
 from __future__ import annotations
@@ -234,6 +235,8 @@ def _build_variant(variant: str, p: int, q: int | None) -> ambient_geom.SignedPe
 
 
 def cmd_build_omega(args) -> int:
+    if args.q is not None and args.variant != "prime":
+        raise ParseInputError(f"--q is read only with --variant prime, not {args.variant}")
     m = _build_variant(args.variant, args.p, args.q)
     if args.json:
         _print_json(m.to_json())
@@ -247,21 +250,18 @@ def cmd_build_omega(args) -> int:
 def cmd_induced_action(args) -> int:
     from . import ambient_geom
 
-    if args.matrix is not None:
-        m = ambient_geom.SignedPermMatrix.from_json(_load_json(args.matrix))
-        if args.p is None:
-            raise ParseInputError("--p is required with an explicit matrix")
-        p = args.p
-        q = args.q if args.q is not None else p
-    elif args.variant is not None:
-        if args.p is None:
-            raise ParseInputError("--p is required with --variant")
-        p = args.p
-        q = args.q if args.q is not None else p
-        m = _build_variant(args.variant, p, args.q)
-    else:
+    if args.matrix is None and args.variant is None:
         raise ParseInputError("give a sparse matrix JSON or --variant")
-    desc = ambient_geom.restrict_to_product(m, p, q)
+    if args.matrix is not None and args.variant is not None:
+        raise ParseInputError("give a sparse matrix JSON or --variant, not both")
+    if args.p is None:
+        raise ParseInputError("--p is required with "
+                              + ("--variant" if args.matrix is None else "an explicit matrix"))
+    if args.matrix is None:
+        m = _build_variant(args.variant, args.p, args.q)
+    else:
+        m = ambient_geom.SignedPermMatrix.from_json(_load_json(args.matrix))
+    desc = ambient_geom.restrict_to_product(m, args.p, args.p if args.q is None else args.q)
     action = ambient_geom.induced_homology_action(desc)
     _emit(args, {"rows": [list(r) for r in action.rows]},
           " / ".join(" ".join(str(e) for e in row) for row in action.rows))
@@ -287,6 +287,9 @@ def cmd_classify(args) -> int:
         names = " and ".join(f"--{f}" for f in flags)
         raise ParseInputError(
             f"{names} {'are' if len(flags) > 1 else 'is'} required for {args.family}")
+    unread = [f"--{f}" for f in ("n", "p", "q") if f not in flags and getattr(args, f) is not None]
+    if unread:
+        raise ParseInputError(f"{args.family} does not read {' or '.join(unread)}")
     family = classifier.KnotFamily(args.family, values)
     result = classifier.classify(family).to_json()
     if args.json:

@@ -3,9 +3,11 @@
 Only the handful of rows the classification needs are encoded: the
 image-of-stabilization groups SPi_p(SO(p)) by residue of p mod 8 (with the
 single exceptional value at p = 6), the unstable rows pi_p(SO(p+1)) and
-pi_p(SO(p+2)) for even p, and one isolated entry used by the
-adjacent-dimension family.  Out-of-domain queries raise OutOfDomainError
-rather than extrapolate.
+pi_p(SO(p+2)) for even p, and one isolated entry, the kernel term of the
+adjacent-dimension family.  Only `verify.check_homotopy_tables` and the
+tests read them: `classify` calls none of them, and the adjacent-product
+row of `classifier._CASES` cites `so-tables` instead.  Out-of-domain
+queries raise OutOfDomainError rather than extrapolate.
 """
 
 from __future__ import annotations
@@ -58,9 +60,9 @@ def pi_p_so_p_plus(p: int, shift: int) -> FinAbGroup:
 def pi_p_so_p_residue5(p: int) -> FinAbGroup:
     """pi_p(SO(p)) itself, tabulated only at p congruent to 5 mod 8, p >= 13.
 
-    Single-purpose entry: it is the kernel term for products of spheres in
-    adjacent dimensions p-2, p-1 with p = 6 mod 8, where the relevant index
-    p - 1 lands on this residue.
+    The kernel term for products of spheres in adjacent dimensions p-2,
+    p-1 with p = 6 mod 8, where the index p - 1 lands on this residue;
+    `classify` does not call it (see the module docstring).
     """
     if p < 13 or p % 8 != 5:
         raise OutOfDomainError(f"p = {p} not tabulated (need p = 5 mod 8, p >= 13)")

@@ -174,17 +174,17 @@ _set_tokens, _set_sign = GenWord.tokens.__set__, GenWord.sign.__set__
 
 def parse_word(text: str) -> GenWord:
     """Parse the whitespace token grammar: optional leading '-', then
-    factors V, T, V^<int>, T^<int>; 'e' alone is the empty word."""
+    factors V, T, V^<int>, T^<int>; 'e' alone is the empty word, so '- e'
+    is -Id and a sign alone is refused."""
     raw = text.split()
     if not raw:
         raise WordSyntaxError("empty input; use 'e' for the identity word")
     sign = 1
-    if raw[0] == "-":
+    if raw[0].startswith("-"):
         sign = -1
-        raw = raw[1:]
-    elif raw[0].startswith("-") and raw[0] != "-":
-        sign = -1
-        raw = [raw[0][1:]] + raw[1:]
+        raw = raw[1:] if raw[0] == "-" else [raw[0][1:], *raw[1:]]
+    if not raw:
+        raise WordSyntaxError("a sign needs a word after it; use '- e' for -Id")
     if raw == ["e"]:
         return GenWord((), sign)
     tokens = []

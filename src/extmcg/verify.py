@@ -51,43 +51,24 @@ def _built(inputs: dict, build, *args):
 
 
 _T_TOKENS = tuple(("T", e) for e in range(-9, 10) if e)
-_T_COUNT = len(_T_TOKENS)
-_T_BITS = _T_COUNT.bit_length()
+_DRAWS = 620  # random words in `_word_sample`, after the short normal forms
 
 
 def random_normal_word(rng: random.Random, max_tokens: int = 20) -> sl2z.GenWord:
     """Uniform-ish random normal-form word with up to max_tokens factors.
 
-    The length is uniform on 0..max_tokens, the first generator and the
-    sign are fair coins, the factors alternate between V and T, and each
-    T exponent is uniform on -9..9 without 0.  Each draw calls
-    `rng.getrandbits` with the rejection loop that `randint` and `choice`
-    run in `Random._randbelow`, so a `random.Random` gives the same word
-    stream as `randint(0, max_tokens)`, `choice(("V", "T"))`, one
-    `choice` per T exponent and `choice((1, -1))`.  Its letters come from
-    a fixed valid alphabet, so it is built unchecked.
+    The length is uniform on 0..max_tokens (`randint`), the first
+    generator and the sign are fair coins, the factors alternate between
+    V and T, and each T exponent is uniform on -9..9 without 0 (one
+    `choice` each).  Its letters come from a fixed valid alphabet, so it
+    is built unchecked.
     """
-    getrandbits = rng.getrandbits
-    width = max_tokens + 1
-    bits = width.bit_length()
-    n = getrandbits(bits)
-    while n >= width:
-        n = getrandbits(bits)
-    first = getrandbits(2)  # 0 starts with V, 1 with T
-    while first >= 2:
-        first = getrandbits(2)
-    t_tokens = []
-    for _ in range((n + first) >> 1):
-        r = getrandbits(_T_BITS)
-        while r >= _T_COUNT:
-            r = getrandbits(_T_BITS)
-        t_tokens.append(_T_TOKENS[r])
+    n = rng.randint(0, max_tokens)
+    v_first = rng.choice(("V", "T")) == "V"
     tokens = [("V", 1)] * n
-    tokens[1 - first::2] = t_tokens
-    sign = getrandbits(2)
-    while sign >= 2:
-        sign = getrandbits(2)
-    return sl2z.GenWord._trusted(tuple(tokens), -1 if sign else 1)
+    # the T factors take every other place, from place 1 after a first V
+    tokens[v_first::2] = [rng.choice(_T_TOKENS) for _ in range(v_first, n, 2)]
+    return sl2z.GenWord._trusted(tuple(tokens), rng.choice((1, -1)))
 
 
 @_check("membership-characterization", "mod2-membership", "arf-zero-standard")
@@ -200,38 +181,36 @@ def check_coset_enumeration(inputs):
 
 
 def _word_sample() -> list[tuple[sl2z.GenWord, sl2z.UniModMat2]]:
-    """1000 seeded random normal forms of up to 20 factors, each with its
-    matrix: check_word_algebra round-trips the words and
-    check_property_suites closes over the matrices."""
+    """The 380 normal forms of letter length <= 6, then 620 seeded random
+    normal forms of up to 20 factors, each with its matrix:
+    check_word_algebra round-trips the words and check_property_suites
+    closes over the matrices."""
+    words = list(sl2z.normal_forms_up_to(6))
     rng = random.Random(20260813)
-    words = [random_normal_word(rng, 20) for _ in range(1000)]
+    words += [random_normal_word(rng, 20) for _ in range(_DRAWS)]
     return [(w, sl2z.eval_word(w)) for w in words]
 
 
 @_check("word-algebra", "gammav2-presentation")
 def check_word_algebra(inputs):
     """The relators of `smallgrp.GAMMA_V2_PRESENTATION` hold on the actual
-    matrices (the detail names the first that fails); no two of the 380
-    normal forms of letter length <= 6 share a matrix (it names the first
-    pair that does); and decompose is a left inverse of eval_word on the
-    1000 words of `_word_sample`: decompose(eval_word(w)) is w itself,
-    tokens and sign.  Normal forms are unique, so this also says that
-    decompose returns a normal form, and a word of the same matrix that is
-    not w (w V^4, say) fails."""
+    matrices (the detail names the first that fails), and decompose is a
+    left inverse of eval_word on the 1000 words of `_word_sample`:
+    decompose(eval_word(w)) is w itself, tokens and sign.  Normal forms
+    are unique, so a word of the same matrix that is not w (w V^4, say)
+    fails; and a map with a left inverse is injective, so the 380 short
+    normal forms that open the sample share no matrix (the detail names
+    the first of them whose round trip fails)."""
     relator = sl2z.failing_relator(smallgrp.GAMMA_V2_PRESENTATION)
-    forms = list(sl2z.normal_forms_up_to(6))
-    seen: dict[tuple, sl2z.GenWord] = {}
-    collisions = []
-    for w in forms:
-        m = sl2z.eval_word(w)
-        key = (m.a, m.b, m.c, m.d)
-        if seen.setdefault(key, w) is not w:
-            collisions.append(f"collision: {seen[key]} and {w} both give {key}")
-    failures = sum(sl2z.decompose(m) != w for w, m in _built(inputs, _word_sample))
+    sample = _built(inputs, _word_sample)
+    failed = [i for i, (w, m) in enumerate(sample) if sl2z.decompose(m) != w]
+    forms = len(sample) - _DRAWS
+    short = (f"{sample[failed[0]][0]} fails the round trip" if failed and failed[0] < forms
+             else "no collisions")
     relations = "relations hold" if relator is None else f"{relator} is not the identity"
-    return (relator is None and not collisions and failures == 0,
-            f"{relations}; roundtrip failures {failures}/1000; {len(forms)} normal "
-            f"forms of length <= 6, {collisions[0] if collisions else 'no collisions'}")
+    return (relator is None and not failed,
+            f"{relations}; roundtrip failures {len(failed)}/1000; {forms} normal "
+            f"forms of length <= 6, {short}")
 
 
 @_check("ambient-matrices", "omega-action", "omega-hat-action", "omega-prime-action")

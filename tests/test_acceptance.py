@@ -579,25 +579,29 @@ def _count_draws(monkeypatch):
 
 
 def test_warm_run_all_draws_one_word_sample(monkeypatch):
-    """A warm run_all draws the 1000 words of one word sample (3000
-    before, when the closure pairs drew 2000 of their own), and each of
-    the two checks that read it, called alone, draws its own and passes."""
+    """A warm run_all draws the 620 random words of one word sample (its
+    other 380 words are the short normal forms), and each of the two
+    checks that read it, called alone, draws its own and passes."""
     verify.run_all()
     draws = _count_draws(monkeypatch)
     assert all(r.passed for r in verify.run_all())
-    assert draws == [20] * 1000
+    assert draws == [20] * 620
     for check in (verify.check_word_algebra, verify.check_property_suites):
         draws.clear()
         assert check().passed
-        assert draws == [20] * 1000
+        assert draws == [20] * 620
 
 
 def test_closure_reads_the_cyclic_pairs_of_the_word_sample(monkeypatch):
-    """The round trip's words are the seeded stream, and the closure test
-    asks is_member about m_i * m_(i+1 mod 1000), then m_i^-1, for the
-    matrices m_i of those same words, in order, and about nothing else."""
+    """The round trip's words are the 380 normal forms of letter length
+    <= 6, in enumeration order, then 620 words of the seeded stream, and
+    the closure test asks is_member about m_i * m_(i+1 mod 1000), then
+    m_i^-1, for the matrices m_i of those same words, in order, and about
+    nothing else."""
     rng = random.Random(20260813)
-    words = [verify.random_normal_word(rng, 20) for _ in range(1000)]
+    words = list(sl2z.normal_forms_up_to(6))
+    assert len(words) == 380
+    words += [verify.random_normal_word(rng, 20) for _ in range(620)]
     matrices = [sl2z.eval_word(w) for w in words]
     assert verify._word_sample() == list(zip(words, matrices))
     real_is_member, seen = sl2z.is_member, []
@@ -735,16 +739,17 @@ def test_word_algebra_fails_when_a_relator_fails(monkeypatch):
 
 def test_word_algebra_fails_when_two_short_forms_collide(monkeypatch):
     """The normal forms of length <= 6 must give distinct matrices: with
-    T^2 evaluated as T, the scan names the pair and the check fails."""
+    T^2 evaluated as T, the round trip of T^2 gives back T, and the check
+    fails and names T^2, the one short form whose round trip fails."""
     real_eval_word = sl2z.eval_word
     t1, t2 = sl2z.GenWord((("T", 1),), 1), sl2z.GenWord((("T", 2),), 1)
     monkeypatch.setattr(sl2z, "eval_word",
                         lambda w: real_eval_word(t1 if w == t2 else w))
     res = verify.check_word_algebra()
     assert not res.passed
-    assert res.detail == ("relations hold; roundtrip failures 0/1000; "
+    assert res.detail == ("relations hold; roundtrip failures 1/1000; "
                           "380 normal forms of length <= 6, "
-                          "collision: T and T^2 both give (1, 2, 0, 1)")
+                          "T^2 fails the round trip")
 
 
 def _counted_builder(monkeypatch, name):

@@ -430,9 +430,12 @@ PASS property-suites [arf-census,mod2-membership,gammav2-presentation]: quadrati
 """
 
 
-def test_cold_verify_all_text_is_golden():
-    """A speed change must leave the eight report lines byte-identical."""
-    proc = cold("-m", "extmcg.cli", "verify-all")
+@pytest.mark.parametrize("flags", [[], ["-O"], ["-W", "error"]],
+                         ids=["plain", "-O", "-W error"])
+def test_cold_verify_all_text_is_golden(flags):
+    """A speed change must leave the eight report lines byte-identical,
+    also with assert statements stripped and with warnings as errors."""
+    proc = cold(*flags, "-m", "extmcg.cli", "verify-all")
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == VERIFY_ALL_TEXT
 
@@ -597,3 +600,27 @@ def test_subcommand_table_uses_only_what_the_reader_reads():
                 # the reader fills positionals left to right
                 assert "nargs" in kwargs or not optional_seen, (name, flag)
                 optional_seen = "nargs" in kwargs
+
+
+UNREAD_OPTIONS = [
+    (["eval-word", "-"], "error: a sign needs a word after it; use '- e' for -Id\n"),
+    (["induced-action", MAT, "--variant", "hat", "--p", "1"],
+     "error: give a sparse matrix JSON or --variant, not both\n"),
+    (["build-omega", "--p", "3", "--q", "9"],
+     "error: --q is read only with --variant prime, not plain\n"),
+    (["build-omega", "--p", "4", "--variant", "hat", "--q", "4"],
+     "error: --q is read only with --variant prime, not hat\n"),
+    (["classify", "--family", "unknot-sphere", "--n", "5", "--p", "3"],
+     "error: unknot-sphere does not read --p\n"),
+    (["classify", "--family", "equal-product", "--p", "4", "--n", "5", "--q", "6"],
+     "error: equal-product does not read --n or --q\n"),
+]
+
+
+@pytest.mark.parametrize("argv, err", UNREAD_OPTIONS,
+                         ids=["sign-alone", "matrix-and-variant", "q-with-plain",
+                              "q-with-hat", "p-for-unknot", "n-and-q-for-equal"])
+def test_a_sign_alone_or_an_option_the_call_does_not_read_exits_2(capsys, argv, err):
+    """An input the call would drop or misread is malformed input: one
+    line on stderr, no output, exit 2."""
+    assert run(capsys, *argv) == (2, "", err)

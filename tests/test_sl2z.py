@@ -117,6 +117,15 @@ def test_parse_rejects(bad):
         sl2z.parse_word(bad)
 
 
+@pytest.mark.parametrize("bad", ["-", " - ", "-\t"])
+def test_parse_rejects_a_sign_without_a_word(bad):
+    """A sign needs a word after it, as the empty input does: "- e" and
+    "-e" are minus the identity, "-" alone is refused."""
+    with pytest.raises(sl2z.WordSyntaxError, match="'- e'"):
+        sl2z.parse_word(bad)
+    assert sl2z.parse_word("- e") == sl2z.parse_word("-e") == sl2z.GenWord((), -1)
+
+
 def test_eval_word_examples():
     assert sl2z.eval_word(sl2z.parse_word("V^4")) == sl2z.IDENTITY
     assert (sl2z.eval_word(sl2z.parse_word("V^2 T"))
