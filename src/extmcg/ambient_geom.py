@@ -61,11 +61,9 @@ class SignedPermMatrix(_Value):
         """Matrix product self * other: on row vectors, self acts first."""
         if self.size != other.size:
             raise InvalidMatrixError("sizes differ")
-        out = []
-        for col, sign in self.image:
-            col2, sign2 = other.image[col]
-            out.append((col2, sign * sign2))
-        return SignedPermMatrix(self.size, tuple(out))
+        image = other.image
+        return SignedPermMatrix._trusted(
+            self.size, tuple([(image[col][0], sign * image[col][1]) for col, sign in self.image]))
 
     def _cycles(self):
         """(length, product of signs) for each cycle of the permutation."""
@@ -138,23 +136,25 @@ def _require_block_dim(d: int) -> None:
         raise UnsupportedSizeError(f"block dimension {d} exceeds the cap of {MAX_BLOCK_DIM}")
 
 
+def _swap(p: int, x0_sign: int, b_first_sign: int) -> SignedPermMatrix:
+    """Size 2p+3: x0 scales by x0_sign, the a-block moves to the b-columns
+    with sign +1, and the b-block moves to the a-columns with its first
+    coordinate scaled by b_first_sign."""
+    _require_block_dim(p)
+    image = [(0, x0_sign)] + [(col, 1) for col in range(p + 2, 2 * p + 3)]
+    image += [(1, b_first_sign)] + [(col, 1) for col in range(2, p + 2)]
+    return SignedPermMatrix._trusted(2 * p + 3, tuple(image))
+
+
 def build_omega(p: int) -> SignedPermMatrix:
     """Order-4 rotation of the (2p+2)-sphere restricting to (a, b) -> (R(b), a).
 
-    Size 2p+3: x0 scales by (-1)^p, the a-block moves to the b-columns
-    with sign +1, and the b-block moves to the a-columns with its first
-    coordinate negated.  Determinant +1 for every p.
+    x0 scales by (-1)^p and the incoming first b-coordinate is negated, so
+    the determinant is +1 for every p.
     """
-    if p < 1:
+    if type(p) is not int or p < 1:
         raise BlockSizeError(f"p = {p} must be at least 1")
-    _require_block_dim(p)
-    size = 2 * p + 3
-    image = [(0, (-1) ** p)]
-    for i in range(1, p + 2):
-        image.append((i + p + 1, 1))
-    for j in range(1, p + 2):
-        image.append((j, -1 if j == 1 else 1))
-    return SignedPermMatrix(size, tuple(image))
+    return _swap(p, (-1) ** p, -1)
 
 
 def build_omega_hat(p: int) -> SignedPermMatrix:
@@ -163,16 +163,9 @@ def build_omega_hat(p: int) -> SignedPermMatrix:
     Needs even p: x0 is negated and the blocks swap with all signs +1,
     so the determinant is (-1)^p and only even p keeps it +1.
     """
-    if p < 2 or p % 2:
+    if type(p) is not int or p < 2 or p % 2:
         raise BlockSizeError(f"p = {p} must be even and at least 2")
-    _require_block_dim(p)
-    size = 2 * p + 3
-    image = [(0, -1)]
-    for i in range(1, p + 2):
-        image.append((i + p + 1, 1))
-    for j in range(1, p + 2):
-        image.append((j, 1))
-    return SignedPermMatrix(size, tuple(image))
+    return _swap(p, -1, 1)
 
 
 def build_omega_prime(p: int, q: int) -> SignedPermMatrix:
@@ -181,12 +174,11 @@ def build_omega_prime(p: int, q: int) -> SignedPermMatrix:
     Negates the first coordinate of each block; determinant +1.  Allows
     p = q (both blocks reflected at once) as well as p < q.
     """
-    if p < 2 or q < p:
+    if not (type(p) is type(q) is int and 2 <= p <= q):
         raise BlockSizeError(f"need 2 <= p <= q, got p = {p}, q = {q}")
     _require_block_dim(q)
-    size = p + q + 3
-    image = [(i, -1 if i in (1, p + 2) else 1) for i in range(size)]
-    return SignedPermMatrix(size, tuple(image))
+    return SignedPermMatrix._trusted(
+        p + q + 3, tuple([(i, -1 if i in (1, p + 2) else 1) for i in range(p + q + 3)]))
 
 
 class ProductMapDescriptor(_Value):
@@ -212,34 +204,24 @@ def restrict_to_product(m: SignedPermMatrix, p: int, q: int) -> ProductMapDescri
         raise BlockSizeError(f"block dimensions must be positive ints, got {p!r} and {q!r}")
     if m.size != p + q + 3:
         raise BlockSizeError(f"matrix size {m.size} != p + q + 3 = {p + q + 3}")
-    a_rows = range(1, p + 2)
-    b_rows = range(p + 2, p + q + 3)
-    a_cols, b_cols = set(a_rows), set(b_rows)
     if m.image[0][0] != 0:
         raise NotBlockStructuredError("coordinate 0 does not map to itself")
+    # no other row reaches column 0, so a row not landing in an a-column
+    # lands in a b-column
+    in_a = [col <= p + 1 for col, _ in m.image[1:]]
+    swaps = not in_a[0]
+    if in_a != [not swaps] * (p + 1) + [swaps] * (q + 1):
+        raise NotBlockStructuredError("a block maps across block boundaries")
 
-    def block_target(rows) -> str:
-        targets = {("a" if m.image[i][0] in a_cols else
-                    "b" if m.image[i][0] in b_cols else "x0") for i in rows}
-        if len(targets) != 1 or "x0" in targets:
-            raise NotBlockStructuredError("a block maps across block boundaries")
-        return targets.pop()
+    def block_det(entries, col_base: int) -> int:
+        sub = tuple([(col - col_base, sign) for col, sign in entries])
+        return SignedPermMatrix._trusted(len(sub), sub).determinant()
 
-    swaps = block_target(a_rows) == "b"
-    block_target(b_rows)  # not a's target: p + q + 2 rows never fit in one block
-
-    def block_det(rows, col_base: int) -> int:
-        sub = [(m.image[i][0] - col_base, m.image[i][1]) for i in rows]
-        return SignedPermMatrix(len(sub), tuple(sub)).determinant()
-
-    if swaps:
-        # columns of the first factor are fed by the b-rows and vice versa
-        first = block_det(b_rows, 1)
-        second = block_det(a_rows, p + 2)
-    else:
-        first = block_det(a_rows, 1)
-        second = block_det(b_rows, p + 2)
-    return ProductMapDescriptor((p + 1, q + 1), swaps, first, second)
+    # the first factor's columns are fed by the b-rows when the blocks swap
+    a_part, b_part = m.image[1:p + 2], m.image[p + 2:]
+    into_a, into_b = (b_part, a_part) if swaps else (a_part, b_part)
+    return ProductMapDescriptor((p + 1, q + 1), swaps, block_det(into_a, 1),
+                                block_det(into_b, p + 2))
 
 
 def induced_homology_action(desc: ProductMapDescriptor) -> SignedPermMatrix:

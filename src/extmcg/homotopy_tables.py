@@ -24,6 +24,13 @@ Z = FinAbGroup(1, ())
 Z2 = FinAbGroup(0, (2,))
 Z2_Z2 = FinAbGroup(0, (2, 2))
 
+
+def _require_int(name: str, value) -> None:
+    # bool is an int subclass, and 7.0 would read the row of 7
+    if type(value) is not int:
+        raise OutOfDomainError(f"{name} = {value!r} must be an int")
+
+
 # image of pi_p(SO(p)) in pi_p(SO(p+1)), by p mod 8 (generic rows)
 _S_PI_BY_RESIDUE = {
     0: Z2_Z2,
@@ -39,6 +46,7 @@ _S_PI_BY_RESIDUE = {
 
 def s_pi_p_so_p(p: int) -> FinAbGroup:
     """SPi_p(SO(p)) for p >= 3; the lone exception is p = 6, which is trivial."""
+    _require_int("p", p)
     if p < 3:
         raise OutOfDomainError(f"p = {p} is below the tabulated range (p >= 3)")
     if p == 6:
@@ -48,6 +56,8 @@ def s_pi_p_so_p(p: int) -> FinAbGroup:
 
 def pi_p_so_p_plus(p: int, shift: int) -> FinAbGroup:
     """pi_p(SO(p + shift)) for even p >= 4 and shift in {1, 2}."""
+    _require_int("p", p)
+    _require_int("shift", shift)
     if p < 4 or p % 2:
         raise OutOfDomainError(f"p = {p} must be even and at least 4")
     if shift == 1:
@@ -64,6 +74,7 @@ def pi_p_so_p_residue5(p: int) -> FinAbGroup:
     p-1 with p = 6 mod 8, where the index p - 1 lands on this residue;
     `classify` does not call it (see the module docstring).
     """
+    _require_int("p", p)
     if p < 13 or p % 8 != 5:
         raise OutOfDomainError(f"p = {p} not tabulated (need p = 5 mod 8, p >= 13)")
     return Z2

@@ -119,7 +119,8 @@ def _parse_factor(tok: str, index: dict[str, int], room: int) -> list[tuple[int,
 
 
 def parse_presentation(text: str) -> Presentation:
-    """Parse "gens: a,b; rels: a^2, b^3, [a,b]" (commutator sugar included)."""
+    """Parse "gens: a,b; rels: a^2, b^3, [a,b]" (commutator sugar included,
+    with spaces allowed inside the brackets, as in "[a, b]")."""
     parts = text.split(";")
     if len(parts) != 2:
         raise PresentationError("expected 'gens: ...; rels: ...'")
@@ -140,6 +141,8 @@ def parse_presentation(text: str) -> Presentation:
                 depth += 1
             elif ch == "]":
                 depth -= 1
+            elif depth > 0 and ch.isspace():
+                continue  # so "[a, b]" reads as "[a,b]"
             if ch == "," and depth == 0:
                 pieces.append(cur)
                 cur = ""

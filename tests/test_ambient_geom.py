@@ -261,3 +261,36 @@ def test_even_actions_generate_klein_four():
     closure = ag.homology_group_closure(acts)
     assert sorted(m.rows for m in closure) == [
         ((-1, 0), (0, -1)), ((0, -1), (-1, 0)), ((0, 1), (1, 0)), ((1, 0), (0, 1))]
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ag.build_omega(True), "p = True must be at least 1"),
+    (lambda: ag.build_omega(3.0), "p = 3.0 must be at least 1"),
+    (lambda: ag.build_omega_hat(4.0), "p = 4.0 must be even and at least 2"),
+    (lambda: ag.build_omega_hat("4"), "p = 4 must be even and at least 2"),
+    (lambda: ag.build_omega_prime(2, 3.0), "need 2 <= p <= q, got p = 2, q = 3.0"),
+])
+def test_builders_refuse_a_dimension_that_is_not_a_plain_int(build, message):
+    """True once built the p = 1 matrix, and a float raised a bare
+    TypeError from range()."""
+    with pytest.raises(ag.BlockSizeError) as refused:
+        build()
+    assert str(refused.value) == message
+
+
+def test_induced_action_checks_a_hand_built_descriptor():
+    # a descriptor checks nothing, so its determinants are checked here
+    with pytest.raises(ag.InvalidMatrixError):
+        ag.induced_homology_action(ag.ProductMapDescriptor((2, 2), False, 5, 1))
+
+
+@pytest.mark.parametrize("p, q", [(1, 1), (2, 2), (2, 5), (5, 2)])
+def test_restrict_to_product_refuses_each_pair_of_rows_crossing_the_blocks(p, q):
+    """The identity with an a-row and a b-row exchanged, for every such pair."""
+    size = p + q + 3
+    for i in range(1, p + 2):
+        for j in range(p + 2, size):
+            image = list(ag.identity(size).image)
+            image[i], image[j] = image[j], image[i]
+            with pytest.raises(ag.NotBlockStructuredError, match="across block boundaries"):
+                ag.restrict_to_product(ag.SignedPermMatrix(size, image), p, q)

@@ -117,6 +117,7 @@ def test_coset_enum(capsys):
     assert code == 1 and "abelianization Z4 + Z" in err
     code, _, err = run(capsys, "coset-enum", "gens a b")
     assert code == 2
+    assert run(capsys, "coset-enum", "gens: a,b; rels: a^2, b^2, [a, b]") == (0, "order 4\n", "")
 
 
 @pytest.mark.parametrize("cap", ["0", "-5"])
@@ -273,6 +274,15 @@ def test_induced_action(capsys):
     assert code == 2 and "--p" in err
     code, _, err = run(capsys, "induced-action")
     assert code == 2
+
+
+def test_families_copy_the_classifier_kinds():
+    """`cli` keeps its own copy so that start-up does not import
+    `classifier`; the keys, in order, are the --family choices."""
+    from extmcg.classifier import KnotFamily
+
+    want = {kind: spec[0] for kind, spec in KnotFamily._KINDS.items()}
+    assert list(cli.FAMILIES.items()) == list(want.items())
 
 
 def test_classify(capsys):

@@ -63,6 +63,13 @@ def test_residue5_entry():
     lambda: ht.pi_p_so_p_plus(4, 3),
     lambda: ht.pi_p_so_p_residue5(12),
     lambda: ht.pi_p_so_p_residue5(5),
+    # not plain ints: each of these once read a tabulated row, 7.0 as 7 and True as 1
+    lambda: ht.s_pi_p_so_p(7.0),
+    lambda: ht.pi_p_so_p_plus(8.0, 1),
+    lambda: ht.pi_p_so_p_plus(4, True),
+    lambda: ht.pi_p_so_p_plus(4, 1.0),
+    lambda: ht.pi_p_so_p_plus("4", 1),
+    lambda: ht.pi_p_so_p_residue5(13.0),
 ])
 def test_out_of_domain(call):
     with pytest.raises(ht.OutOfDomainError):

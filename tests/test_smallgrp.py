@@ -606,6 +606,16 @@ def test_parse_presentation_names_what_is_malformed(text, message):
     assert str(refused.value) == message
 
 
+def test_parse_presentation_reads_spaces_inside_a_commutator():
+    """Relators are separated by ", ", so "[a, b]" was once refused as
+    unknown generator '[a,'."""
+    want = sg.parse_presentation("gens: a,b; rels: a^2, [a,b]")
+    for text in ("gens: a,b; rels: a^2, [a, b]", "gens: a,b; rels: a^2, [ a , b ]"):
+        assert sg.parse_presentation(text) == want
+    with pytest.raises(sg.PresentationError, match=r"^bad commutator '\[a\]'$"):
+        sg.parse_presentation("gens: a; rels: [ a ]")
+
+
 @pytest.mark.parametrize("letter", [
     (0.0, 1), (0, 1.0), (True, 1), (0, True), (1, -1.0), (2, 1), (-1, 1), (0, 2), (0, 0)])
 def test_presentation_refuses_a_letter_that_is_not_two_plain_ints(letter):
