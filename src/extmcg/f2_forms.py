@@ -36,12 +36,13 @@ The two Arf routes therefore share no code for evaluating q.
 
 Validation happens once, at the boundary.  The public constructors and
 `from_columns` check their input.  What the library builds from checked
-values, such as the refinement `transport` returns, a product and the
-elements of the basis search, is made by `_trusted` without a second
-check.  An SpElement is only its columns and names no form, so
-`transport` checks on every call that its element preserves q's form,
-then pulls q back through `_pull_back`.  `orbit` calls `_pull_back`
-directly on the columns of the transvections it builds itself.
+values, such as the refinement `transport` returns, those
+`all_refinements` lists, a product and the elements of the basis search,
+is made by `_trusted` without a second check.  An SpElement is only its
+columns and names no form, so `transport` checks on every call that its
+element preserves q's form, then pulls q back through `_pull_back`.
+`orbit` calls `_pull_back` directly on the columns of the transvections
+it builds itself.
 
 Orbits of refinements are found by breadth-first search over 3k - 1
 transvections that generate Sp(2k, 2), without enumerating the group, up
@@ -210,18 +211,20 @@ class SymplecticSpaceF2(_Value):
 MAX_STANDARD_K = 64
 
 
+def _standard_gram(n: int) -> tuple[tuple[int, ...], ...]:
+    # 2x2 antidiagonal blocks: entry (i, j) is 1 exactly when i ^ j == 1
+    return tuple(tuple(int(i ^ j == 1) for j in range(n)) for i in range(n))
+
+
 def standard_space(k: int) -> SymplecticSpaceF2:
     """Hyperbolic space of dimension 2k: Gram is 2x2 antidiagonal blocks."""
+    if type(k) is not int:  # True would build the k = 1 space
+        raise UnsupportedSizeError(f"k = {k!r} must be an int")
     if k < 1:
         raise UnsupportedSizeError(f"k = {k} must be positive")
     if k > MAX_STANDARD_K:
         raise UnsupportedSizeError(f"k = {k} exceeds the cap of {MAX_STANDARD_K}")
-    n = 2 * k
-    gram = [[0] * n for _ in range(n)]
-    for i in range(k):
-        gram[2 * i][2 * i + 1] = 1
-        gram[2 * i + 1][2 * i] = 1
-    return SymplecticSpaceF2(gram)
+    return SymplecticSpaceF2(_standard_gram(2 * k))
 
 
 class QuadraticRefinement(_Value):
@@ -298,7 +301,9 @@ def arf_by_majority(q: QuadraticRefinement) -> int:
 
 
 def all_refinements(space: SymplecticSpaceF2) -> list[QuadraticRefinement]:
-    return [QuadraticRefinement(space, bits) for bits in product((0, 1), repeat=space.dim)]
+    # each tuple of product() is dim plain 0/1 ints, so it is stored unchecked
+    bits = product((0, 1), repeat=space.dim)
+    return [QuadraticRefinement._trusted(space, b) for b in bits]
 
 
 class SpElement(_Value):
@@ -446,8 +451,8 @@ def _extend_bases(space: SymplecticSpaceF2, want) -> list[SpElement]:
 
 def enumerate_sp(k: int) -> list[SpElement]:
     """All elements of Sp(2k, 2) for the standard space, sorted, each exactly once."""
-    if not 1 <= k <= 3:
-        raise UnsupportedSizeError(f"k = {k} outside supported range 1..3")
+    if type(k) is not int or not 1 <= k <= 3:
+        raise UnsupportedSizeError(f"k = {k!r} outside supported range 1..3")
     return _extend_bases(standard_space(k), (-1,) * (2 * k))
 
 
@@ -480,10 +485,9 @@ def _pull_back(q: QuadraticRefinement, columns: tuple[int, ...]) -> QuadraticRef
 def _require_standard(q: QuadraticRefinement, what: str, max_dim: int) -> int:
     if q.space.dim > max_dim:
         raise UnsupportedSizeError(f"{what} enumeration capped at dimension {max_dim}")
-    k = q.space.dim // 2
-    if q.space.gram != standard_space(k).gram:
+    if q.space.gram != _standard_gram(q.space.dim):
         raise ValueError(f"{what} enumeration expects the standard space")
-    return k
+    return q.space.dim // 2
 
 
 def stabilizer(q: QuadraticRefinement) -> list[SpElement]:

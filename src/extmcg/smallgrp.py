@@ -91,31 +91,34 @@ MAX_RELATOR_LETTERS = 10_000
 
 
 def _parse_factor(tok: str, index: dict[str, int], room: int) -> list[tuple[int, int]]:
-    """The letters of one factor; more than `room` of them is refused."""
-    if tok.startswith("[") and tok.endswith("]"):
-        inner = tok[1:-1].split(",")
+    """The letters of one factor, x or [x,y] with an optional ^n; more than `room` is refused."""
+    cut = tok.find("^", tok.find("]") + 1)  # the exponent follows any commutator
+    base = tok if cut < 0 else tok[:cut]
+    if base.startswith("[") and base.endswith("]"):
+        inner = base[1:-1].split(",")
         if len(inner) != 2:
-            raise PresentationError(f"bad commutator {tok!r}")
+            raise PresentationError(f"bad commutator {base!r}")
         x, y = (t.strip() for t in inner)
         if x not in index or y not in index:
-            raise PresentationError(f"unknown generator in {tok!r}")
+            raise PresentationError(f"unknown generator in {base!r}")
         a, b = index[x], index[y]
-        letters, count = [(a, 1), (b, 1), (a, -1), (b, -1)], 1
+        letters = [(a, 1), (b, 1), (a, -1), (b, -1)]
+    elif base not in index:
+        raise PresentationError(f"unknown generator {base!r}")
     else:
-        name, caret, tail = tok.partition("^")
-        if name not in index:
-            raise PresentationError(f"unknown generator {name!r}")
-        exp = 1
-        if caret:
-            try:
-                exp = int(tail)
-            except ValueError:
-                raise PresentationError(f"bad exponent in {tok!r}") from None
-        letters, count = [(index[name], 1 if exp > 0 else -1)], abs(exp)
-    if len(letters) * count > room:
+        letters = [(index[base], 1)]
+    exp = 1
+    if cut >= 0:
+        try:
+            exp = int(tok[cut + 1:])
+        except ValueError:
+            raise PresentationError(f"bad exponent in {tok!r}") from None
+    if exp < 0:  # the inverse word: letters reversed, each inverted
+        letters = [(g, -e) for g, e in reversed(letters)]
+    if len(letters) * abs(exp) > room:
         raise UnsupportedSizeError(
             f"relators expand past the cap of {MAX_RELATOR_LETTERS} letters at {tok!r}")
-    return letters * count
+    return letters * abs(exp)
 
 
 def parse_presentation(text: str) -> Presentation:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import random
-from itertools import product
 
 from . import ambient_geom, classifier, f2_forms, homotopy_tables, sl2z, smallgrp
 from .errors import _Value
@@ -42,7 +41,8 @@ def _built(inputs: dict, build, *args):
     """build(*args), made once per `inputs`: the dict that `run_all` hands
     every check for one run, or a check's own when it is called alone.
     The key is the builder and its arguments, so two checks that read the
-    same Sp(2k,2) listing, group table or `_word_sample` share one build."""
+    same standard space, its refinements, its Sp(2k,2) listing and
+    buckets (`_listing`), a group table or `_word_sample` share one build."""
     key = (build, *args)
     value = inputs.get(key)
     if value is None:
@@ -98,7 +98,7 @@ def check_membership_and_stabilizer(inputs):
                     cls = sl2z.reduce_mod2(m)
                     if member != (cls in (sl2z.Mod2Class.ID, sl2z.Mod2Class.V)):
                         return False, f"mismatch at {m.rows}"
-    q = f2_forms.QuadraticRefinement(f2_forms.standard_space(1), (0, 0))
+    q = f2_forms.QuadraticRefinement(_built(inputs, f2_forms.standard_space, 1), (0, 0))
     stab = sorted(s.matrix for s in f2_forms.stabilizer(q))
     want = [((0, 1), (1, 0)), ((1, 0), (0, 1))]
     ok = stab == sorted(want)
@@ -112,19 +112,19 @@ def check_symplectic_census(inputs):
     group, `_form_preserving`, not one `is_symplectic` per element), Arf
     class sizes, orbit and stabilizer orders, and the orbit-stabilizer
     products."""
-    sp1 = _built(inputs, f2_forms.enumerate_sp, 1)
-    sp2 = _built(inputs, f2_forms.enumerate_sp, 2)
+    sp1, _ = _built(inputs, _listing, _built(inputs, f2_forms.standard_space, 1))
+    space = _built(inputs, f2_forms.standard_space, 2)
+    sp2, by_image = _built(inputs, _listing, space)
     details = []
     ok = len(sp1) == 6 and len(sp2) == 720
     details.append(f"|Sp(2,2)| = {len(sp1)}, |Sp(4,2)| = {len(sp2)}")
-    space = f2_forms.standard_space(2)
     if len({s.columns for s in sp2}) != 720:
         ok = False
         details.append("duplicates in Sp(4,2)")
-    if _form_preserving(space, sp2) != (1 << len(sp2)) - 1:
+    if _form_preserving(space, by_image) != (1 << len(sp2)) - 1:
         ok = False
         details.append("non-symplectic matrix in enumeration")
-    refinements = f2_forms.all_refinements(space)
+    refinements = _built(inputs, f2_forms.all_refinements, space)
     by_arf = {0: [], 1: []}
     for q in refinements:
         by_arf[f2_forms.arf(q)].append(q)
@@ -414,24 +414,31 @@ def _images_by_basis(space: f2_forms.SymplecticSpaceF2, elements) -> list[list[i
     return by_image
 
 
-def _form_preserving(space: f2_forms.SymplecticSpaceF2, elements) -> int:
-    """The bitset over `elements` whose bit i says that S = elements[i]
-    preserves the form, <S u, S w> = <u, w> for all u, w, every element
-    at once.
+def _listing(space: f2_forms.SymplecticSpaceF2):
+    """Sp(2k,2) for the standard space of dimension 2k, from `enumerate_sp`,
+    and its `_images_by_basis` buckets over space, which both bit-sliced
+    kernels read: one `_built` value, so a run buckets each listing once."""
+    elements = f2_forms.enumerate_sp(space.dim // 2)
+    return elements, _images_by_basis(space, elements)
+
+
+def _form_preserving(space: f2_forms.SymplecticSpaceF2, by_image) -> int:
+    """From the `_images_by_basis(space, elements)` buckets, the bitset
+    over `elements` whose bit i says that S = elements[i] preserves the
+    form, <S u, S w> = <u, w> for all u, w, every element at once.
 
     By bilinearity the pairs of basis vectors u, w of space.basis_masks
-    decide it.  From `_images_by_basis`, the coordinate bitset X_w[c]
-    holds the S with coordinate c of S w set.  <x, y> is the sum over the
-    Gram entries G_cd = 1, c < d, of x_c y_d + x_d y_c, so the S with
-    <S u, S w> = 1 are the XOR over those entries of X_u[c] & X_w[d] and
-    X_u[d] & X_w[c].  That bitset must be all ones where <u, w> = 1 and
-    zero elsewhere.  An element of another dimension has every X at 0,
-    and fails on the pair (a_1, b_1).
+    decide it.  The coordinate bitset X_w[c] holds the S with coordinate
+    c of S w set.  <x, y> is the sum over the Gram entries G_cd = 1,
+    c < d, of x_c y_d + x_d y_c, so the S with <S u, S w> = 1 are the XOR
+    over those entries of X_u[c] & X_w[d] and X_u[d] & X_w[c].  That
+    bitset must be all ones where <u, w> = 1 and zero elsewhere.  An
+    element of another dimension lands in no bucket, so its bit is 0.
     """
     n = space.dim
     basis = [w for pair in space.basis_masks for w in pair]
     coords = []
-    for row in _images_by_basis(space, elements):
+    for row in by_image:
         coord = []
         for c in range(n):
             hit = 0
@@ -442,7 +449,7 @@ def _form_preserving(space: f2_forms.SymplecticSpaceF2, elements) -> int:
         coords.append(coord)
     edges = [(c, d) for c, r in enumerate(space.row_masks)
              for d in range(c + 1, n) if r >> d & 1]
-    good = (1 << len(elements)) - 1
+    good = sum(by_image[0])  # each element of this dimension is in one bucket
     for a, (u, xu) in enumerate(zip(basis, coords)):
         ju = space._image(u)
         for w, xw in zip(basis[a + 1:], coords[a + 1:]):
@@ -453,17 +460,16 @@ def _form_preserving(space: f2_forms.SymplecticSpaceF2, elements) -> int:
     return good
 
 
-def _transported_arfs(space: f2_forms.SymplecticSpaceF2, elements, refinements) -> list[int]:
-    """For each refinement q, the bitset over `elements` whose bit i is
-    arf(q o S) for S = elements[i], every element at once.
+def _transported_arfs(by_image, refinements) -> list[int]:
+    """From the `_images_by_basis(space, elements)` buckets, for each
+    refinement q of space, the bitset whose bit i is arf(q o S) for
+    S = elements[i], every element at once.
 
     arf(q o S) is the sum over the hyperbolic pairs (a_i, b_i) of
     space.basis_masks of q(S a_i) q(S b_i).  Q(w), the bitset of the S
-    with q(S w) = 1, is the OR of the `_images_by_basis` buckets of w
-    over the set bits v of q's value bitset, and the Arf bitset is the
-    XOR over the pairs of Q(a_i) & Q(b_i).
+    with q(S w) = 1, is the OR of the buckets of w over the set bits v of
+    q's value bitset; the Arf bitset is the XOR of the Q(a_i) & Q(b_i).
     """
-    by_image = _images_by_basis(space, elements)
     out = []
     for q in refinements:
         ones = q._value_bits
@@ -499,9 +505,8 @@ def check_property_suites(inputs):
     ok = True
     details = []
     for k in (1, 2, 3, 4):
-        space = f2_forms.standard_space(k)
-        value_bits = (f2_forms.QuadraticRefinement(space, bits)._value_bits
-                      for bits in product((0, 1), repeat=space.dim))
+        space = _built(inputs, f2_forms.standard_space, k)
+        value_bits = (q._value_bits for q in _built(inputs, f2_forms.all_refinements, space))
         if not _quadratic_identity_holds(space, value_bits):
             ok = False
             details.append(f"quadratic identity fails at k={k}")
@@ -528,11 +533,11 @@ def check_property_suites(inputs):
     ok = ok and bad == 0
     details.append(f"closure failures {bad}/1000")
     for k in (1, 2):
-        space = f2_forms.standard_space(k)
-        sp = _built(inputs, f2_forms.enumerate_sp, k)
+        space = _built(inputs, f2_forms.standard_space, k)
+        sp, by_image = _built(inputs, _listing, space)
         everywhere = (1 << len(sp)) - 1
-        refinements = f2_forms.all_refinements(space)
-        for q, arfs in zip(refinements, _transported_arfs(space, sp, refinements)):
+        refinements = _built(inputs, f2_forms.all_refinements, space)
+        for q, arfs in zip(refinements, _transported_arfs(by_image, refinements)):
             a = f2_forms.arf(q)
             if f2_forms.arf_by_majority(q) != a:
                 ok = False
@@ -561,9 +566,10 @@ ALL_CHECKS = (
 
 def run_all() -> list[CheckResult]:
     """Every check, in order, handed one inputs dict for this run: each
-    Sp(2k,2) listing, group table and `_word_sample` that two checks read
-    is built once per run.  The dict is dropped on return, so each run
-    builds afresh and nothing outlives it."""
+    standard space and its refinements, each Sp(2k,2) listing with its
+    `_images_by_basis` buckets, and each group table and `_word_sample`
+    that two checks read is built once per run.  The dict is dropped on
+    return, so each run builds afresh and nothing outlives it."""
     inputs = {}
     return [check(inputs) for check in ALL_CHECKS]
 

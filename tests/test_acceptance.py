@@ -8,9 +8,9 @@ quadratic-identity, Arf-invariance and form-preservation kernels
 directly, break each check's input to see it FAIL, pin the closure pairs
 to the word sample the round trip reads, and guard against the
 brute-force routes (coset enumeration of Gamma_V2, one `transport` or
-`is_symplectic` per element), duplicate group-table builds or word
-draws, inputs kept past the run that built them and reference cycles
-coming back.
+`is_symplectic` per element), duplicate group-table builds, Sp(2k,2)
+bucketings, standard spaces, checked refinements or word draws, inputs
+kept past the run that built them and reference cycles coming back.
 """
 
 import gc
@@ -371,7 +371,7 @@ def test_arf_kernel_matches_the_per_call_loop(k):
     space = ff.standard_space(k)
     sp = ff.enumerate_sp(k)
     refinements = ff.all_refinements(space)
-    kernel = verify._transported_arfs(space, sp, refinements)
+    kernel = verify._transported_arfs(verify._images_by_basis(space, sp), refinements)
     assert len(kernel) == len(refinements) == 4 ** k
     for q, arfs in zip(refinements, kernel):
         assert arfs == sum(ff.arf(ff.transport(q, s)) << i for i, s in enumerate(sp))
@@ -387,7 +387,8 @@ def test_arf_kernel_matches_the_per_call_loop_off_the_group():
     maps = [ff.SpElement.from_columns(tuple(rng.randrange(16) for _ in range(4)))
             for _ in range(300)]
     refinements = ff.all_refinements(space)
-    for q, arfs in zip(refinements, verify._transported_arfs(space, maps, refinements)):
+    by_image = verify._images_by_basis(space, maps)
+    for q, arfs in zip(refinements, verify._transported_arfs(by_image, refinements)):
         table = q.value_table
         want = 0
         for i, s in enumerate(maps):
@@ -399,7 +400,7 @@ def test_arf_kernel_matches_the_per_call_loop_off_the_group():
 def _form_bits_match_is_symplectic(space, elements):
     """Bit i of the form kernel is is_symplectic of element i; returns the
     number of elements that preserve the form."""
-    bits = verify._form_preserving(space, elements)
+    bits = verify._form_preserving(space, verify._images_by_basis(space, elements))
     assert bits >> len(elements) == 0
     for i, s in enumerate(elements):
         assert bits >> i & 1 == ff.is_symplectic(s.matrix, space), s
@@ -440,7 +441,7 @@ def test_form_kernel_flags_elements_of_another_dimension():
     sp = ff.enumerate_sp(2)
     six = ff.SpElement.from_columns((1, 2, 4, 8, 16, 32))
     mixed = sp[:3] + [ff.enumerate_sp(1)[0], six] + sp[3:5]
-    assert verify._form_preserving(space, mixed) == 0b1100111
+    assert verify._form_preserving(space, verify._images_by_basis(space, mixed)) == 0b1100111
     assert _form_bits_match_is_symplectic(space, mixed) == 5
 
 
@@ -534,6 +535,49 @@ def test_warm_run_all_builds_at_most_34_group_tables(monkeypatch):
     tables, listings = per_run[0]
     assert 0 < tables <= 34
     assert listings == [1, 2]
+
+
+def _count_gf2_builds(monkeypatch):
+    """Count, from here on, the `_images_by_basis` bucketings and the
+    SymplecticSpaceF2 and QuadraticRefinement values built through their
+    public, checking constructors (`_trusted` builds are not counted)."""
+    counts = {"buckets": 0, "spaces": 0, "refinements": 0}
+    real_buckets = verify._images_by_basis
+    real_space, real_refinement = ff.SymplecticSpaceF2.__new__, ff.QuadraticRefinement.__new__
+
+    def images_by_basis(space, elements):
+        counts["buckets"] += 1
+        return real_buckets(space, elements)
+
+    def space(cls, gram):
+        counts["spaces"] += 1
+        return real_space(cls, gram)
+
+    def refinement(cls, space, basis_values):
+        counts["refinements"] += 1
+        return real_refinement(cls, space, basis_values)
+
+    monkeypatch.setattr(verify, "_images_by_basis", images_by_basis)
+    monkeypatch.setattr(ff.SymplecticSpaceF2, "__new__", staticmethod(space))
+    monkeypatch.setattr(ff.QuadraticRefinement, "__new__", staticmethod(refinement))
+    return counts
+
+
+def test_warm_run_all_builds_each_gf2_object_once(monkeypatch):
+    """A warm run_all buckets Sp(2,2) and Sp(4,2) once each for both
+    bit-sliced kernels (3 bucketings before), builds 6 standard spaces:
+    k = 1..4 for verify and one inside each enumerate_sp (15 before), and
+    builds 1 refinement through the public constructor, the membership
+    check's (377 before): all_refinements stores its refinements
+    unchecked, and they equal the checked ones."""
+    verify.run_all()
+    counts = _count_gf2_builds(monkeypatch)
+    assert all(r.passed for r in verify.run_all())
+    assert counts == {"buckets": 2, "spaces": 6, "refinements": 1}
+    for k in (1, 2):
+        space = ff.standard_space(k)
+        checked = [ff.QuadraticRefinement(space, bits) for bits in product((0, 1), repeat=2 * k)]
+        assert ff.all_refinements(space) == checked
 
 
 def test_run_all_keeps_no_shared_inputs(monkeypatch):

@@ -118,6 +118,7 @@ def test_coset_enum(capsys):
     code, _, err = run(capsys, "coset-enum", "gens a b")
     assert code == 2
     assert run(capsys, "coset-enum", "gens: a,b; rels: a^2, b^2, [a, b]") == (0, "order 4\n", "")
+    assert run(capsys, "coset-enum", "gens: a,b; rels: a^2, b^2, [a,b]^2") == (0, "order 8\n", "")
 
 
 @pytest.mark.parametrize("cap", ["0", "-5"])

@@ -285,6 +285,15 @@ def test_value_table_matches_entrywise_doubling(k, congruent):
         assert q.value_table == entrywise_table(q)
 
 
+@pytest.mark.parametrize("build", [ff.standard_space, ff.enumerate_sp])
+@pytest.mark.parametrize("k", [True, 2.0, "2"])
+def test_standard_space_and_enumerate_sp_refuse_a_k_that_is_not_a_plain_int(build, k):
+    """True once built the k = 1 space and listed Sp(2,2); 2.0 and "2"
+    raised a bare TypeError."""
+    with pytest.raises(ff.UnsupportedSizeError, match=f"^k = {k!r} "):
+        build(k)
+
+
 def test_standard_space_refuses_k_past_the_cap_before_building():
     cap = ff.MAX_STANDARD_K
     assert ff.standard_space(cap).dim == 2 * cap

@@ -616,6 +616,32 @@ def test_parse_presentation_reads_spaces_inside_a_commutator():
         sg.parse_presentation("gens: a; rels: [ a ]")
 
 
+def test_parse_presentation_reads_a_commutator_with_an_exponent():
+    """[x,y]^n expands like x^n, and a negative exponent gives the inverse
+    word, letters reversed and each inverted; "[a,b]^2" was once refused
+    as unknown generator '[a,b]'."""
+    expand = {"[a,b]^2": "a b a^-1 b^-1 a b a^-1 b^-1", "[a,b]^-1": "b a b^-1 a^-1",
+              "[a,b]^-2": "b a b^-1 a^-1 b a b^-1 a^-1", "[a, b]^1": "[a,b]", "[a,b]^0": ""}
+    for short, long in expand.items():
+        assert (sg.parse_presentation(f"gens: a,b; rels: a^2, {short}")
+                == sg.parse_presentation(f"gens: a,b; rels: a^2, {long}")), short
+    with pytest.raises(sg.PresentationError, match=r"^bad exponent in '\[a,b\]\^x'$"):
+        sg.parse_presentation("gens: a,b; rels: [a,b]^x")
+    with pytest.raises(sg.PresentationError, match=r"^bad commutator '\[a\]'$"):
+        sg.parse_presentation("gens: a; rels: [a]^2")
+    assert sg.todd_coxeter(sg.parse_presentation("gens: a,b; rels: a^2, b^2, [a,b]^2")).order == 8
+
+
+def test_parse_presentation_caps_the_letters_of_a_commutator_power():
+    """Each power of [x,y] is four letters against MAX_RELATOR_LETTERS."""
+    cap = sg.MAX_RELATOR_LETTERS
+    pres = sg.parse_presentation(f"gens: a,b; rels: [a,b]^-{cap // 4}")
+    assert sum(map(len, pres.relators)) == cap
+    for text in ("gens: a,b; rels: [a,b]^3000", f"gens: a,b; rels: a, [a,b]^{cap // 4}"):
+        with pytest.raises(sg.UnsupportedSizeError, match=f"cap of {cap} letters"):
+            sg.parse_presentation(text)
+
+
 @pytest.mark.parametrize("letter", [
     (0.0, 1), (0, 1.0), (True, 1), (0, True), (1, -1.0), (2, 1), (-1, 1), (0, 2), (0, 0)])
 def test_presentation_refuses_a_letter_that_is_not_two_plain_ints(letter):
